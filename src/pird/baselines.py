@@ -2,10 +2,11 @@
 PID via Granger causality on VAR sub-models, and the additive split of the
 mutual information rate into directed transfers plus instantaneous sharing.
 
-All sub-model quantities are computed analytically: the exact autocovariance
-sequence of the retained channels is extracted from the full model and a
-block Yule-Walker system of order ``q`` gives the one-step prediction error
-covariance of the sub-process. No Monte-Carlo simulation is involved.
+Transfer entropies are state-space Granger causalities (Barnett & Seth,
+Phys. Rev. E 91, 040101(R), 2015): the innovation covariance of any channel
+subset of a VAR follows exactly from one discrete algebraic Riccati equation
+on the model's innovations form. There is no truncation order and no
+Monte-Carlo simulation.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ArgumentError, EstimationError, NumericalError
-from .var import VarModel, autocovariance_sequence
-
-
-def default_submodel_order(model: VarModel) -> int:
-    """Yule-Walker order used for sub-model refits: ``max(32, 8p)``."""
-    return max(32, 8 * model.order)
+from .var import VarModel, _require_stable
 
 
 @dataclass(frozen=True)
@@ -138,48 +134,52 @@ def _source_list(
     return srcs
 
 
-def submodel_innovation(
-    model: VarModel, channels: Sequence[int], q: int
-) -> np.ndarray:
+def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
     """One-step prediction error covariance of a channel subset.
 
-    Fits, analytically, an order-``q`` VAR to the sub-process formed by
-    ``channels``: the block Yule-Walker system built from the exact
-    autocovariances of the full model is solved by Cholesky factorization,
-    and the residual covariance ``C_0 - sum_j B_j C_j.T`` is returned.
+    In innovations form the VAR has state ``x_t = [z_{t-1}; ...; z_{t-p}]``,
+    state matrix ``A`` (the companion matrix), observation matrix
+    ``C = A[:Q]`` and noise gain ``K = [I_Q; 0]``. The sub-process
+    ``z_t[s]`` observes the same state through ``C_s``, so its innovation
+    covariance is ``C_s P C_s.T + Sigma_ss``, where ``P`` is the stabilising
+    solution of the Kalman-filter Riccati equation with state noise
+    ``K Sigma K.T``, observation noise ``Sigma_ss`` and cross term
+    ``K Sigma[:, s]``.
 
     Raises
     ------
+    UnstableModelError
+        If the model is not stable.
     EstimationError
-        If the block Toeplitz covariance is not positive definite at this
-        order (numerical conditioning).
+        If the Riccati equation has no stabilising solution (numerical
+        conditioning).
     """
-    chans = tuple(dict.fromkeys(int(c) for c in channels))
+    chans = list(dict.fromkeys(int(c) for c in channels))
     if not chans:
         raise ArgumentError("need at least one channel")
-    if q < 1:
-        raise ArgumentError("sub-model order must be >= 1")
-    d = len(chans)
-    gammas = autocovariance_sequence(model, q)
-    sub = [g[np.ix_(chans, chans)] for g in gammas]
-    # c_all[k + q - 1] = C_k with C_{-k} = C_k.T
-    c_all = np.empty((2 * q - 1, d, d))
-    for k in range(q):
-        c_all[q - 1 + k] = sub[k]
-        c_all[q - 1 - k] = sub[k].T
-    idx = np.arange(q)[None, :] - np.arange(q)[:, None]  # (i, j) -> j - i
-    g = c_all[idx + q - 1].transpose(0, 2, 1, 3).reshape(q * d, q * d)
-    g = (g + g.T) / 2.0
-    b = np.hstack([sub[k] for k in range(1, q + 1)])  # (d, q*d)
+    if any(not 0 <= c < model.dim for c in chans):
+        raise ArgumentError(f"channels {chans} out of range 0..{model.dim - 1}")
+    _require_stable(model, "submodel_innovation")
+    if model.order == 0:
+        return model.sigma[np.ix_(chans, chans)].copy()
+    # The equation is solved for the channels rescaled to unit innovation
+    # variance and the result scaled back, which is exact. Unscaled, channels
+    # whose units differ by a few decades make the solver fail.
+    scale = 1.0 / np.sqrt(np.diag(model.sigma))
+    state_scale = np.tile(scale, model.order)
+    comp = state_scale[:, None] * model.companion() / state_scale[None, :]
+    c_s = comp[chans]
+    noise = np.zeros_like(comp)
+    noise[: model.dim, : model.dim] = model.sigma * np.outer(scale, scale)
+    sig_ss = noise[np.ix_(chans, chans)]
     try:
-        cho = scipy.linalg.cho_factor(g)
+        p = scipy.linalg.solve_discrete_are(comp.T, c_s.T, noise, sig_ss, s=noise[:, chans])
     except np.linalg.LinAlgError as exc:
         raise EstimationError(
-            f"order-{q} Yule-Walker system for channels {chans} is not positive "
-            f"definite ({exc})"
+            f"Riccati equation for channels {tuple(chans)} has no stabilising "
+            f"solution ({exc})"
         ) from exc
-    coefs = scipy.linalg.cho_solve(cho, b.T).T  # (d, q*d)
-    resid = sub[0] - coefs @ b.T
+    resid = (c_s @ p @ c_s.T + sig_ss) / np.outer(scale[chans], scale[chans])
     return (resid + resid.T) / 2.0
 
 
@@ -187,7 +187,6 @@ def transfer_entropy(
     model: VarModel,
     sources: Sequence[int],
     target: int | Sequence[int],
-    q: int | None = None,
     conditioning: Sequence[int] = (),
 ) -> float:
     """Transfer entropy (nats) from ``sources`` to ``target``.
@@ -197,10 +196,10 @@ def transfer_entropy(
         TE = 1/2 * ln( det Sigma_reduced[T] / det Sigma_full[T] ),
 
     where the full sub-model retains ``target + conditioning + sources``
-    and the reduced sub-model drops the sources; both are refit at order
-    ``q`` (default :func:`default_submodel_order`) via Yule-Walker on the
-    model's analytic autocovariances. ``target`` may be a channel group,
-    in which case determinants of its innovation block are used.
+    and the reduced sub-model drops the sources; both innovation
+    covariances come from :func:`submodel_innovation`. ``target`` may be a
+    channel group, in which case determinants of its innovation block are
+    used.
     """
     targets = (target,) if isinstance(target, (int, np.integer)) else tuple(target)
     if not targets:
@@ -214,12 +213,10 @@ def transfer_entropy(
         raise ArgumentError(f"channels {sorted(overlap)} are both target and source")
     if set(cond) & (set(srcs) | set(targets)):
         raise ArgumentError("conditioning set overlaps target or sources")
-    if q is None:
-        q = default_submodel_order(model)
     reduced_set = tuple(sorted(set(targets) | set(cond)))
     full_set = tuple(sorted(set(reduced_set) | set(srcs)))
-    sig_full = submodel_innovation(model, full_set, q)
-    sig_red = submodel_innovation(model, reduced_set, q)
+    sig_full = submodel_innovation(model, full_set)
+    sig_red = submodel_innovation(model, reduced_set)
     t_full = [full_set.index(t) for t in targets]
     t_red = [reduced_set.index(t) for t in targets]
     ld_full = _logdet_spd(
@@ -235,20 +232,19 @@ def instantaneous_info(
     model: VarModel, sources: Sequence[int], target: int
 ) -> float:
     """Zero-lag information shared between target and sources given both
-    pasts: the Gaussian MI between the corresponding innovation blocks."""
+    pasts: the Gaussian MI between the blocks of the innovation covariance
+    of the sub-process formed by the target and the sources."""
     srcs = _source_list(model.dim, target, sources)
-    sig = model.sigma
-    joint = [target, *srcs]
-    ld_s = _logdet_spd(sig[np.ix_(srcs, srcs)], "innovation source block")
-    ld_j = _logdet_spd(sig[np.ix_(joint, joint)], "innovation joint block")
-    return 0.5 * (ld_s + np.log(sig[target, target]) - ld_j)
+    sig = submodel_innovation(model, [target, *srcs])
+    ld_s = _logdet_spd(sig[1:, 1:], "innovation source block")
+    ld_j = _logdet_spd(sig, "innovation joint block")
+    return 0.5 * (ld_s + np.log(sig[0, 0]) - ld_j)
 
 
 def te_pid(
     model: VarModel,
     target: int,
     sources: Sequence[int] | None = None,
-    q: int | None = None,
     conditioned: bool = False,
 ) -> TePidResult:
     """Minimum-MI PID applied to the joint transfer entropy.
@@ -260,11 +256,11 @@ def te_pid(
     srcs = _source_list(model.dim, target, sources)
     if len(srcs) < 2:
         raise ArgumentError("TE PID needs at least two sources")
-    te_joint = transfer_entropy(model, srcs, target, q)
+    te_joint = transfer_entropy(model, srcs, target)
     marginals = []
     for s in srcs:
         cond = tuple(o for o in srcs if o != s) if conditioned else ()
-        marginals.append(transfer_entropy(model, (s,), target, q, conditioning=cond))
+        marginals.append(transfer_entropy(model, (s,), target, conditioning=cond))
     marginals = tuple(marginals)
     r = min(marginals)
     unique = tuple(te - r for te in marginals)
@@ -279,14 +275,14 @@ def te_pid(
 
 
 def mir_decomposition(
-    model: VarModel, target: int, sources: Sequence[int] | None = None, q: int | None = None
+    model: VarModel, target: int, sources: Sequence[int] | None = None
 ) -> tuple[float, float, float]:
     """The additive split of the mutual information rate: transfer from
     sources to target, transfer from target to sources, and instantaneous
     sharing. Their sum equals the integrated joint spectral MIR."""
     srcs = _source_list(model.dim, target, sources)
-    te_to_target = transfer_entropy(model, srcs, target, q)
-    te_to_sources = transfer_entropy(model, (target,), srcs, q)
+    te_to_target = transfer_entropy(model, srcs, target)
+    te_to_sources = transfer_entropy(model, (target,), srcs)
     inst = instantaneous_info(model, srcs, target)
     return te_to_target, te_to_sources, inst
 

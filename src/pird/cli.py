@@ -94,7 +94,7 @@ class RunConfig:
     c: float | None = None
     target: str | None = None
     sources: str | None = None
-    fs: float = 1.0
+    fs: float | None = None  # None: the model's own rate (1 Hz for a CSV)
     order: int | None = None
     max_order: int = 10
     grid: int = 2049
@@ -105,9 +105,6 @@ class RunConfig:
     sweep: str = "0:0.05:0.8"
     conditioned_te: bool = False
     diag_load: float = 0.0
-
-
-_DEFAULTS = RunConfig(command="")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -156,7 +153,10 @@ def _build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--config", help="flat key = value config file; flags win")
         p.add_argument("--input", help="input CSV time series")
-        p.add_argument("--fs", type=float, help="sampling frequency in Hz (default 1)")
+        p.add_argument(
+            "--fs", type=float,
+            help="sampling frequency in Hz (default: a stored model's own, else 1)",
+        )
         p.add_argument("--out", help="output directory (default pird_out)")
         p.add_argument("--units", choices=("nats", "bits"), help="output units")
         p.add_argument("--seed", type=int, help="seed recorded with the run")
@@ -213,7 +213,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _load_series(config: RunConfig) -> TimeSeriesMatrix:
     if not config.input:
         raise ArgumentError("an input CSV is required (--input)")
-    return TimeSeriesMatrix.load_csv(config.input, fs=config.fs)
+    return TimeSeriesMatrix.load_csv(config.input, fs=1.0 if config.fs is None else config.fs)
 
 
 def _fit_from_series(config: RunConfig, ts: TimeSeriesMatrix):
@@ -320,7 +320,7 @@ def cmd_fit(config: RunConfig) -> int:
 
 def cmd_decompose(config: RunConfig) -> int:
     model, _ = _obtain_model(config)
-    if config.fs != _DEFAULTS.fs and model.fs != config.fs:
+    if config.fs is not None and model.fs != config.fs:
         # an explicit --fs re-times a loaded model or scenario
         model = VarModel(
             coeffs=model.coeffs, sigma=model.sigma, fs=config.fs, names=model.names

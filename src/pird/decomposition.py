@@ -19,7 +19,7 @@ against the group ``(5, 7)``.
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -425,9 +425,14 @@ def decompose(
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write a file atomically (temp file in the target dir, then rename)."""
+    """Write a file atomically (temp file in the target dir, then rename).
+
+    The temp file is created with mode 0666 less the umask, the mode any new
+    file gets, and ``O_EXCL`` so that an existing file is never reused.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

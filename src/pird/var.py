@@ -524,26 +524,26 @@ def zero_lag_covariance(model: VarModel) -> np.ndarray:
     """Stationary covariance ``Gamma_0`` of a stable model.
 
     Solves the discrete Lyapunov equation of the companion form,
-    ``G = A G A.T + S``, by the exact vectorized (Kronecker) linear system
-    and returns the top-left ``Q x Q`` block.
+    ``G = A G A.T + S``, and returns the top-left ``Q x Q`` block. scipy
+    solves it directly (Kronecker system) below 10 states and by the
+    bilinear transformation plus Bartels-Stewart above.
     """
     _require_stable(model, "zero_lag_covariance")
     if model.order == 0:
         return model.sigma.copy()
-    return _companion_covariance(model)[0][: model.dim, : model.dim].copy()
+    return _companion_covariance(model)[: model.dim, : model.dim].copy()
 
 
-def _companion_covariance(model: VarModel) -> tuple[np.ndarray, int]:
+def _companion_covariance(model: VarModel) -> np.ndarray:
     p, q = model.order, model.dim
     comp = model.companion()
     sig_bar = np.zeros((p * q, p * q))
     sig_bar[:q, :q] = model.sigma
     try:
-        gamma_bar = scipy.linalg.solve_discrete_lyapunov(comp, sig_bar, method="direct")
+        gamma_bar = scipy.linalg.solve_discrete_lyapunov(comp, sig_bar)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Lyapunov solve failed: {exc}") from exc
-    gamma_bar = (gamma_bar + gamma_bar.T) / 2.0
-    return gamma_bar, p
+    return (gamma_bar + gamma_bar.T) / 2.0
 
 
 def autocovariance_sequence(model: VarModel, k_max: int) -> list[np.ndarray]:
@@ -559,7 +559,7 @@ def autocovariance_sequence(model: VarModel, k_max: int) -> list[np.ndarray]:
     p, q = model.order, model.dim
     if p == 0:
         return [model.sigma.copy()] + [np.zeros((q, q)) for _ in range(k_max)]
-    gamma_bar, _ = _companion_covariance(model)
+    gamma_bar = _companion_covariance(model)
     gammas = [gamma_bar[:q, j * q : (j + 1) * q].copy() for j in range(min(p, k_max + 1))]
     for k in range(len(gammas), k_max + 1):
         acc = np.zeros((q, q))

@@ -154,7 +154,7 @@ def test_criterion_5_mir_additive_split(grid, benchmark_models):
             psd = psd_from_var(model, grid)
             mir = integrate_full(spectral_mir(psd, 0, list(range(1, model.dim))))
             tx, ty, inst = mir_decomposition(model, 0)
-            assert abs(mir - (tx + ty + inst)) < 1e-4
+            assert abs(mir - (tx + ty + inst)) < 1e-10
 
 
 def test_criterion_6_sim2_sweep(grid):

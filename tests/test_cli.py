@@ -1,10 +1,12 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pird import simulate
+from pird import VarModel, simulate
 from pird.cli import main
 
 
@@ -164,6 +166,26 @@ def test_decompose_argument_errors(tmp_path):
     assert main([
         "decompose", "--scenario", "sim1", "--c", "0.95", "--out", str(tmp_path),
     ]) == 3
+
+
+def test_decompose_explicit_fs_retimes_a_stored_model(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(VarModel(coeffs=np.zeros((1, 2, 2)), sigma=np.eye(2), fs=2.0).to_json())
+    args = ["decompose", "--model", str(model), "--bands", "A:0.6-0.9", "--out", str(tmp_path)]
+    assert main(args) == 0
+    # at the explicit 1 Hz the band lies above the 0.5 Hz Nyquist frequency
+    assert main(args + ["--fs", "1"]) == 3
+
+
+def test_outputs_get_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert main(["decompose", "--scenario", "sim1", "--c", "0", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("atoms.csv", "coarse.csv", "profiles.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atoms.csv", "coarse.csv", "profiles.csv"]
 
 
 def test_bad_config_file(tmp_path):
