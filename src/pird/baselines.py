@@ -12,7 +12,7 @@ Monte-Carlo simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -201,6 +201,19 @@ def transfer_entropy(
     channel group, in which case determinants of its innovation block are
     used.
     """
+    return _transfer_entropy(
+        lambda chans: submodel_innovation(model, chans), sources, target, conditioning
+    )
+
+
+def _transfer_entropy(
+    innovation: Callable[[tuple[int, ...]], np.ndarray],
+    sources: Sequence[int],
+    target: int | Sequence[int],
+    conditioning: Sequence[int],
+) -> float:
+    """:func:`transfer_entropy` with the sub-model innovation covariances
+    taken from ``innovation(channels)`` (sorted channel tuples)."""
     targets = (target,) if isinstance(target, (int, np.integer)) else tuple(target)
     if not targets:
         raise ArgumentError("need at least one target channel")
@@ -215,8 +228,8 @@ def transfer_entropy(
         raise ArgumentError("conditioning set overlaps target or sources")
     reduced_set = tuple(sorted(set(targets) | set(cond)))
     full_set = tuple(sorted(set(reduced_set) | set(srcs)))
-    sig_full = submodel_innovation(model, full_set)
-    sig_red = submodel_innovation(model, reduced_set)
+    sig_full = innovation(full_set)
+    sig_red = innovation(reduced_set)
     t_full = [full_set.index(t) for t in targets]
     t_red = [reduced_set.index(t) for t in targets]
     ld_full = _logdet_spd(
@@ -256,11 +269,20 @@ def te_pid(
     srcs = _source_list(model.dim, target, sources)
     if len(srcs) < 2:
         raise ArgumentError("TE PID needs at least two sources")
-    te_joint = transfer_entropy(model, srcs, target)
+    # The transfers share sub-models (the target-only one at least), so
+    # each distinct channel set is solved once: M + 2 Riccati equations.
+    solved: dict[tuple[int, ...], np.ndarray] = {}
+
+    def innovation(chans: tuple[int, ...]) -> np.ndarray:
+        if chans not in solved:
+            solved[chans] = submodel_innovation(model, chans)
+        return solved[chans]
+
+    te_joint = _transfer_entropy(innovation, srcs, target, ())
     marginals = []
     for s in srcs:
         cond = tuple(o for o in srcs if o != s) if conditioned else ()
-        marginals.append(transfer_entropy(model, (s,), target, conditioning=cond))
+        marginals.append(_transfer_entropy(innovation, (s,), target, cond))
     marginals = tuple(marginals)
     r = min(marginals)
     unique = tuple(te - r for te in marginals)

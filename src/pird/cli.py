@@ -318,13 +318,16 @@ def cmd_fit(config: RunConfig) -> int:
     return 0
 
 
+def _retimed(model: VarModel, config: RunConfig) -> VarModel:
+    """The model at an explicit ``--fs``; a loaded model or scenario keeps
+    its own rate otherwise."""
+    if config.fs is None or model.fs == config.fs:
+        return model
+    return VarModel(coeffs=model.coeffs, sigma=model.sigma, fs=config.fs, names=model.names)
+
+
 def cmd_decompose(config: RunConfig) -> int:
-    model, _ = _obtain_model(config)
-    if config.fs is not None and model.fs != config.fs:
-        # an explicit --fs re-times a loaded model or scenario
-        model = VarModel(
-            coeffs=model.coeffs, sigma=model.sigma, fs=config.fs, names=model.names
-        )
+    model = _retimed(_obtain_model(config)[0], config)
     target, sources = _resolve_channels(model, config)
     fs = model.fs
     bands = _bands_for(config, fs)
@@ -366,7 +369,6 @@ def _parse_sweep(spec: str) -> np.ndarray:
 
 def _coupling_sweep(config: RunConfig, scenario: str) -> int:
     cs = _parse_sweep(config.sweep)
-    grid = FrequencyGrid(fs=1.0, n_points=config.grid)
     scale, unit = _unit_scale(config)
     prefix = "staticPID" if scenario == "sim1" else "tePID"
     src_names = ("X1", "X2")
@@ -377,7 +379,8 @@ def _coupling_sweep(config: RunConfig, scenario: str) -> int:
     header += [f"{prefix}_R", f"{prefix}_S", f"{prefix}_Delta", f"{prefix}_JointMIR"]
     lines = [",".join(header)]
     for c in cs:
-        model = build_scenario(Scenario(scenario, {"c": float(c)}))
+        model = _retimed(build_scenario(Scenario(scenario, {"c": float(c)})), config)
+        grid = FrequencyGrid(fs=model.fs, n_points=config.grid)
         result = decompose(psd_from_var(model, grid), 0)
         terms = result.coarse[FULL_BAND]
         if scenario == "sim1":
@@ -400,7 +403,7 @@ def _coupling_sweep(config: RunConfig, scenario: str) -> int:
 
 
 def _band_table(config: RunConfig) -> int:
-    model = build_scenario(Scenario("sim3"))
+    model = _retimed(build_scenario(Scenario("sim3")), config)
     bands = _bands_for(config, model.fs, default=_BENCH_BANDS)
     grid = FrequencyGrid(fs=model.fs, n_points=config.grid)
     psd = psd_from_var(model, grid)

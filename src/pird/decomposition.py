@@ -511,11 +511,14 @@ def write_profiles_csv(
 ) -> None:
     """Long-form spectral profiles ``(f_hz, atom_or_term, value)``.
 
-    Keys are the canonical atom strings (PI rate profiles), ``I_<name>``
-    for single-source MIR profiles, ``U_<name>``/``R``/``S`` for the coarse
-    profiles (two or more sources) and ``JointMIR``.
+    The rows come in blocks of one key each, one row per grid frequency in
+    ascending order. The blocks are the atoms in lattice order (keyed by the
+    canonical atom string, PI rate profiles), then ``I_<name>`` per source
+    (single-source MIR profiles), then ``U_<name>`` per source, ``R`` and
+    ``S`` (coarse profiles, two or more sources only) and last
+    ``JointMIR``. With M >= 2 sources that is ``atoms + 2M + 3`` blocks of
+    ``grid`` rows after the header.
     """
-    hz = result.grid.hz
     blocks: list[tuple[str, np.ndarray]] = []
     for i, atom in enumerate(result.lattice.atoms):
         blocks.append((str(atom), result.atom_pi[i]))
@@ -528,11 +531,14 @@ def write_profiles_csv(
         blocks.append(("R", coarse.r_profile.values))
         blocks.append(("S", coarse.s_profile.values))
     blocks.append(("JointMIR", result.joint_profile.values))
-    lines = ["f_hz,atom_or_term,value"]
+    # One %-template per block: the frequencies are formatted once, "\0"
+    # marks where the key goes, and the values fill the %.12g fields.
+    template = "".join(f"{f:.12g},\0,%.12g\n" for f in result.grid.hz)
+    parts = ["f_hz,atom_or_term,value\n"]
     for key, values in blocks:
-        for f, v in zip(hz, values):
-            lines.append(f"{f:.12g},{key},{_fmt(v, scale)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        block = template.replace("\0", key.replace("%", "%%"))
+        parts.append(block % tuple((values / scale).tolist()))
+    atomic_write_text(path, "".join(parts))
 
 
 def _require_time(result: DecompositionResult) -> None:

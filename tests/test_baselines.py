@@ -26,6 +26,7 @@ from pird import (
     te_pid,
     transfer_entropy,
 )
+from pird import baselines
 from pird.baselines import baseline_rows
 
 from conftest import make_model_set
@@ -271,6 +272,33 @@ def test_te_pid_conditioned_variant(sim3_model):
     cond = te_pid(sim3_model, 0, conditioned=True)
     assert biv.te_joint == pytest.approx(cond.te_joint, abs=1e-12)
     assert biv.redundancy != pytest.approx(cond.redundancy, abs=1e-6)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_te_pid_solves_each_distinct_submodel_once(monkeypatch, m, conditioned):
+    # target-only, joint and one set per source (the target plus that source,
+    # or conditioned, the target plus the other sources): M + 2 sets
+    model = random_stable_var(m + 2, 2, seed=100 + m, radius=0.85)
+    srcs = list(range(2, m + 2))
+    expected_joint = transfer_entropy(model, srcs, 1)
+    others = {s: [o for o in srcs if o != s] if conditioned else [] for s in srcs}
+    expected_marginals = tuple(
+        transfer_entropy(model, [s], 1, conditioning=others[s]) for s in srcs
+    )
+    calls = []
+    solve = baselines.submodel_innovation
+
+    def counted(model, channels):
+        calls.append(tuple(channels))
+        return solve(model, channels)
+
+    monkeypatch.setattr(baselines, "submodel_innovation", counted)
+    res = te_pid(model, 1, srcs, conditioned=conditioned)
+    assert len(calls) == m + 2
+    assert len(set(calls)) == len(calls)
+    assert res.te_joint == expected_joint
+    assert res.te_marginals == expected_marginals
 
 
 def test_te_nonnegative_across_models():

@@ -229,6 +229,27 @@ def test_bench_sim3_band_table(tmp_path):
     assert abs(rows["FULL"]["U_X2"]) < 1e-6
 
 
+def test_bench_sim3_band_table_honours_fs(tmp_path):
+    bands = "B1:0.04-0.15,B2:0.15-0.4"
+    assert main(["bench", "--scenario", "sim3", "--fs", "2", "--out", str(tmp_path / "b")]) == 0
+    assert main([
+        "decompose", "--scenario", "sim3", "--fs", "2", "--bands", bands,
+        "--out", str(tmp_path / "d"),
+    ]) == 0
+    lines = (tmp_path / "b" / "bench_sim3.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    coarse = {}
+    for line in (tmp_path / "d" / "coarse.csv").read_text().strip().splitlines()[1:]:
+        term, band, value = line.split(",")
+        coarse[(term, band)] = value
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        if row["band"] == "FULL":
+            continue
+        for term in ("U_X1", "U_X2", "U_X3", "R", "S", "Delta", "JointMIR"):
+            assert row[term] == coarse[(term, row["band"])]
+
+
 def test_bench_sim1_agrees_with_static_pid_at_rest(tmp_path):
     out = tmp_path / "bench1"
     assert main([

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from pird import (
     coarse_grained,
     decompose,
     integrate_full,
+    VarModel,
     psd_from_var,
+    random_stable_var,
     smmi_redundancy_profile,
     spectral_mir,
     spectral_pird,
@@ -327,6 +331,58 @@ def test_csv_exports(tmp_path, sim3_psd):
     assert profiles_lines[0] == "f_hz,atom_or_term,value"
     keys = {line.split(",")[1] for line in profiles_lines[1:]}
     assert {"{1}{2}{3}", "I_X1", "U_X3", "R", "S", "JointMIR"} <= keys
+
+
+def reference_profiles_csv(result, path, scale=1.0):
+    """The row-at-a-time writer that the block-template writer replaced:
+    one ``.12g`` format per frequency and per value."""
+    blocks = [(str(atom), result.atom_pi[i]) for i, atom in enumerate(result.lattice.atoms)]
+    blocks += [(f"I_{n}", row) for n, row in zip(result.source_names, result.marginal_profiles)]
+    if len(result.sources) >= 2:
+        coarse = aggregate_coarse(result)
+        blocks += [(f"U_{n}", row) for n, row in zip(result.source_names, coarse.u_profiles)]
+        blocks += [("R", coarse.r_profile.values), ("S", coarse.s_profile.values)]
+    blocks.append(("JointMIR", result.joint_profile.values))
+    lines = ["f_hz,atom_or_term,value"]
+    for key, values in blocks:
+        for f, v in zip(result.grid.hz, values):
+            lines.append(f"{f:.12g},{key},{v / scale:.12g}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _profiles_case(case, grid):
+    bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
+    if case == "sim1":
+        return decompose(psd_from_var(build_scenario(Scenario("sim1", {"c": 0.4})), grid), 0)
+    if case == "sim3":
+        return decompose(psd_from_var(build_scenario(Scenario("sim3")), grid), 0, bands=bands)
+    model = random_stable_var(5, 3, seed=17, radius=0.9)
+    if case == "var5-one-source":
+        return decompose(psd_from_var(model, grid), 0, [3], bands=bands)
+    if case == "var5":
+        return decompose(psd_from_var(model, grid), 0, bands=bands)
+    # channel names that are %-format directives must come out verbatim
+    named = VarModel(
+        coeffs=model.coeffs, sigma=model.sigma,
+        names=("Y%", "X%s", "%(k)d", "50%%", "%.12g"),
+    )
+    return decompose(psd_from_var(named, grid), 0, bands=bands)
+
+
+@pytest.mark.parametrize(
+    "case, m",
+    [("var5-one-source", 1), ("sim1", 2), ("sim3", 3), ("var5", 4), ("percent-names", 4)],
+)
+@pytest.mark.parametrize("scale", [1.0, np.log(2.0)])
+def test_profiles_csv_matches_row_at_a_time_writer(tmp_path, grid, case, m, scale):
+    res = _profiles_case(case, grid)
+    assert len(res.sources) == m
+    write_profiles_csv(res, tmp_path / "profiles.csv", scale)
+    reference_profiles_csv(res, tmp_path / "reference.csv", scale)
+    text = (tmp_path / "profiles.csv").read_bytes()
+    assert text == (tmp_path / "reference.csv").read_bytes()
+    blocks = len(res.lattice) + (2 * m + 3 if m >= 2 else m + 1)
+    assert text.count(b"\n") == 1 + blocks * grid.n_points
 
 
 def test_export_requires_time_part(tmp_path, sim1_c0_psd):
