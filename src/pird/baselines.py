@@ -5,8 +5,11 @@ mutual information rate into directed transfers plus instantaneous sharing.
 Transfer entropies are state-space Granger causalities (Barnett & Seth,
 Phys. Rev. E 91, 040101(R), 2015): the innovation covariance of any channel
 subset of a VAR follows exactly from one discrete algebraic Riccati equation
-on the model's innovations form. There is no truncation order and no
-Monte-Carlo simulation.
+on the model's innovations form, solved by structure-preserving doubling
+(Lin & Xu, SIAM J. Matrix Anal. Appl. 28(1), 2006). The stationary
+covariance of the static PID comes from Smith doubling of the companion
+Lyapunov equation. There is no truncation order and no Monte-Carlo
+simulation.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ArgumentError, EstimationError, NumericalError
-from .var import VarModel, _require_stable
+from .var import _MAX_DOUBLINGS, VarModel, _require_stable
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,10 @@ def static_pid(
 ) -> StaticPidResult:
     """Zero-lag minimum-MI PID from the model's stationary covariance.
 
-    The stationary covariance comes from the companion-form Lyapunov
-    equation; redundancy is the minimum single-source MI, and the unique
-    and synergistic terms follow from the additive identities.
+    The stationary covariance comes from Smith doubling of the
+    companion-form Lyapunov equation; redundancy is the minimum
+    single-source MI, and the unique and synergistic terms follow from the
+    additive identities.
     """
     from .var import zero_lag_covariance
 
@@ -144,7 +147,8 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
     covariance is ``C_s P C_s.T + Sigma_ss``, where ``P`` is the stabilising
     solution of the Kalman-filter Riccati equation with state noise
     ``K Sigma K.T``, observation noise ``Sigma_ss`` and cross term
-    ``K Sigma[:, s]``.
+    ``K Sigma[:, s]``. :func:`_dare` finds it by structure-preserving
+    doubling and certifies it by its residual and closed-loop stability.
 
     Raises
     ------
@@ -173,7 +177,7 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
     noise[: model.dim, : model.dim] = model.sigma * np.outer(scale, scale)
     sig_ss = noise[np.ix_(chans, chans)]
     try:
-        p = scipy.linalg.solve_discrete_are(comp.T, c_s.T, noise, sig_ss, s=noise[:, chans])
+        p = _dare(comp, c_s, noise, sig_ss, noise[:, chans])
     except np.linalg.LinAlgError as exc:
         raise EstimationError(
             f"Riccati equation for channels {tuple(chans)} has no stabilising "
@@ -181,6 +185,51 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
         ) from exc
     resid = (c_s @ p @ c_s.T + sig_ss) / np.outer(scale[chans], scale[chans])
     return (resid + resid.T) / 2.0
+
+
+def _dare(
+    a: np.ndarray, c: np.ndarray, q: np.ndarray, r: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """Stabilising solution ``P`` of the Kalman-filter Riccati equation
+
+        P = A P A.T - (A P C.T + S) (R + C P C.T)^-1 (A P C.T + S).T + Q
+
+    by the structure-preserving doubling algorithm. With the cross term
+    removed (``A~ = A - S R^-1 C``, ``Q~ = Q - S R^-1 S.T``,
+    ``G = C.T R^-1 C``) the equation reads ``P = A~ P (I + G P)^-1 A~.T +
+    Q~``. Each doubling squares the closed-loop matrix, so the iterate
+    converges to ``P`` quadratically.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If the doubling does not settle within the cap, or the result fails
+        the Riccati residual or closed-loop stability check.
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
+    r_c = np.linalg.solve(r, c)
+    a_t = a - s @ r_c
+    q_t = q - s @ np.linalg.solve(r, s.T)
+    g_0 = c.T @ r_c
+    ak, g, h = a_t.T, g_0, q_t
+    for _ in range(_MAX_DOUBLINGS):
+        w = np.linalg.solve(eye + g @ h, np.hstack([ak, g]))
+        step = ak.T @ h @ w[:, :n]
+        g = g + ak @ w[:, n:] @ ak.T
+        ak = ak @ w[:, :n]
+        h = h + (step + step.T) / 2.0
+        if np.abs(step).max() <= 1e-15 * np.abs(h).max():
+            break
+    else:
+        raise np.linalg.LinAlgError(f"doubling did not converge in {_MAX_DOUBLINGS} steps")
+    closed = np.linalg.solve(eye + g_0 @ h, a_t.T).T  # A~ (I + P G)^-1
+    resid = closed @ h @ a_t.T + q_t - h
+    if np.abs(resid).max() > 1e-10 * max(np.abs(h).max(), np.abs(q).max()):
+        raise np.linalg.LinAlgError("Riccati residual too large")
+    if np.abs(np.linalg.eigvals(closed)).max() >= 1.0:
+        raise np.linalg.LinAlgError("closed loop is not stable")
+    return h
 
 
 def transfer_entropy(

@@ -196,31 +196,16 @@ class RedundancyLattice:
         return {k: tuple(v) for k, v in groups.items()}
 
 
-def _antichain_masks(n_subsets: int, conflict: list[int]) -> list[int]:
-    """Enumerate bitmask collections of subsets with no nested pair."""
-    good = []
-    for mask in range(1, 1 << n_subsets):
-        rest = mask
-        ok = True
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if conflict[i] & mask & ~(1 << i):
-                ok = False
-                break
-        if ok:
-            good.append(mask)
-    return good
-
-
 @lru_cache(maxsize=None)
 def enumerate_antichains(m: int) -> RedundancyLattice:
     """Build the full redundancy lattice over ``m`` sources.
 
-    All antichains of nonempty subsets of ``{1..m}`` (excluding the empty
-    antichain) are generated by filtering every collection of subsets
-    against the pairwise non-inclusion predicate, and the strict
-    predecessor sets are materialized. Results are cached per ``m``.
+    The ``2**m - 1`` nonempty subsets of ``{1..m}`` are numbered, so an atom
+    is a bitmask over them. Every mask holding no nested pair of subsets is
+    an antichain (the empty antichain excluded). ``b`` precedes ``a``
+    exactly when each element of ``a`` lies in the up-set of ``b`` (the
+    subsets containing an element of ``b``), which gives the whole order
+    as one array comparison of masks. Results are cached per ``m``.
 
     Raises
     ------
@@ -232,33 +217,33 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
             f"lattice over M={m} sources is unsupported (limit is 1..{M_MAX}; "
             f"the atom count grows super-exponentially)"
         )
-    subsets = [
-        tuple(c) for size in range(1, m + 1) for c in combinations(range(1, m + 1), size)
-    ]
-    bits = [sum(1 << (i - 1) for i in s) for s in subsets]
-    conflict = [
-        sum(
-            1 << j
-            for j, bj in enumerate(bits)
-            if j != i and (bi | bj == bj or bi | bj == bi)
-        )
-        for i, bi in enumerate(bits)
-    ]
-    atoms = [
-        Atom([subsets[j] for j in range(len(subsets)) if mask & (1 << j)])
-        for mask in _antichain_masks(len(subsets), conflict)
-    ]
-    assert len(atoms) == _ATOM_COUNTS[m]
+    bits = np.arange(1, 1 << m)  # subset j holds source i + 1 iff bit i of bits[j]
+    subsets = [tuple(i + 1 for i in range(m) if b >> i & 1) for b in bits.tolist()]
+    n = len(bits)
+    # supersets[j]: mask of the subsets that contain subset j.
+    contains = (bits[None, :] & bits[:, None]) == bits[:, None]
+    supersets = (contains << np.arange(n)).sum(axis=1)
+    masks = np.arange(1, 1 << n)
+    nested = np.zeros(len(masks), dtype=bool)
+    for j in range(n):
+        strict = supersets[j] & ~(1 << j)
+        nested |= ((masks >> j) & 1 == 1) & ((masks & strict) != 0)
+    masks = masks[~nested]
+    assert len(masks) == _ATOM_COUNTS[m]
+    members = [np.flatnonzero((mask >> np.arange(n)) & 1) for mask in masks.tolist()]
+    atoms = [Atom([subsets[j] for j in mem]) for mem in members]
+    upsets = np.array([np.bitwise_or.reduce(supersets[mem]) for mem in members])
+    below = (masks[:, None] & ~upsets[None, :]) == 0  # below[a, b]: b precedes a
 
     # Linear extension: strict-down-set size is monotone along the order.
-    n_below = [sum(precedes(b, a) for b in atoms) - 1 for a in atoms]
+    n_below = below.sum(axis=1) - 1
     order = sorted(range(len(atoms)), key=lambda i: (n_below[i], atoms[i].elements))
-    atoms = [atoms[i] for i in order]
-    down_sets = tuple(
-        tuple(j for j, b in enumerate(atoms) if j != i and precedes(b, a))
-        for i, a in enumerate(atoms)
+    below = below[np.ix_(order, order)]
+    np.fill_diagonal(below, False)
+    down_sets = tuple(tuple(np.flatnonzero(row).tolist()) for row in below)
+    return RedundancyLattice(
+        m=m, atoms=tuple(atoms[i] for i in order), down_sets=down_sets
     )
-    return RedundancyLattice(m=m, atoms=tuple(atoms), down_sets=down_sets)
 
 
 def moebius_invert(

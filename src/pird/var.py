@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ArgumentError,
@@ -496,13 +495,16 @@ def select_order_aic(
             f"p_max={p_max} infeasible for {n} samples of dimension {q}"
         )
     y, x = _lag_matrix(z, p_max, p_max)
-    qmat, rmat = np.linalg.qr(x)
-    cond = np.linalg.cond(rmat)
+    # The triangular factor of [x | y] holds R of x and Q.T @ y of its thin
+    # QR, so the tall Q is never formed.
+    k = x.shape[1]
+    rmat = np.linalg.qr(np.hstack([x, y]), mode="r")
+    cond = np.linalg.cond(rmat[:k, :k])
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise EstimationError(
             f"regressor matrix is rank deficient (condition number {cond:.3e})"
         )
-    c = qmat.T @ y
+    c = rmat[:k, k:]
     yty = y.T @ y
     curve = []
     for p in range(1, p_max + 1):
@@ -524,9 +526,8 @@ def zero_lag_covariance(model: VarModel) -> np.ndarray:
     """Stationary covariance ``Gamma_0`` of a stable model.
 
     Solves the discrete Lyapunov equation of the companion form,
-    ``G = A G A.T + S``, and returns the top-left ``Q x Q`` block. scipy
-    solves it directly (Kronecker system) below 10 states and by the
-    bilinear transformation plus Bartels-Stewart above.
+    ``G = A G A.T + S``, by Smith doubling and returns the top-left
+    ``Q x Q`` block.
     """
     _require_stable(model, "zero_lag_covariance")
     if model.order == 0:
@@ -534,16 +535,28 @@ def zero_lag_covariance(model: VarModel) -> np.ndarray:
     return _companion_covariance(model)[: model.dim, : model.dim].copy()
 
 
+#: Cap on the doublings of the Lyapunov solve here and of the Riccati solve
+#: in :mod:`pird.baselines`. Each doubling squares the contraction, so the
+#: error after k of them falls like rho**(2**k), rho the spectral radius of
+#: the companion or closed-loop matrix: 50 cover 1 - rho down to about
+#: 1e-13 (the stability margin needs about 25).
+_MAX_DOUBLINGS = 50
+
+
 def _companion_covariance(model: VarModel) -> np.ndarray:
     p, q = model.order, model.dim
     comp = model.companion()
-    sig_bar = np.zeros((p * q, p * q))
-    sig_bar[:q, :q] = model.sigma
-    try:
-        gamma_bar = scipy.linalg.solve_discrete_lyapunov(comp, sig_bar)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Lyapunov solve failed: {exc}") from exc
-    return (gamma_bar + gamma_bar.T) / 2.0
+    gamma_bar = np.zeros((p * q, p * q))
+    gamma_bar[:q, :q] = model.sigma
+    for _ in range(_MAX_DOUBLINGS):
+        step = comp @ gamma_bar @ comp.T
+        gamma_bar = gamma_bar + step
+        if np.abs(step).max() <= 1e-16 * np.abs(gamma_bar).max():
+            return (gamma_bar + gamma_bar.T) / 2.0
+        comp = comp @ comp
+    raise NumericalError(
+        f"Lyapunov doubling did not converge in {_MAX_DOUBLINGS} steps"
+    )
 
 
 def autocovariance_sequence(model: VarModel, k_max: int) -> list[np.ndarray]:

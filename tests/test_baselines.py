@@ -26,8 +26,9 @@ from pird import (
     te_pid,
     transfer_entropy,
 )
-from pird import baselines
+from pird import baselines, var
 from pird.baselines import baseline_rows
+from pird.cli import main
 
 from conftest import make_model_set
 
@@ -148,14 +149,87 @@ def test_te_precondition_errors():
         submodel_innovation(VarModel(coeffs=[[[1.02]]], sigma=[[1.0]]), [0])
 
 
-def test_riccati_failure_is_estimation_error(monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Failed to find a finite solution.")
+# A unit-circle mode the observation cannot see: driven by noise, its
+# variance grows without bound; undriven, the closed loop keeps it.
+UNSEEN_UNIT_MODE = dict(
+    a=np.diag([1.0, 0.5]), c=np.array([[0.0, 0.5]]), r=np.eye(1), s=np.zeros((2, 1))
+)
 
-    monkeypatch.setattr(scipy.linalg, "solve_discrete_are", fail)
-    m = build_scenario(Scenario("sim2", {"c": 0.2}))
+
+@pytest.mark.parametrize("q", [np.eye(2), np.diag([0.0, 1.0])])
+def test_dare_without_stabilising_solution_raises(q):
+    with pytest.raises(np.linalg.LinAlgError):
+        baselines._dare(q=q, **UNSEEN_UNIT_MODE)
+
+
+def test_riccati_failure_is_estimation_error(monkeypatch, tmp_path):
+    # A random walk that channel 0 does not see: past the stability guard,
+    # the solver itself fails and the failure surfaces as EstimationError.
+    walk = VarModel(coeffs=[[[0.5, 0.0], [0.0, 1.0]]], sigma=np.eye(2))
+    monkeypatch.setattr(baselines, "_require_stable", lambda *args: None)
     with pytest.raises(EstimationError, match="Riccati"):
-        submodel_innovation(m, [0])
+        submodel_innovation(walk, [0])
+    monkeypatch.undo()
+
+    # The CLI maps it to exit code 4.
+    solve = baselines._dare
+    monkeypatch.setattr(baselines, "_dare", lambda *args: solve(q=np.eye(2), **UNSEEN_UNIT_MODE))
+    args = ["decompose", "--scenario", "sim2", "--c", "0.2", "--out", str(tmp_path)]
+    assert main(args) == 4
+
+
+def innovations_form(model, channels):
+    """The Riccati equation :func:`submodel_innovation` solves, as
+    ``(A, C, Q, R, S)`` in the channels' unit-innovation-variance scaling,
+    and that scaling."""
+    scale = 1.0 / np.sqrt(np.diag(model.sigma))
+    state_scale = np.tile(scale, model.order)
+    comp = state_scale[:, None] * model.companion() / state_scale[None, :]
+    noise = np.zeros_like(comp)
+    noise[: model.dim, : model.dim] = model.sigma * np.outer(scale, scale)
+    chans = list(channels)
+    return (comp, comp[chans], noise, noise[np.ix_(chans, chans)], noise[:, chans]), scale[chans]
+
+
+def riccati_residual(a, c, q, r, s, p):
+    gain = a @ p @ c.T + s
+    resid = a @ p @ a.T - p - gain @ np.linalg.solve(r + c @ p @ c.T, gain.T) + q
+    return np.abs(resid).max() / max(np.abs(p).max(), np.abs(q).max())
+
+
+def test_submodel_innovation_matches_scipy_dare():
+    rng = np.random.default_rng(606)
+    for _ in range(15):
+        m = random_stable_var(8, 5, rng, radius=float(rng.uniform(0.9, 0.995)))
+        for _ in range(3):
+            chans = sorted(rng.choice(8, int(rng.integers(1, 9)), replace=False).tolist())
+            (a, c, q, r, s), scale = innovations_form(m, chans)
+            p = scipy.linalg.solve_discrete_are(a.T, c.T, q, r, s=s)
+            oracle = (c @ p @ c.T + r) / np.outer(scale, scale)
+            sig = submodel_innovation(m, chans)
+            assert np.abs(sig - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_doubling_solvers_near_the_unit_circle():
+    rng = np.random.default_rng(999)
+    for seed in range(4):
+        m = random_stable_var(8, 5, seed=seed, radius=0.999)
+        chans = sorted(rng.choice(8, int(rng.integers(1, 8)), replace=False).tolist())
+        equation, _ = innovations_form(m, chans)
+        a, c, q, r, s = equation
+        oracle = scipy.linalg.solve_discrete_are(a.T, c.T, q, r, s=s)
+        p = baselines._dare(*equation)
+        assert riccati_residual(*equation, p) <= 1e-13
+        assert np.abs(p - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+        comp = m.companion()
+        noise = np.zeros_like(comp)
+        noise[:8, :8] = m.sigma
+        oracle = scipy.linalg.solve_discrete_lyapunov(comp, noise)
+        gamma = var._companion_covariance(m)
+        lyap_resid = comp @ gamma @ comp.T + noise - gamma
+        assert np.abs(lyap_resid).max() <= 1e-13 * np.abs(gamma).max()
+        assert np.abs(gamma - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 def test_te_vector_target(sim3_model):

@@ -1,11 +1,14 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pird
 from pird import VarModel, simulate
 from pird.cli import main
 
@@ -285,3 +288,10 @@ def test_bench_unknown_scenario(tmp_path):
 
 def test_usage_error_is_argument_error():
     assert main(["frobnicate"]) == 3
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.linalg alone used to be most of the CLI's cold start.
+    env = dict(os.environ, PYTHONPATH=str(Path(pird.__file__).resolve().parents[1]))
+    code = "import pird.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -116,6 +116,23 @@ def test_top_bottom_and_downsets(m):
         assert all(j < i for j in lattice.down_sets[i])  # topological order
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_lattice_matches_precedes_reference(m):
+    # Reference: the order from pairwise precedes calls, the atoms sorted by
+    # strict-down-set size, ties broken by element tuples.
+    atoms = [Atom(ac) for ac in brute_force_antichains(m)]
+    n_below = [sum(precedes(b, a) for b in atoms) - 1 for a in atoms]
+    order = sorted(range(len(atoms)), key=lambda i: (n_below[i], atoms[i].elements))
+    atoms = [atoms[i] for i in order]
+    down_sets = tuple(
+        tuple(j for j, b in enumerate(atoms) if j != i and precedes(b, a))
+        for i, a in enumerate(atoms)
+    )
+    lattice = enumerate_antichains(m)
+    assert [str(a) for a in lattice.atoms] == [str(a) for a in atoms]
+    assert lattice.down_sets == down_sets
+
+
 def test_lattice_precedes_rejects_foreign_atoms():
     lattice = enumerate_antichains(2)
     with pytest.raises(ArgumentError, match="not part of the lattice"):
