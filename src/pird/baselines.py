@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, EstimationError, NumericalError
-from .var import _MAX_DOUBLINGS, VarModel, _require_stable
+from .var import _MAX_DOUBLINGS, VarModel, _require_stable, _resolve_sources
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,7 @@ def gaussian_mi(cov: np.ndarray, target: int, sources: Sequence[int]) -> float:
         raise ArgumentError("covariance must be a symmetric square matrix")
     if np.linalg.eigvalsh(cov)[0] <= 0.0:
         raise ArgumentError("covariance must be positive definite")
-    srcs = sorted(set(int(s) for s in sources))
-    if not srcs or target in srcs:
-        raise ArgumentError("sources must be nonempty and exclude the target")
-    if any(not 0 <= c < q for c in srcs + [target]):
-        raise ArgumentError(f"channel indices out of range 0..{q - 1}")
+    srcs = list(_resolve_sources(q, target, sources))
     joint = [target, *srcs]
     ld_s = _logdet_spd(cov[np.ix_(srcs, srcs)], "source covariance", ArgumentError)
     ld_j = _logdet_spd(cov[np.ix_(joint, joint)], "joint covariance", ArgumentError)
@@ -102,7 +98,7 @@ def static_pid(
     """
     from .var import zero_lag_covariance
 
-    srcs = _source_list(model.dim, target, sources)
+    srcs = _resolve_sources(model.dim, target, sources)
     if len(srcs) < 2:
         raise ArgumentError("static PID needs at least two sources")
     gamma0 = zero_lag_covariance(model)
@@ -118,23 +114,6 @@ def static_pid(
         redundancy=r,
         synergy=s,
     )
-
-
-def _source_list(
-    dim: int, target: int, sources: Sequence[int] | None
-) -> tuple[int, ...]:
-    if not 0 <= target < dim:
-        raise ArgumentError(f"target channel {target} out of range 0..{dim - 1}")
-    if sources is None:
-        return tuple(c for c in range(dim) if c != target)
-    srcs = tuple(sorted(set(int(s) for s in sources)))
-    if not srcs:
-        raise ArgumentError("need at least one source channel")
-    if target in srcs:
-        raise ArgumentError("target cannot be one of the sources")
-    if any(not 0 <= s < dim for s in srcs):
-        raise ArgumentError(f"source channels {srcs} out of range 0..{dim - 1}")
-    return srcs
 
 
 def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
@@ -296,7 +275,7 @@ def instantaneous_info(
     """Zero-lag information shared between target and sources given both
     pasts: the Gaussian MI between the blocks of the innovation covariance
     of the sub-process formed by the target and the sources."""
-    srcs = _source_list(model.dim, target, sources)
+    srcs = _resolve_sources(model.dim, target, sources)
     sig = submodel_innovation(model, [target, *srcs])
     ld_s = _logdet_spd(sig[1:, 1:], "innovation source block")
     ld_j = _logdet_spd(sig, "innovation joint block")
@@ -315,7 +294,7 @@ def te_pid(
     target's own past only); ``conditioned=True`` conditions each marginal
     on the remaining sources instead.
     """
-    srcs = _source_list(model.dim, target, sources)
+    srcs = _resolve_sources(model.dim, target, sources)
     if len(srcs) < 2:
         raise ArgumentError("TE PID needs at least two sources")
     # The transfers share sub-models (the target-only one at least), so
@@ -351,7 +330,7 @@ def mir_decomposition(
     """The additive split of the mutual information rate: transfer from
     sources to target, transfer from target to sources, and instantaneous
     sharing. Their sum equals the integrated joint spectral MIR."""
-    srcs = _source_list(model.dim, target, sources)
+    srcs = _resolve_sources(model.dim, target, sources)
     te_to_target = transfer_entropy(model, srcs, target)
     te_to_sources = transfer_entropy(model, (target,), srcs)
     inst = instantaneous_info(model, srcs, target)

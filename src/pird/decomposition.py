@@ -11,6 +11,13 @@ yields the atoms' *partial information rate profiles*. Time-domain and
 band-limited quantities follow by normalized trapezoid integration, which
 commutes with the (linear) inversion.
 
+The engine is a few array operations. An *element table* holds one MIR
+profile per distinct lattice element (15 for four sources). The redundancy
+is a *masked minimum*: from ``+inf``, each element's row is folded, in
+canonical order, into the rows of the atoms holding it, so values compare
+in the order of a per-atom ``np.minimum.reduce``. One row integrator,
+:func:`~pird.spectral.integrate_band_rows`, integrates all atoms per band.
+
 Atom element indices are 1-based positions into the sorted tuple of source
 channels: with ``sources = (2, 5, 7)``, the atom ``{1}{23}`` pairs channel 2
 against the group ``(5, 7)``.
@@ -21,6 +28,7 @@ from __future__ import annotations
 import os
 import secrets
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,9 +41,11 @@ from .spectral import (
     SpectralMatrix,
     SpectralProfile,
     integrate_band,
+    integrate_band_rows,
     integrate_full,
     spectral_mir,
 )
+from .var import _resolve_sources
 
 #: Band label reserved for the full frequency axis.
 FULL_BAND = "FULL"
@@ -150,19 +160,6 @@ def smmi_argmin_elements(
     return np.argmin(profiles, axis=0)
 
 
-def _resolve_sources(
-    dim: int, target: int, sources: Sequence[int] | None
-) -> tuple[int, ...]:
-    if sources is None:
-        return tuple(c for c in range(dim) if c != target)
-    srcs = tuple(sorted(set(int(s) for s in sources)))
-    if not srcs:
-        raise ArgumentError("need at least one source channel")
-    if target in srcs:
-        raise ArgumentError("target cannot be one of the sources")
-    return srcs
-
-
 def spectral_pird(
     psd: SpectralMatrix, target: int, sources: Sequence[int] | None = None
 ) -> DecompositionResult:
@@ -175,23 +172,17 @@ def spectral_pird(
     srcs = _resolve_sources(psd.dim, target, sources)
     m = len(srcs)
     lattice = enumerate_antichains(m)
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def element_profile(element: tuple[int, ...]) -> np.ndarray:
-        if element not in cache:
-            cache[element] = spectral_mir(
-                psd, target, _element_channels(element, srcs)
-            ).values
-        return cache[element]
-
-    red = np.empty((len(lattice), psd.grid.n_points))
-    for i, atom in enumerate(lattice.atoms):
-        red[i] = np.minimum.reduce([element_profile(el) for el in atom.elements])
-    pi = lattice.invert_values(red)
-    joint = SpectralProfile(
-        grid=psd.grid, values=element_profile(tuple(range(1, m + 1)))
+    elements, member = _element_table(m)
+    table = np.stack(
+        [spectral_mir(psd, target, _element_channels(el, srcs)).values for el in elements]
     )
-    marginals = np.stack([element_profile((j,)) for j in range(1, m + 1)])
+    red = np.full((len(lattice), psd.grid.n_points), np.inf)
+    for k in range(len(elements)):
+        np.minimum(red, table[k], out=red, where=member[:, k, None])
+    pi = lattice.invert_values(red)
+    full = elements.index(tuple(range(1, m + 1)))
+    joint = SpectralProfile(grid=psd.grid, values=table[full])
+    marginals = table[[elements.index((j,)) for j in range(1, m + 1)]]
     return DecompositionResult(
         lattice=lattice,
         target=target,
@@ -202,6 +193,17 @@ def spectral_pird(
         joint_profile=joint,
         marginal_profiles=marginals,
     )
+
+
+@lru_cache(maxsize=None)
+def _element_table(m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The distinct elements of the lattice over ``m`` sources, sorted as
+    within each atom, and the ``(atoms, elements)`` membership table."""
+    atoms = enumerate_antichains(m).atoms
+    elements = tuple(sorted({el for atom in atoms for el in atom.elements}))
+    member = np.array([[el in atom.elements for el in elements] for atom in atoms])
+    member.setflags(write=False)
+    return elements, member
 
 
 def time_pird(
@@ -224,10 +226,8 @@ def time_pird(
     red_bands: dict[str, np.ndarray] = {}
     joint_bands: dict[str, float] = {}
     for band in bands:
-        pi_bands[band.label] = _integrate_rows(result.atom_pi, result.grid, band)
-        red_bands[band.label] = _integrate_rows(
-            result.atom_redundancy, result.grid, band
-        )
+        pi_bands[band.label] = integrate_band_rows(result.atom_pi, result.grid, band)
+        red_bands[band.label] = integrate_band_rows(result.atom_redundancy, result.grid, band)
         joint_bands[band.label] = integrate_band(result.joint_profile, band)
     return replace(
         result,
@@ -247,17 +247,6 @@ def _check_band_labels(bands: tuple[Band, ...]) -> None:
         raise ArgumentError(f"band label {FULL_BAND!r} is reserved for the full axis")
     if len(set(labels)) != len(labels):
         raise ArgumentError(f"duplicate band labels in {labels}")
-
-
-def _integrate_rows(
-    rows: np.ndarray, grid, band: Band
-) -> np.ndarray:
-    return np.array(
-        [
-            integrate_band(SpectralProfile(grid=grid, values=row), band)
-            for row in rows
-        ]
-    )
 
 
 @dataclass(frozen=True)
@@ -298,10 +287,7 @@ def aggregate_coarse(result: DecompositionResult) -> CoarseDecomposition:
     _require_time(result)
     if len(result.sources) < 2:
         raise ArgumentError("coarse graining needs at least two sources")
-    unique_idx, red_idx, syn_idx = _group_indices(result.lattice)
-
-    def sum_rows(mat_rows: np.ndarray, idx: tuple[int, ...]):
-        return mat_rows[list(idx)].sum(axis=0)
+    unique_idx, red_idx, syn_idx = groups = _group_indices(result.lattice)
 
     def terms_from(values: np.ndarray, joint: float) -> CoarseTerms:
         return CoarseTerms(
@@ -316,19 +302,27 @@ def aggregate_coarse(result: DecompositionResult) -> CoarseDecomposition:
         terms[band.label] = terms_from(
             result.atom_pi_bands[band.label], result.joint_mir_bands[band.label]
         )
-    grid = result.grid
+    u, r, s = _coarse_profiles(result.atom_pi, groups)
     return CoarseDecomposition(
         target=result.target,
         sources=result.sources,
         names=result.names,
         terms=terms,
-        r_profile=SpectralProfile(grid=grid, values=sum_rows(result.atom_pi, red_idx)),
-        u_profiles=np.stack(
-            [sum_rows(result.atom_pi, idx) for idx in unique_idx]
-        ),
-        s_profile=SpectralProfile(grid=grid, values=sum_rows(result.atom_pi, syn_idx)),
+        r_profile=SpectralProfile(grid=result.grid, values=r),
+        u_profiles=u,
+        s_profile=SpectralProfile(grid=result.grid, values=s),
         joint_profile=result.joint_profile,
     )
+
+
+def _coarse_profiles(atom_pi: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U (one row per source), R and S profiles: atom PI summed per group."""
+    unique_idx, red_idx, syn_idx = groups
+
+    def total(idx: tuple[int, ...]) -> np.ndarray:
+        return atom_pi[list(idx)].sum(axis=0)
+
+    return np.stack([total(idx) for idx in unique_idx]), total(red_idx), total(syn_idx)
 
 
 def coarse_grained(
@@ -357,16 +351,13 @@ def coarse_grained(
     ArgumentError
         If fewer than two sources are given or the method is unknown.
     """
-    if method == "aggregate":
-        srcs = _resolve_sources(psd.dim, target, sources)
-        if len(srcs) < 2:
-            raise ArgumentError("coarse graining needs at least two sources")
-        return aggregate_coarse(time_pird(spectral_pird(psd, target, srcs), bands))
-    if method != "operational":
+    if method not in ("aggregate", "operational"):
         raise ArgumentError(f"unknown coarse method {method!r}")
     srcs = _resolve_sources(psd.dim, target, sources)
     if len(srcs) < 2:
         raise ArgumentError("coarse graining needs at least two sources")
+    if method == "aggregate":
+        return aggregate_coarse(time_pird(spectral_pird(psd, target, srcs), bands))
     bands = tuple(bands)
     _check_band_labels(bands)
     grid = psd.grid
@@ -375,25 +366,19 @@ def coarse_grained(
     r = np.minimum.reduce(list(marginals))
     u = marginals - r
     s = joint - r - u.sum(axis=0)
+    rows, m = np.vstack([u, r, s, joint]), len(srcs)
 
-    def terms_for(integrate) -> CoarseTerms:
+    def terms_from(values: np.ndarray) -> CoarseTerms:
         return CoarseTerms(
-            unique=tuple(float(integrate(row)) for row in u),
-            redundancy=float(integrate(r)),
-            synergy=float(integrate(s)),
-            joint_mir=float(integrate(joint)),
+            unique=tuple(float(v) for v in values[:m]),
+            redundancy=float(values[m]),
+            synergy=float(values[m + 1]),
+            joint_mir=float(values[m + 2]),
         )
 
-    def full(values: np.ndarray) -> float:
-        return integrate_full(SpectralProfile(grid=grid, values=values))
-
-    terms = {FULL_BAND: terms_for(full)}
+    terms = {FULL_BAND: terms_from(np.trapezoid(rows, grid.omegas, axis=1) / np.pi)}
     for band in bands:
-        terms[band.label] = terms_for(
-            lambda values, b=band: integrate_band(
-                SpectralProfile(grid=grid, values=values), b
-            )
-        )
+        terms[band.label] = terms_from(integrate_band_rows(rows, grid, band))
     return CoarseDecomposition(
         target=target,
         sources=srcs,
@@ -525,11 +510,9 @@ def write_profiles_csv(
     for name, row in zip(result.source_names, result.marginal_profiles):
         blocks.append((f"I_{name}", row))
     if len(result.sources) >= 2:
-        coarse = aggregate_coarse(result)
-        for name, row in zip(result.source_names, coarse.u_profiles):
-            blocks.append((f"U_{name}", row))
-        blocks.append(("R", coarse.r_profile.values))
-        blocks.append(("S", coarse.s_profile.values))
+        u, r, s = _coarse_profiles(result.atom_pi, _group_indices(result.lattice))
+        blocks += [(f"U_{name}", row) for name, row in zip(result.source_names, u)]
+        blocks += [("R", r), ("S", s)]
     blocks.append(("JointMIR", result.joint_profile.values))
     # One %-template per block: the frequencies are formatted once, "\0"
     # marks where the key goes, and the values fill the %.12g fields.

@@ -21,7 +21,7 @@ from .errors import (
     SpectralSingularityError,
     UnstableModelError,
 )
-from .var import VarModel, is_stable
+from .var import VarModel, _resolve_sources, is_stable
 
 #: Default number of grid points on [0, pi]. Dense enough that trapezoid
 #: error is far below the working tolerances for pole radii up to ~0.9
@@ -260,32 +260,13 @@ def spectral_mir(
     ``P_[TS]`` the joint submatrix. Nonnegative up to roundoff for any valid
     PSD matrix.
     """
-    srcs = _check_channels(psd, target, sources)
-    joint = [target, *srcs]
-    ld_joint = _logdet_hermitian(
-        psd.mats[np.ix_(range(psd.grid.n_points), joint, joint)], psd.grid, "joint spectrum"
-    )
-    ld_src = _logdet_hermitian(
-        psd.mats[np.ix_(range(psd.grid.n_points), srcs, srcs)], psd.grid, "source spectrum"
-    )
+    srcs = np.array(_resolve_sources(psd.dim, target, sources))
+    joint = np.array([target, *srcs])
+    ld_joint = _logdet_hermitian(psd.mats[:, joint[:, None], joint], psd.grid, "joint spectrum")
+    ld_src = _logdet_hermitian(psd.mats[:, srcs[:, None], srcs], psd.grid, "source spectrum")
     p_t = psd.mats[:, target, target].real
     values = 0.5 * (ld_src + np.log(p_t) - ld_joint)
     return SpectralProfile(grid=psd.grid, values=values)
-
-
-def _check_channels(
-    psd: SpectralMatrix, target: int, sources: Sequence[int]
-) -> list[int]:
-    srcs = sorted(set(int(s) for s in sources))
-    if not srcs:
-        raise ArgumentError("need at least one source channel")
-    if not 0 <= target < psd.dim:
-        raise ArgumentError(f"target channel {target} out of range 0..{psd.dim - 1}")
-    if any(not 0 <= s < psd.dim for s in srcs):
-        raise ArgumentError(f"source channels {srcs} out of range 0..{psd.dim - 1}")
-    if target in srcs:
-        raise ArgumentError(f"target channel {target} cannot be one of the sources")
-    return srcs
 
 
 def integrate_full(profile: SpectralProfile) -> float:
@@ -298,18 +279,32 @@ def integrate_full(profile: SpectralProfile) -> float:
 
 
 def integrate_band(profile: SpectralProfile, band: Band) -> float:
-    """Normalized integral restricted to ``omega in [2pi lo/fs, 2pi hi/fs]``.
-
-    Band edges falling between grid points are handled by linear
-    interpolation, so integrals over a disjoint partition of ``[0, fs/2]``
-    sum exactly to :func:`integrate_full`.
+    """Normalized integral of one profile over ``omega in [2pi lo/fs, 2pi
+    hi/fs]``: the one-row case of :func:`integrate_band_rows`, the band
+    integrator the decomposition engine applies to all atom rows at once.
 
     Raises
     ------
     ArgumentError
         If the band exceeds the Nyquist range of the profile's grid.
     """
-    fs = profile.grid.fs
+    return float(integrate_band_rows(profile.values[None, :], profile.grid, band)[0])
+
+
+def integrate_band_rows(rows: np.ndarray, grid: FrequencyGrid, band: Band) -> np.ndarray:
+    """Normalized integral of each row of a ``(rows, n_points)`` array over
+    ``omega in [2pi lo/fs, 2pi hi/fs]``: a trapezoid over the band edges and
+    the grid points between them, so a partition of ``[0, fs/2]`` sums to
+    :func:`integrate_full`. Edge values use ``np.interp``'s own formula and
+    the sums run along one C-contiguous array, so each row's result equals
+    ``np.trapezoid`` of ``np.interp`` on that row alone, bit for bit.
+
+    Raises
+    ------
+    ArgumentError
+        If the band exceeds the Nyquist range of the grid.
+    """
+    fs = grid.fs
     if band.hi > fs / 2.0 + 1e-12:
         raise ArgumentError(
             f"band {band.label!r} [{band.lo}, {band.hi}] Hz outside Nyquist range "
@@ -317,11 +312,20 @@ def integrate_band(profile: SpectralProfile, band: Band) -> float:
         )
     w_lo = 2.0 * np.pi * band.lo / fs
     w_hi = min(2.0 * np.pi * band.hi / fs, np.pi)
-    omegas = profile.grid.omegas
-    inner = omegas[(omegas > w_lo) & (omegas < w_hi)]
-    xs = np.concatenate([[w_lo], inner, [w_hi]])
-    ys = np.interp(xs, omegas, profile.values)
-    return float(np.trapezoid(ys, xs) / np.pi)
+    omegas = grid.omegas
+    start = int(np.searchsorted(omegas, w_lo, side="right"))
+    stop = int(np.searchsorted(omegas, w_hi, side="left"))
+    xs = np.concatenate([[w_lo], omegas[start:stop], [w_hi]])
+    ys = np.empty((len(rows), len(xs)))
+    ys[:, 1:-1] = rows[:, start:stop]
+    for col, w in ((0, w_lo), (-1, w_hi)):
+        j = int(np.searchsorted(omegas, w, side="right")) - 1
+        if j == len(omegas) - 1 or omegas[j] == w:
+            ys[:, col] = rows[:, j]
+        else:
+            slope = (rows[:, j + 1] - rows[:, j]) / (omegas[j + 1] - omegas[j])
+            ys[:, col] = slope * (w - omegas[j]) + rows[:, j]
+    return np.trapezoid(ys, xs, axis=1) / np.pi
 
 
 def parse_bands(spec: str) -> list[Band]:

@@ -42,6 +42,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _resolve_sources(dim: int, target: int, sources: Sequence[int] | None) -> tuple[int, ...]:
+    """The sorted, distinct sources of a (target, sources) pair, all other
+    channels for ``None``; ArgumentError on any invalid channel choice."""
+    if not 0 <= target < dim:
+        raise ArgumentError(f"target channel {target} out of range 0..{dim - 1}")
+    if sources is None:
+        return tuple(c for c in range(dim) if c != target)
+    srcs = tuple(sorted(set(int(s) for s in sources)))
+    if not srcs:
+        raise ArgumentError("need at least one source channel")
+    if any(not 0 <= s < dim for s in srcs):
+        raise ArgumentError(f"source channels {srcs} out of range 0..{dim - 1}")
+    if target in srcs:
+        raise ArgumentError(f"target channel {target} cannot be one of the sources")
+    return srcs
+
+
 @dataclass(frozen=True)
 class VarModel:
     """Parameters of a VAR(p) process.
@@ -205,7 +222,7 @@ class TimeSeriesMatrix:
                     header = next(reader)
                 except StopIteration:
                     raise FormatError(f"{path}: empty file") from None
-                rows = list(reader)
+                lines = fh.readlines()
         except OSError as exc:
             raise FormatError(f"cannot read {path}: {exc}") from exc
         header = [h.strip() for h in header]
@@ -213,21 +230,38 @@ class TimeSeriesMatrix:
             raise FormatError(
                 f"{path}: first row must hold channel names, found numeric cell"
             )
-        data = np.empty((len(rows), len(header)))
-        for i, row in enumerate(rows):
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}"
-                )
-            for j, cell in enumerate(row):
-                try:
-                    data[i, j] = float(cell)
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: non-numeric cell {cell!r} at row {i + 2}, "
-                        f"column {header[j]!r}"
-                    ) from None
+        # One loadtxt call parses a conformant body. The cell-by-cell scan
+        # decides the rest, with its exact errors: no data (loadtxt would
+        # warn), text loadtxt rejects (quoted cells, ``1_0``, ragged rows)
+        # and blank lines, which loadtxt skips.
+        data = None
+        if lines and lines[0].strip("\r\n"):
+            try:
+                data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+            except ValueError:
+                pass
+        if data is None or data.shape != (len(lines), len(header)):
+            data = _scan_body(path, lines, header)
         return cls(samples=data, fs=fs, names=tuple(header))
+
+
+def _scan_body(path: str | Path, lines: list[str], header: list[str]) -> np.ndarray:
+    rows = list(csv.reader(lines))
+    data = np.empty((len(rows), len(header)))
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise FormatError(
+                f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise FormatError(
+                    f"{path}: non-numeric cell {cell!r} at row {i + 2}, "
+                    f"column {header[j]!r}"
+                ) from None
+    return data
 
 
 def _is_number(text: str) -> bool:

@@ -35,3 +35,14 @@ def benchmark_models():
     models += [build_scenario(Scenario("sim2", {"c": c})) for c in (0.0, 0.4, 0.8)]
     models += [build_scenario(Scenario("sim3"))]
     return models
+
+
+def reference_band_integral(row, grid, band):
+    """One row's band integral as ``np.interp`` at the band edges and the
+    grid points between them, then a 1-D ``np.trapezoid``."""
+    w_lo = 2.0 * np.pi * band.lo / grid.fs
+    w_hi = min(2.0 * np.pi * band.hi / grid.fs, np.pi)
+    omegas = grid.omegas
+    inner = omegas[(omegas > w_lo) & (omegas < w_hi)]
+    xs = np.concatenate([[w_lo], inner, [w_hi]])
+    return float(np.trapezoid(np.interp(xs, omegas, row), xs) / np.pi)

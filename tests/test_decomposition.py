@@ -30,7 +30,10 @@ from pird.decomposition import (
     write_profiles_csv,
 )
 
-from conftest import make_model_set
+from pird.lattice import enumerate_antichains
+from pird.spectral import _logdet_hermitian
+
+from conftest import make_model_set, reference_band_integral
 
 R_FLAT = -0.5 * np.log(1.0 - 0.8**2)  # white correlation-0.8 pair
 J_FLAT = 0.5 * np.log(0.36 / 0.104)  # target vs both correlated sources
@@ -401,3 +404,116 @@ def test_aggregate_coarse_band_consistency(sim3_psd):
         t = coarse.terms[label]
         r_sum = sum(res.atom_pi_bands[label][i] for i in groups["redundant"])
         assert t.redundancy == pytest.approx(r_sum, abs=0)
+
+
+def reference_engine(psd, target, sources, bands):
+    """The per-atom engine the array engine replaced: each element's MIR
+    profile from ``np.ix_`` gathers (cached per element), a per-atom
+    ``np.minimum.reduce``, and ``np.interp`` + 1-D trapezoid per row and
+    band. Returns every array ``decompose`` produces, by name."""
+    srcs = tuple(sorted(sources))
+    m = len(srcs)
+    lattice = enumerate_antichains(m)
+    n = psd.grid.n_points
+    cache = {}
+
+    def profile(element):
+        if element not in cache:
+            chans = [srcs[i - 1] for i in element]
+            joint = [target, *chans]
+            ld_joint = _logdet_hermitian(psd.mats[np.ix_(range(n), joint, joint)], psd.grid, "j")
+            ld_src = _logdet_hermitian(psd.mats[np.ix_(range(n), chans, chans)], psd.grid, "s")
+            p_t = psd.mats[:, target, target].real
+            cache[element] = 0.5 * (ld_src + np.log(p_t) - ld_joint)
+        return cache[element]
+
+    red = np.empty((len(lattice), n))
+    for i, atom in enumerate(lattice.atoms):
+        red[i] = np.minimum.reduce([profile(el) for el in atom.elements])
+    pi = lattice.invert_values(red)
+    joint = profile(tuple(range(1, m + 1)))
+    omegas = psd.grid.omegas
+    out = {
+        "atom_redundancy": red,
+        "atom_pi": pi,
+        "joint_profile": joint,
+        "marginal_profiles": np.stack([profile((j,)) for j in range(1, m + 1)]),
+        "atom_pi_time": np.trapezoid(pi, omegas, axis=1) / np.pi,
+        "atom_redundancy_time": np.trapezoid(red, omegas, axis=1) / np.pi,
+        "joint_mir": np.float64(np.trapezoid(joint, omegas) / np.pi),
+    }
+    for band in bands:
+        for key, rows in (("atom_pi_bands", pi), ("atom_redundancy_bands", red)):
+            out[f"{key}:{band.label}"] = np.array(
+                [reference_band_integral(row, psd.grid, band) for row in rows]
+            )
+        out[f"joint_mir_bands:{band.label}"] = np.float64(
+            reference_band_integral(joint, psd.grid, band)
+        )
+    if m >= 2:
+        groups = lattice.coarse_groups()
+        for label in ("redundant", "synergistic", *(f"unique:{j}" for j in range(1, m + 1))):
+            out[f"profile:{label}"] = pi[list(groups.get(label, ()))].sum(axis=0)
+    return out
+
+
+def engine_arrays(result):
+    """The arrays of a ``decompose`` result, keyed as :func:`reference_engine`."""
+    out = {
+        "atom_redundancy": result.atom_redundancy,
+        "atom_pi": result.atom_pi,
+        "joint_profile": result.joint_profile.values,
+        "marginal_profiles": result.marginal_profiles,
+        "atom_pi_time": result.atom_pi_time,
+        "atom_redundancy_time": result.atom_redundancy_time,
+        "joint_mir": np.float64(result.joint_mir),
+    }
+    for band in result.bands:
+        out[f"atom_pi_bands:{band.label}"] = result.atom_pi_bands[band.label]
+        out[f"atom_redundancy_bands:{band.label}"] = result.atom_redundancy_bands[band.label]
+        out[f"joint_mir_bands:{band.label}"] = np.float64(result.joint_mir_bands[band.label])
+    if len(result.sources) >= 2:
+        coarse = aggregate_coarse(result)
+        out["profile:redundant"] = coarse.r_profile.values
+        out["profile:synergistic"] = coarse.s_profile.values
+        for j, row in enumerate(coarse.u_profiles, start=1):
+            out[f"profile:unique:{j}"] = row
+    return out
+
+
+def _engine_case(case):
+    bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
+    grid = FrequencyGrid(fs=1.0, n_points=2049)
+    if case.startswith("sim1"):
+        c = float(case.split("=")[1])
+        return psd_from_var(build_scenario(Scenario("sim1", {"c": c})), grid), None, []
+    if case == "sim2":
+        return psd_from_var(build_scenario(Scenario("sim2", {"c": 0.4})), grid), None, bands
+    if case == "sim3":
+        return psd_from_var(build_scenario(Scenario("sim3")), grid), None, bands
+    if case == "sim3-fs2.7":
+        fast = FrequencyGrid(fs=2.7, n_points=1025)
+        odd = [Band(0.0, 0.3, "LO"), Band(0.3, 0.9, "MID"), Band(0.9, 1.35, "TOP")]
+        return psd_from_var(build_scenario(Scenario("sim3")), fast), None, odd
+    seed = int(case.split("=")[1])
+    model = random_stable_var(6, 1 + seed % 4, seed=seed, radius=0.9)
+    return psd_from_var(model, FrequencyGrid(n_points=513)), (1, 2, 4, 5), bands
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["sim1 c=0", "sim1 c=0.5", "sim2", "sim3", "sim3-fs2.7",
+     "var6 seed=1", "var6 seed=2", "var6 seed=3"],
+)
+def test_decompose_equals_per_atom_reference_engine(case):
+    # Bit-for-bit, signs of zero included: the array engine compares and
+    # sums in the same order as the per-atom loops (sim1 at c = 0 has
+    # exact ties between elements).
+    psd, sources, bands = _engine_case(case)
+    result = decompose(psd, 0, sources, bands)
+    want = reference_engine(psd, 0, result.sources, bands)
+    got = engine_arrays(result)
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        assert np.array_equal(got[key], value), key
+        assert np.array_equal(np.signbit(got[key]), np.signbit(value)), key

@@ -21,7 +21,9 @@ from pird import (
     zero_lag_covariance,
 )
 
-from conftest import make_model_set
+from pird.spectral import integrate_band_rows
+
+from conftest import make_model_set, reference_band_integral
 
 
 def scalar_ar(coeffs, var=1.0):
@@ -220,6 +222,56 @@ def test_band_validation(grid):
         Band(0.3, 0.2, "bad")
     with pytest.raises(ArgumentError, match="Nyquist"):
         integrate_band(profile, Band(0.1, 0.6, "beyond"))
+
+
+def _random_band(rng, grid, kind):
+    """A band of the given kind on ``grid``: edges on grid points, both
+    edges inside one grid cell, the upper edge at (or within 1e-13 of)
+    Nyquist, or anywhere."""
+    nyq = grid.fs / 2.0
+    hz = grid.hz
+    n = grid.n_points
+    if kind == "on-grid":
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        return Band(float(hz[i]), float(hz[j]), kind)
+    if kind == "one-cell":
+        i = int(rng.integers(0, n - 1))
+        lo, hi = np.sort(rng.uniform(hz[i], hz[i + 1], size=2))
+        if lo == hi:
+            hi = float(hz[i + 1])
+        return Band(float(lo), float(hi), kind)
+    if kind == "nyquist":
+        lo = float(rng.choice([0.0, rng.uniform(0.0, nyq), hz[rng.integers(0, n - 1)]]))
+        return Band(lo, nyq + float(rng.choice([0.0, 1e-13])), kind)
+    lo, hi = np.sort(rng.uniform(0.0, nyq, size=2))
+    return Band(float(lo), float(hi), kind)
+
+
+def test_integrate_band_rows_equals_per_row_interp_reference():
+    # The row integrator must reproduce np.interp + 1-D np.trapezoid bit
+    # for bit on every row, with edges on, between and beyond grid points.
+    rng = np.random.default_rng(2049)
+    kinds = ("on-grid", "one-cell", "nyquist", "anywhere")
+    exact_edges = 0
+    for case in range(2000):
+        n = int(rng.choice([2, 3, 5, 17, 257, 2049, 4097, int(rng.integers(2, 4098))]))
+        fs = float(rng.choice([1.0, 2.0, 2.7, 0.3, 250.0]))
+        grid = FrequencyGrid(fs=fs, n_points=n)
+        band = _random_band(rng, grid, kinds[case % len(kinds)])
+        rows = rng.standard_normal((int(rng.integers(1, 6)), n))
+        rows[:, rng.random(n) < 0.1] = 0.0
+        if case % 3 == 0:  # the layout of the input must not matter
+            rows = np.asfortranarray(rows)
+        got = integrate_band_rows(rows, grid, band)
+        want = np.array([reference_band_integral(row, grid, band) for row in rows])
+        assert np.array_equal(got, want), (n, fs, band)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (n, fs, band)
+        profile = SpectralProfile(grid=grid, values=rows[0])
+        assert integrate_band(profile, band) == want[0]
+        w_lo = 2.0 * np.pi * band.lo / fs
+        exact_edges += bool(np.any(grid.omegas == w_lo)) and band.lo > 0.0
+    # A fair share of the lower edges fall exactly on interior grid points.
+    assert exact_edges > 100
 
 
 def test_sim3_band_concentration(sim3_model, grid):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from pird import (
     simulate_ensemble,
     zero_lag_covariance,
 )
+from pird import var as var_module
 from pird.var import ar_coeffs_from_poles
 
 from conftest import make_model_set
@@ -407,6 +409,102 @@ def test_timeseries_csv_format_errors(tmp_path):
     p.write_text("")
     with pytest.raises(FormatError, match="empty"):
         TimeSeriesMatrix.load_csv(p)
+
+
+def reference_load_csv(path):
+    """The cell-by-cell reader that the one-call ``np.loadtxt`` path
+    replaced: ``csv`` rows, ``float()`` per cell."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{path}: empty file") from None
+        rows = list(reader)
+    header = [h.strip() for h in header]
+    for h in header:
+        try:
+            float(h)
+        except ValueError:
+            continue
+        raise FormatError(f"{path}: first row must hold channel names, found numeric cell")
+    data = np.empty((len(rows), len(header)))
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise FormatError(
+                    f"{path}: non-numeric cell {cell!r} at row {i + 2}, column {header[j]!r}"
+                ) from None
+    return TimeSeriesMatrix(samples=data, fs=1.0, names=tuple(header))
+
+
+def _outcome(load, path):
+    try:
+        ts = load(path)
+    except Exception as exc:  # the error type and message are the outcome
+        return type(exc).__name__, str(exc)
+    return ts.names, ts.samples.shape, ts.samples.tobytes()
+
+
+CSV_CASES = {
+    "plain": "a,b\n1,2\n3,4\n",
+    "no final newline": "a,b\n1,2\n3,4",
+    "one column": "a\n1\n2\n",
+    "one row": "a,b,c\n1,2,3\n",
+    "signs and exponents": "a,b\n-1e-3,+2.5E2\n.5,7.\n",
+    "spaces and tabs": "a , b\n 1 ,\t2 \n",
+    "CRLF": "a,b\r\n1,2\r\n3,4\r\n",
+    "CR only": "a,b\r1,2\r3,4\r",
+    "BOM": "\ufeffa,b\n1,2\n",
+    "blank line": "a,b\n1,2\n\n3,4\n",
+    "trailing blank line": "a,b\n1,2\n\n",
+    "blank body": "a,b\n\n\n",
+    "whitespace line": "a,b\n1,2\n  \n",
+    "quoted cells": 'a,b\n"1",2\n"3","4"\n',
+    "multi-line quoted cell": 'a,b\n"1\n",2\n',
+    "quoted header": '"a,x",b\n1,2\n',
+    "comment cell": "a,b\n1,2 # note\n",
+    "comment line": "a,b\n# note\n1,2\n",
+    "hex": "a,b\n0x10,2\n",
+    "underscore": "a,b\n1_0,2\n",
+    "Infinity": "a,b\nInfinity,2\n",
+    "nan": "a,b\nnan,1\n",
+    "trailing comma": "a,b\n1,2,\n",
+    "empty cell": "a,b\n1,\n",
+    "ragged": "a,b\n1\n",
+    "non-numeric": "a,b\n1.0,oops\n",
+    "numeric header": "1.0,2.0\n3,4\n",
+    "header only": "a,b\n",
+    "header without newline": "a,b",
+    "empty file": "",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_load_csv_matches_cell_by_cell_reader(tmp_path, case):
+    # Same samples or the same error as the csv/float() scan, whichever
+    # path (one loadtxt call or the scan) the file takes, and no warning.
+    path = tmp_path / "series.csv"
+    path.write_bytes(CSV_CASES[case].encode("utf-8"))
+    assert _outcome(TimeSeriesMatrix.load_csv, path) == _outcome(reference_load_csv, path)
+
+
+def test_load_csv_reads_conformant_files_in_one_call(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    ts = TimeSeriesMatrix(samples=rng.standard_normal((300, 4)), names=("w", "x", "y", "z"))
+    path = tmp_path / "series.csv"
+    ts.save_csv(path)
+
+    def no_scan(*args):
+        raise AssertionError("conformant file fell back to the cell-by-cell scan")
+
+    monkeypatch.setattr(var_module, "_scan_body", no_scan)
+    assert np.array_equal(TimeSeriesMatrix.load_csv(path).samples, ts.samples)
 
 
 def test_model_json_round_trip():
