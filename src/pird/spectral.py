@@ -29,7 +29,8 @@ from .var import VarModel, _resolve_sources, is_stable
 #: trapezoid rule converges at fourth order here).
 DEFAULT_GRID_POINTS = 2049
 
-#: Determinants of joint spectral blocks below this absolute value raise
+#: Determinants of joint spectral blocks in coherence form (unit diagonal,
+#: so at most 1 and free of the channels' scale) below this value raise
 #: SpectralSingularityError instead of being silently regularized.
 DET_FLOOR = 1e-300
 
@@ -80,7 +81,8 @@ class SpectralMatrix:
 
     Construction validates the PSD invariants at every grid point:
     Hermitian within 1e-10 relative, strictly positive real diagonal, and
-    smallest eigenvalue >= -1e-10 * trace.
+    smallest eigenvalue >= -1e-10 * trace, checked as a successful Cholesky
+    factorisation of ``mats[i] + 1e-10 * trace * I``.
     """
 
     grid: FrequencyGrid
@@ -103,10 +105,11 @@ class SpectralMatrix:
         diags = np.diagonal(mats, axis1=1, axis2=2)
         if np.any(diags.real <= 0.0):
             raise NumericalError("spectral matrix has a nonpositive diagonal entry")
-        eigmin = np.linalg.eigvalsh(mats).min(axis=1)
-        traces = np.trace(mats, axis1=1, axis2=2).real
-        if np.any(eigmin < -1e-10 * traces):
-            raise NumericalError("spectral matrix is not positive semi-definite")
+        shift = 1e-10 * diags.real.sum(axis=1)
+        try:
+            np.linalg.cholesky(mats + shift[:, None, None] * np.eye(q))
+        except np.linalg.LinAlgError:
+            raise NumericalError("spectral matrix is not positive semi-definite") from None
         names = tuple(self.names) or tuple(f"ch{i}" for i in range(q))
         if len(names) != q:
             raise ArgumentError(f"expected {q} channel names, got {len(names)}")
@@ -129,20 +132,6 @@ class SpectralMatrix:
         traces = np.trace(self.mats, axis1=1, axis2=2).real / self.dim
         mats = self.mats + delta * traces[:, None, None] * np.eye(self.dim)
         return SpectralMatrix(grid=self.grid, mats=mats, names=self.names)
-
-    def debug_dump(self) -> str:
-        """JSON dump: per frequency, the matrix as a row-major list of
-        ``[re, im]`` pairs. Intended for inspection, not interchange."""
-        import json
-
-        rows = [
-            {
-                "f_hz": float(f),
-                "mat": [[v.real, v.imag] for v in m.reshape(-1)],
-            }
-            for f, m in zip(self.grid.hz, self.mats)
-        ]
-        return json.dumps({"dim": self.dim, "names": list(self.names), "mats": rows})
 
 
 @dataclass(frozen=True)
@@ -173,10 +162,14 @@ class SpectralProfile:
             fh.write("\n".join(lines) + "\n")
 
 
-def transfer_function(model: VarModel, grid: FrequencyGrid) -> np.ndarray:
+def transfer_function(
+    model: VarModel, grid: FrequencyGrid, right: np.ndarray | None = None
+) -> np.ndarray:
     """Transfer matrices ``H(omega) = (I - sum_k A_k e^{-j omega k})^{-1}``.
 
-    Returns a complex array of shape ``(n_points, Q, Q)``.
+    Returns a complex array of shape ``(n_points, Q, Q)``; with a ``(Q, K)``
+    matrix ``right``, the products ``H(omega) @ right`` of shape
+    ``(n_points, Q, K)`` instead, from one batched solve.
 
     Raises
     ------
@@ -198,7 +191,7 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> np.ndarray:
         phases = np.exp(-1j * np.outer(omegas, np.arange(1, p + 1)))
         mats -= np.einsum("nk,kij->nij", phases, model.coeffs)
     try:
-        return np.linalg.inv(mats)
+        return np.linalg.inv(mats) if right is None else np.linalg.solve(mats, right)
     except np.linalg.LinAlgError:
         absdet = np.abs(np.linalg.det(mats))
         idx = int(np.argmin(absdet))
@@ -209,42 +202,12 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> np.ndarray:
 
 
 def psd_from_var(model: VarModel, grid: FrequencyGrid) -> SpectralMatrix:
-    """PSD matrix ``P(omega) = H(omega) Sigma H*(omega)`` of a stable model."""
-    h = transfer_function(model, grid)
-    mats = np.einsum("nij,jk,nlk->nil", h, model.sigma.astype(complex), h.conj())
+    """PSD matrix ``P(omega) = H(omega) Sigma H*(omega)`` of a stable model,
+    formed as ``B B*`` with ``B = H L`` and ``Sigma = L L^T`` (Cholesky), so
+    every ``P(omega)`` is Hermitian by construction."""
+    b = transfer_function(model, grid, np.linalg.cholesky(model.sigma))
+    mats = b @ b.conj().transpose(0, 2, 1)
     return SpectralMatrix(grid=grid, mats=mats, names=model.names)
-
-
-def _logdet_hermitian(mats: np.ndarray, grid: FrequencyGrid, what: str) -> np.ndarray:
-    """Log-determinants of a stack of Hermitian matrices via complex LU.
-
-    The determinant of a Hermitian matrix is real; the LU sign's imaginary
-    residue is checked and discarded.
-    """
-    if mats.shape[-1] == 1:
-        vals = mats[:, 0, 0]
-        if np.any(vals.real <= 0.0):
-            idx = int(np.argmin(vals.real))
-            raise SpectralSingularityError(
-                f"{what} nonpositive at f = {grid.hz[idx]:.6g} Hz"
-            )
-        return np.log(vals.real)
-    signs, logabs = np.linalg.slogdet(mats)
-    resid = np.abs(signs.imag)
-    if np.any(resid > 1e-8):
-        idx = int(np.argmax(resid))
-        raise NumericalError(
-            f"{what} determinant has imaginary residue {resid[idx]:.2e} "
-            f"at f = {grid.hz[idx]:.6g} Hz"
-        )
-    bad = (signs.real <= 0.0) | (logabs < np.log(DET_FLOOR))
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise SpectralSingularityError(
-            f"{what} determinant below {DET_FLOOR:g} at f = {grid.hz[idx]:.6g} Hz "
-            f"(consider the diagonal-loading knob)"
-        )
-    return logabs
 
 
 def spectral_mir(
@@ -254,19 +217,53 @@ def spectral_mir(
 
     At each frequency,
 
-        i(omega) = 1/2 * ln( det P_S(omega) * P_T(omega) / det P_[TS](omega) ),
+        i(omega) = 1/2 * ln( det P_S(omega) * P_T(omega) / det P_[S,T](omega) ),
 
     where ``P_S`` is the source-block submatrix, ``P_T`` the target's PSD and
-    ``P_[TS]`` the joint submatrix. Nonnegative up to roundoff for any valid
-    PSD matrix.
+    ``P_[S,T]`` the joint submatrix. The joint block is taken in ``[S, T]``
+    order and scaled to unit diagonal (coherence form), which cancels in the
+    ratio; its Cholesky factor ``L`` holds the pivots of ``det P_S`` first,
+    so ``i(omega) = -ln L[-1, -1]``. Nonnegative up to roundoff for any valid
+    PSD matrix, and unchanged when any channel is rescaled.
+
+    Raises
+    ------
+    SpectralSingularityError
+        If the normalised joint block is not positive definite or its
+        determinant falls below :data:`DET_FLOOR` at some grid frequency
+        (the message names the first one).
     """
-    srcs = np.array(_resolve_sources(psd.dim, target, sources))
-    joint = np.array([target, *srcs])
-    ld_joint = _logdet_hermitian(psd.mats[:, joint[:, None], joint], psd.grid, "joint spectrum")
-    ld_src = _logdet_hermitian(psd.mats[:, srcs[:, None], srcs], psd.grid, "source spectrum")
-    p_t = psd.mats[:, target, target].real
-    values = 0.5 * (ld_src + np.log(p_t) - ld_joint)
-    return SpectralProfile(grid=psd.grid, values=values)
+    srcs = _resolve_sources(psd.dim, target, sources)
+    idx = np.array([*srcs, target])
+    block = psd.mats[:, idx[:, None], idx]
+    scale = 1.0 / np.sqrt(np.diagonal(block, axis1=1, axis2=2).real)
+    coh = block * (scale[:, :, None] * scale[:, None, :])
+    diag = np.arange(len(idx))
+    coh[:, diag, diag] = 1.0
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(coh), axis1=1, axis2=2).real
+    except np.linalg.LinAlgError:
+        pivots = _pivots_or_nan(coh)
+    bad = ~(pivots.prod(axis=1) >= np.sqrt(DET_FLOOR))
+    if np.any(bad):
+        raise SpectralSingularityError(
+            f"joint spectrum of target {target} and sources {list(srcs)} singular "
+            f"(normalised determinant below {DET_FLOOR:g}) at "
+            f"f = {psd.grid.hz[np.argmax(bad)]:.6g} Hz (consider the diagonal-loading knob)"
+        )
+    return SpectralProfile(grid=psd.grid, values=-np.log(pivots[:, -1]))
+
+
+def _pivots_or_nan(mats: np.ndarray) -> np.ndarray:
+    """Cholesky pivots of each matrix, NaN where its factorisation fails:
+    the error path of a batched factorisation, which names no matrix."""
+    pivots = np.full(mats.shape[:2], np.nan)
+    for i, mat in enumerate(mats):
+        try:
+            pivots[i] = np.diagonal(np.linalg.cholesky(mat)).real
+        except np.linalg.LinAlgError:
+            pass
+    return pivots
 
 
 def integrate_full(profile: SpectralProfile) -> float:

@@ -99,11 +99,10 @@ class VarModel:
         ):
             raise ArgumentError("sigma must be symmetric")
         sigma = (sigma + sigma.T) / 2.0
-        eigmin = np.linalg.eigvalsh(sigma)[0]
-        if eigmin <= 0.0:
-            raise ArgumentError(
-                f"sigma must be positive definite (smallest eigenvalue {eigmin:.3e})"
-            )
+        try:
+            np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            raise ArgumentError("sigma must be positive definite") from None
         if self.fs <= 0.0:
             raise ArgumentError("fs must be positive")
         names = tuple(self.names) or ("Y",) + tuple(f"X{i}" for i in range(1, q))
@@ -538,12 +537,15 @@ def select_order_aic(
         raise EstimationError(
             f"regressor matrix is rank deficient (condition number {cond:.3e})"
         )
-    c = rmat[:k, k:]
-    yty = y.T @ y
+    # R_yy.T R_yy is the residual SSCP at order p_max; order p adds back the
+    # rows of Q.T y that belong to lags beyond p. Both terms are PSD, so
+    # nothing cancels as it would in y.T y - c_p.T c_p.
+    c, r_yy = rmat[:k, k:], rmat[k:, k:]
+    resid_p_max = r_yy.T @ r_yy
     curve = []
     for p in range(1, p_max + 1):
-        cp = c[: p * q]
-        resid_cov = (yty - cp.T @ cp) / l_eff
+        rest = c[p * q :]
+        resid_cov = (resid_p_max + rest.T @ rest) / l_eff
         sign, logdet = np.linalg.slogdet(resid_cov)
         if sign <= 0:
             raise EstimationError(f"residual covariance not SPD at order {p}")

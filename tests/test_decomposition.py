@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pird import (
     ArgumentError,
@@ -31,7 +33,6 @@ from pird.decomposition import (
 )
 
 from pird.lattice import enumerate_antichains
-from pird.spectral import _logdet_hermitian
 
 from conftest import make_model_set, reference_band_integral
 
@@ -408,7 +409,7 @@ def test_aggregate_coarse_band_consistency(sim3_psd):
 
 def reference_engine(psd, target, sources, bands):
     """The per-atom engine the array engine replaced: each element's MIR
-    profile from ``np.ix_`` gathers (cached per element), a per-atom
+    profile from :func:`spectral_mir` (cached per element), a per-atom
     ``np.minimum.reduce``, and ``np.interp`` + 1-D trapezoid per row and
     band. Returns every array ``decompose`` produces, by name."""
     srcs = tuple(sorted(sources))
@@ -420,11 +421,7 @@ def reference_engine(psd, target, sources, bands):
     def profile(element):
         if element not in cache:
             chans = [srcs[i - 1] for i in element]
-            joint = [target, *chans]
-            ld_joint = _logdet_hermitian(psd.mats[np.ix_(range(n), joint, joint)], psd.grid, "j")
-            ld_src = _logdet_hermitian(psd.mats[np.ix_(range(n), chans, chans)], psd.grid, "s")
-            p_t = psd.mats[:, target, target].real
-            cache[element] = 0.5 * (ld_src + np.log(p_t) - ld_joint)
+            cache[element] = spectral_mir(psd, target, chans).values
         return cache[element]
 
     red = np.empty((len(lattice), n))
@@ -517,3 +514,59 @@ def test_decompose_equals_per_atom_reference_engine(case):
     for key, value in want.items():
         assert np.array_equal(got[key], value), key
         assert np.array_equal(np.signbit(got[key]), np.signbit(value)), key
+
+
+# ---------------------------------------------------------------------------
+# invariances of the decomposition
+
+# derandomize: every run draws the same examples, so the gate is reproducible
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+SIM3 = build_scenario(Scenario("sim3"))
+MODELS = st.one_of(
+    st.just(SIM3),
+    st.builds(
+        random_stable_var,
+        dim=st.integers(3, 5),
+        order=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.floats(0.3, 0.95),
+    ),
+)
+
+
+def atom_values(model, sources=None):
+    """Every atom's PI and redundancy rate, full axis and per band."""
+    bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
+    res = decompose(psd_from_var(model, FrequencyGrid(n_points=513)), 0, sources, bands)
+    return np.concatenate(
+        [res.atom_pi_time, res.atom_redundancy_time,
+         *res.atom_pi_bands.values(), *res.atom_redundancy_bands.values()]
+    )
+
+
+@PROPERTY
+@given(model=MODELS, channel=st.integers(0, 4), k=st.integers(-150, 150))
+@example(model=SIM3, channel=2, k=-150)
+@example(model=SIM3, channel=0, k=150)
+def test_atoms_invariant_under_channel_scaling(model, channel, k):
+    d = np.ones(model.dim)
+    d[channel % model.dim] = 10.0**k
+    scaled = VarModel(
+        coeffs=d[:, None] * model.coeffs / d[None, :], sigma=model.sigma * np.outer(d, d)
+    )
+    assert np.max(np.abs(atom_values(scaled) - atom_values(model))) <= 1e-12
+
+
+@PROPERTY
+@given(model=MODELS, coeff=st.floats(-0.9, 0.9), var=st.floats(1e-3, 1e3))
+def test_atoms_unchanged_by_an_independent_non_source_channel(model, coeff, var):
+    q = model.dim
+    coeffs = np.zeros((model.order, q + 1, q + 1))
+    coeffs[:, :q, :q] = model.coeffs
+    coeffs[0, q, q] = coeff
+    sigma = np.zeros((q + 1, q + 1))
+    sigma[:q, :q] = model.sigma
+    sigma[q, q] = var
+    wider = VarModel(coeffs=coeffs, sigma=sigma)
+    sources = list(range(1, q))
+    assert np.max(np.abs(atom_values(wider, sources) - atom_values(model))) <= 1e-12

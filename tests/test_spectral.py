@@ -148,11 +148,17 @@ def test_spectral_mir_argument_errors(grid):
 
 
 def test_spectral_mir_determinant_floor():
+    # The floor applies to the block in coherence form. A target equal to a
+    # source at one frequency makes it exactly singular there (a zero pivot).
     grid = FrequencyGrid(fs=1.0, n_points=4)
+    mats = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
+    mats[2, :2, :2] = 1.0
+    with pytest.raises(SpectralSingularityError, match="f = 0.333333 Hz"):
+        spectral_mir(SpectralMatrix(grid=grid, mats=mats), 0, [1, 2])
+    # A spectrum that is tiny but far from singular is not refused.
     tiny = np.tile(np.eye(3, dtype=complex) * 1e-101, (4, 1, 1))
-    psd = SpectralMatrix(grid=grid, mats=tiny)
-    with pytest.raises(SpectralSingularityError, match="Hz"):
-        spectral_mir(psd, 0, [1, 2])
+    mir = spectral_mir(SpectralMatrix(grid=grid, mats=tiny), 0, [1, 2])
+    assert np.array_equal(mir.values, np.zeros(4))
 
 
 def test_diagonal_loading(grid):

@@ -276,23 +276,39 @@ def test_select_order_aic_single_candidate():
     assert p_star == 1 and len(curve) == 1
 
 
-def test_select_order_matches_explicit_ols_fits():
-    # the nested-QR sweep must equal per-order OLS on the common sample
-    m = random_stable_var(2, 2, seed=3, radius=0.6)
-    ts = simulate(m, 3000, burn_in=200, seed=4)
-    p_max = 4
-    _, curve = select_order_aic(ts, p_max)
+def explicit_ols_aic(ts, p_max):
+    """AIC(p) for p = 1..p_max from one ``lstsq`` fit per order on the
+    common sample, the reference for the nested-QR sweep."""
     z = ts.samples - ts.samples.mean(axis=0)
     n, q = z.shape
     l_eff = n - p_max
+    curve = []
     for p in range(1, p_max + 1):
         y = z[p_max:]
         x = np.hstack([z[p_max - k : n - k] for k in range(1, p + 1)])
         beta, *_ = np.linalg.lstsq(x, y, rcond=None)
         resid = y - x @ beta
         sigma = resid.T @ resid / l_eff
-        aic = np.log(np.linalg.det(sigma)) + 2.0 * p * q * q / l_eff
-        assert curve[p - 1] == pytest.approx(aic, rel=1e-9)
+        curve.append(np.log(np.linalg.det(sigma)) + 2.0 * p * q * q / l_eff)
+    return curve
+
+
+def test_select_order_matches_explicit_ols_fits():
+    # the nested-QR sweep must equal per-order OLS on the common sample
+    m = random_stable_var(2, 2, seed=3, radius=0.6)
+    ts = simulate(m, 3000, burn_in=200, seed=4)
+    _, curve = select_order_aic(ts, 4)
+    assert curve == pytest.approx(explicit_ols_aic(ts, 4), rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_select_order_aic_near_the_unit_circle(seed):
+    # y.T y grows like 1 / (1 - radius) while the residual does not, so
+    # subtracting the explained part from it would cancel most digits
+    m = random_stable_var(3, 2, seed=seed, radius=0.9999)
+    ts = simulate(m, 5000, burn_in=1000, seed=seed)
+    _, curve = select_order_aic(ts, 4)
+    assert np.max(np.abs(np.subtract(curve, explicit_ols_aic(ts, 4)))) <= 1e-13
 
 
 def test_white_noise_picks_no_significant_coefficients():
