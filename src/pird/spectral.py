@@ -189,7 +189,7 @@ def transfer_function(
     mats = np.broadcast_to(np.eye(q, dtype=complex), (grid.n_points, q, q)).copy()
     if p > 0:
         phases = np.exp(-1j * np.outer(omegas, np.arange(1, p + 1)))
-        mats -= np.einsum("nk,kij->nij", phases, model.coeffs)
+        mats -= (phases @ model.coeffs.reshape(p, q * q)).reshape(-1, q, q)
     try:
         return np.linalg.inv(mats) if right is None else np.linalg.solve(mats, right)
     except np.linalg.LinAlgError:

@@ -94,9 +94,7 @@ class VarModel:
             raise ArgumentError(
                 f"coeffs must have shape (p, {q}, {q}), got {coeffs.shape}"
             )
-        if np.max(np.abs(sigma - sigma.T)) > _SYMMETRY_TOL * max(
-            1.0, np.max(np.abs(sigma))
-        ):
+        if np.max(np.abs(sigma - sigma.T)) > _SYMMETRY_TOL * np.max(np.abs(sigma)):
             raise ArgumentError("sigma must be symmetric")
         sigma = (sigma + sigma.T) / 2.0
         try:
@@ -452,15 +450,42 @@ def simulate(
 _COND_LIMIT = 1e10
 
 
-def _lag_matrix(z: np.ndarray, p: int, t0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Regressand ``z[t0:]`` and regressors ``[z[t-1], ..., z[t-p]]`` stacked
-    column-blockwise, rows ``t = t0 .. L-1``."""
+#: Rows per block of :func:`_lagged_r`, so that each block factors in cache.
+_QR_BLOCK = 2048
+
+
+def _lagged_r(z: np.ndarray, p: int, t0: int) -> np.ndarray:
+    """Triangular factor R of ``[z[t-1], ..., z[t-p] | z[t]]``, rows
+    ``t = t0 .. L-1``: R of the regressors and Q.T @ z[t] of their thin QR.
+
+    Blocked tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): each
+    block of rows is factored in one reused buffer, then the stacked block
+    factors once more, so neither Q nor the lag matrix is formed. Row signs
+    of R are arbitrary and cancel in every product taken of them.
+
+    Raises
+    ------
+    EstimationError
+        If the regressor block ``R[:pQ, :pQ]`` is rank deficient (the
+        message names its condition number).
+    """
     n, q = z.shape
-    y = z[t0:]
-    x = np.empty((n - t0, p * q))
-    for k in range(1, p + 1):
-        x[:, (k - 1) * q : k * q] = z[t0 - k : n - k]
-    return y, x
+    buf = np.empty((min(_QR_BLOCK, n - t0), (p + 1) * q))
+    factors = []
+    for start in range(t0, n, _QR_BLOCK):
+        block = buf[: min(_QR_BLOCK, n - start)]
+        rows = len(block)
+        for k in range(1, p + 1):
+            block[:, (k - 1) * q : k * q] = z[start - k : start - k + rows]
+        block[:, p * q :] = z[start : start + rows]
+        factors.append(np.linalg.qr(block, mode="r"))
+    rmat = np.linalg.qr(np.vstack(factors), mode="r")
+    cond = np.linalg.cond(rmat[: p * q, : p * q])
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise EstimationError(
+            f"regressor matrix is rank deficient (condition number {cond:.3e})"
+        )
+    return rmat
 
 
 def fit_ols(ts: TimeSeriesMatrix, p: int) -> VarModel:
@@ -469,6 +494,10 @@ def fit_ols(ts: TimeSeriesMatrix, p: int) -> VarModel:
     Channel means are removed first; the residual covariance is
     ``E.T @ E / (L - p)``. With ``p == 0`` the result is a white model with
     the sample covariance.
+
+    Both come from one blocked QR that never forms the lag matrix, so
+    memory does not grow with ``p``; ``E.T @ E`` is ``R_yy.T @ R_yy``,
+    free of the cancellation in ``y - x @ beta``.
 
     Raises
     ------
@@ -491,16 +520,12 @@ def fit_ols(ts: TimeSeriesMatrix, p: int) -> VarModel:
         return VarModel(
             coeffs=np.zeros((0, q, q)), sigma=sigma, fs=ts.fs, names=ts.names
         )
-    y, x = _lag_matrix(z, p, p)
-    beta, _, rank, sv = np.linalg.lstsq(x, y, rcond=None)
-    cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
-    if rank < x.shape[1] or cond > _COND_LIMIT:
-        raise EstimationError(
-            f"regressor matrix is rank deficient (condition number {cond:.3e})"
-        )
-    resid = y - x @ beta
-    sigma = resid.T @ resid / (n - p)
-    coeffs = np.stack([beta[(k - 1) * q : k * q].T for k in range(1, p + 1)])
+    rmat = _lagged_r(z, p, p)
+    k = p * q
+    beta = np.linalg.solve(rmat[:k, :k], rmat[:k, k:])
+    r_yy = rmat[k:, k:]
+    sigma = r_yy.T @ r_yy / (n - p)
+    coeffs = np.stack([beta[(j - 1) * q : j * q].T for j in range(1, p + 1)])
     return VarModel(coeffs=coeffs, sigma=sigma, fs=ts.fs, names=ts.names)
 
 
@@ -514,9 +539,11 @@ def select_order_aic(
 
         AIC(p) = ln det(sigma_hat(p)) + 2 p Q^2 / L_eff.
 
-    Returns the minimizing order and the full criterion curve. A single QR
-    factorization of the order-``p_max`` regressor block is reused for all
-    candidates (lag blocks are nested), which equals per-order OLS exactly.
+    Returns the minimizing order and the full criterion curve. One
+    triangular factor of the order-``p_max`` regressors and the regressand
+    serves all candidates (lag blocks are nested), which equals per-order
+    OLS exactly. It comes from a blocked QR that never forms the lag
+    matrix, so memory beyond the samples does not grow with ``p_max``.
     """
     if p_max < 1:
         raise ArgumentError("p_max must be >= 1")
@@ -527,16 +554,8 @@ def select_order_aic(
         raise ArgumentError(
             f"p_max={p_max} infeasible for {n} samples of dimension {q}"
         )
-    y, x = _lag_matrix(z, p_max, p_max)
-    # The triangular factor of [x | y] holds R of x and Q.T @ y of its thin
-    # QR, so the tall Q is never formed.
-    k = x.shape[1]
-    rmat = np.linalg.qr(np.hstack([x, y]), mode="r")
-    cond = np.linalg.cond(rmat[:k, :k])
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise EstimationError(
-            f"regressor matrix is rank deficient (condition number {cond:.3e})"
-        )
+    k = p_max * q
+    rmat = _lagged_r(z, p_max, p_max)
     # R_yy.T R_yy is the residual SSCP at order p_max; order p adds back the
     # rows of Q.T y that belong to lags beyond p. Both terms are PSD, so
     # nothing cancels as it would in y.T y - c_p.T c_p.

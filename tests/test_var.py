@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,19 @@ def test_varmodel_validation():
         VarModel(coeffs=np.zeros((0, 2, 2)), sigma=np.eye(2), names=("a",))
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e20])
+def test_varmodel_symmetry_check_is_relative(scale):
+    with pytest.raises(ArgumentError, match="symmetric"):
+        VarModel(coeffs=np.zeros((0, 2, 2)), sigma=scale * np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_varmodel_accepts_symmetric_sigma_at_extreme_scales(scale):
+    sigma = scale * np.array([[1.0, 0.5], [0.5, 1.0]])
+    m = VarModel(coeffs=np.zeros((0, 2, 2)), sigma=sigma)
+    assert np.array_equal(m.sigma, sigma)
+
+
 def test_is_stable():
     assert is_stable(VarModel(coeffs=np.zeros((0, 2, 2)), sigma=np.eye(2)))
     assert is_stable(scalar_ar([0.99]), eps=0.005)
@@ -251,6 +265,84 @@ def test_fit_ols_rejects_constant_column():
     data = np.column_stack([rng.standard_normal(1000), np.full(1000, 2.5)])
     with pytest.raises(EstimationError, match="condition number"):
         fit_ols(TimeSeriesMatrix(samples=data), 2)
+
+
+def lagged_stack(z, p, t0):
+    """``[z[t-1], ..., z[t-p] | z[t]]`` for ``t = t0 .. L-1``, formed."""
+    n = len(z)
+    return np.hstack([z[t0 - k : n - k] for k in range(1, p + 1)] + [z[t0:]])
+
+
+def sign_fixed(r):
+    """R with every row scaled to a nonnegative diagonal entry."""
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    return r * d[:, None]
+
+
+BLOCK = var_module._QR_BLOCK
+
+
+@pytest.mark.parametrize(
+    "rows, q, p",
+    [
+        (100, 3, 2),  # below one block
+        (BLOCK, 3, 2),  # exactly one block
+        (BLOCK + 1, 3, 2),  # one block plus one row
+        (BLOCK + 5, 3, 4),  # last block: 5 rows, 15 columns
+        (BLOCK + 1, 1, 3),  # one channel
+        (3 * BLOCK + 7, 4, 1),  # one lag, several blocks
+    ],
+)
+def test_lagged_r_equals_direct_qr(rows, q, p):
+    rng = np.random.default_rng(rows + q + p)
+    t0 = p + 2
+    z = rng.standard_normal((t0 + rows, q))
+    got = var_module._lagged_r(z, p, t0)
+    want = np.linalg.qr(lagged_stack(z, p, t0), mode="r")
+    assert got.shape == want.shape == ((p + 1) * q, (p + 1) * q)
+    err = np.max(np.abs(sign_fixed(got) - sign_fixed(want)))
+    assert err <= 1e-13 * np.max(np.abs(want))
+
+
+def explicit_ols_fit(ts, p):
+    """Coefficients and residual covariance from one ``lstsq`` call, the
+    reference for the fit from the triangular factor."""
+    z = ts.samples - ts.samples.mean(axis=0)
+    n, q = z.shape
+    y = z[p:]
+    x = lagged_stack(z, p, p)[:, : p * q]
+    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+    resid = y - x @ beta
+    coeffs = np.stack([beta[(k - 1) * q : k * q].T for k in range(1, p + 1)])
+    return coeffs, resid.T @ resid / (n - p)
+
+
+@pytest.mark.parametrize("radius", [0.7, 0.9999])
+def test_fit_ols_matches_explicit_lstsq(radius):
+    m = random_stable_var(3, 3, seed=5, radius=radius)
+    ts = simulate(m, 6000, burn_in=2000, seed=6)
+    fit = fit_ols(ts, 3)
+    coeffs, sigma = explicit_ols_fit(ts, 3)
+    assert np.max(np.abs(fit.coeffs - coeffs)) <= 1e-12
+    assert np.max(np.abs(fit.sigma - sigma)) <= 1e-12 * np.max(np.abs(sigma))
+
+
+def traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_path_memory_does_not_grow_with_the_order():
+    # the 100,000 x 44 lag matrix alone would take 35 MB; numpy reports
+    # its buffers to tracemalloc
+    ts = TimeSeriesMatrix(samples=np.random.default_rng(8).standard_normal((100_000, 4)))
+    assert traced_peak_mb(select_order_aic, ts, 10) <= 16.0
+    assert traced_peak_mb(fit_ols, ts, 10) <= 16.0
 
 
 def test_fit_ols_needs_enough_rows():
