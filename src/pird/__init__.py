@@ -18,16 +18,9 @@ from .baselines import (
     transfer_entropy,
 )
 from .decomposition import (
-    CoarseDecomposition,
-    aggregate_coarse,
     CoarseTerms,
     DecompositionResult,
-    coarse_grained,
     decompose,
-    smmi_argmin_elements,
-    smmi_redundancy_profile,
-    spectral_pird,
-    time_pird,
     write_atoms_csv,
     write_coarse_csv,
     write_profiles_csv,
@@ -46,7 +39,6 @@ from .lattice import (
     Atom,
     RedundancyLattice,
     enumerate_antichains,
-    moebius_invert,
     precedes,
 )
 from .spectral import (
@@ -82,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom",
     "Band",
-    "CoarseDecomposition",
     "CoarseTerms",
     "DecompositionResult",
     "FrequencyGrid",
@@ -102,10 +93,8 @@ __all__ = [
     "PirdError",
     "SpectralSingularityError",
     "UnstableModelError",
-    "aggregate_coarse",
     "autocovariance_sequence",
     "build_scenario",
-    "coarse_grained",
     "decompose",
     "enumerate_antichains",
     "fit_ols",
@@ -115,7 +104,6 @@ __all__ = [
     "integrate_full",
     "is_stable",
     "mir_decomposition",
-    "moebius_invert",
     "parse_bands",
     "poles_to_coeffs",
     "precedes",
@@ -124,14 +112,10 @@ __all__ = [
     "select_order_aic",
     "simulate",
     "simulate_ensemble",
-    "smmi_argmin_elements",
-    "smmi_redundancy_profile",
     "spectral_mir",
-    "spectral_pird",
     "static_pid",
     "submodel_innovation",
     "te_pid",
-    "time_pird",
     "transfer_entropy",
     "transfer_function",
     "write_atoms_csv",

@@ -60,6 +60,7 @@ from .var import (
     Scenario,
     TimeSeriesMatrix,
     VarModel,
+    _resolve_sources,
     build_scenario,
     fit_ols,
     is_stable,
@@ -159,7 +160,10 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--out", help="output directory (default pird_out)")
         p.add_argument("--units", choices=("nats", "bits"), help="output units")
-        p.add_argument("--seed", type=int, help="seed recorded with the run")
+        p.add_argument(
+            "--seed", type=int,
+            help="accepted and unused: every verb is deterministic",
+        )
 
     fit = sub.add_parser("fit", help="fit a VAR model to a CSV time series")
     add_common(fit)
@@ -249,7 +253,8 @@ def _obtain_model(config: RunConfig) -> tuple[VarModel, list[float] | None]:
     return _fit_from_series(config, _load_series(config))
 
 
-def _resolve_channels(model: VarModel, config: RunConfig) -> tuple[int, list[int]]:
+def _resolve_channels(model: VarModel, config: RunConfig) -> tuple[int, tuple[int, ...]]:
+    """The target and the sorted, distinct sources named by the config."""
     names = list(model.names)
 
     def lookup(name: str) -> int:
@@ -262,11 +267,7 @@ def _resolve_channels(model: VarModel, config: RunConfig) -> tuple[int, list[int
         sources = [lookup(n.strip()) for n in config.sources.split(",") if n.strip()]
     else:
         sources = [i for i in range(model.dim) if i != target]
-    if not sources:
-        raise ArgumentError("no source channels left")
-    if target in sources:
-        raise ArgumentError("target cannot be one of the sources")
-    return target, sources
+    return target, _resolve_sources(model.dim, target, sources)
 
 
 def _bands_for(config: RunConfig, fs: float, default: str | None = None) -> list[Band]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -245,25 +245,3 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
         m=m, atoms=tuple(atoms[i] for i in order), down_sets=down_sets
     )
 
-
-def moebius_invert(
-    lattice: RedundancyLattice, redundancy: Mapping[Atom, float]
-) -> dict[Atom, float]:
-    """Convert redundancy values on every atom into partial-information values.
-
-    Implements the bottom-up recursion ``PI(a) = red(a) - sum(PI(b) for b
-    strictly preceding a)``, which inverts the defining accumulation
-    ``red(a) = sum(PI(b) for b preceding-or-equal a)``.
-
-    Raises
-    ------
-    ArgumentError
-        If any lattice atom is missing from ``redundancy`` or a value is
-        not finite.
-    """
-    missing = [a for a in lattice.atoms if a not in redundancy]
-    if missing:
-        raise ArgumentError(f"redundancy missing for atoms: {missing[:4]}")
-    values = np.array([float(redundancy[a]) for a in lattice.atoms])
-    pi = lattice.invert_values(values)
-    return {atom: float(pi[i]) for i, atom in enumerate(lattice.atoms)}

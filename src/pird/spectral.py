@@ -152,15 +152,6 @@ class SpectralProfile:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def save_csv(self, path) -> None:
-        """Write the profile as ``f_hz,value`` rows."""
-        lines = ["f_hz,value"]
-        lines += [
-            f"{f:.12g},{v:.12g}" for f, v in zip(self.grid.hz, self.values)
-        ]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def transfer_function(
     model: VarModel, grid: FrequencyGrid, right: np.ndarray | None = None

@@ -25,12 +25,9 @@ from pird import (
     select_order_aic,
     simulate,
     simulate_ensemble,
-    smmi_redundancy_profile,
     spectral_mir,
-    spectral_pird,
     static_pid,
     te_pid,
-    time_pird,
     zero_lag_covariance,
 )
 from pird.var import TimeSeriesMatrix
@@ -87,7 +84,7 @@ def test_criterion_2_pointwise_min_never_exceeds_global_min(grid, property_model
     ):
         checked_equality = 0
         for model in property_models:
-            result = time_pird(spectral_pird(psd_from_var(model, grid), 0))
+            result = decompose(psd_from_var(model, grid), 0)
             element_integral = {}
 
             def integral_of(element):
@@ -116,32 +113,37 @@ def test_criterion_3_redundancy_axioms(grid, property_models):
         for model in property_models:
             psd = psd_from_var(model, grid)
             m = model.dim - 1
+            result = decompose(psd, 0)
+
+            def redundancy(atom):
+                return result.atom_redundancy[result.lattice.index(atom)]
+
             # self-redundancy: single-element atoms reproduce the MIR profile
             for j in range(1, m + 1):
-                red = smmi_redundancy_profile(psd, 0, Atom([(j,)]))
+                red = redundancy(Atom([(j,)]))
                 direct = spectral_mir(psd, 0, [j])
-                assert np.array_equal(red.values, direct.values)
-                assert red.values.min() >= -1e-10
+                assert np.array_equal(red, direct.values)
+                assert red.min() >= -1e-10
             if m < 2:
                 continue
             # weak symmetry: permuted element order, bit-identical profile
-            a = smmi_redundancy_profile(psd, 0, Atom([(1,), (2,)]))
-            b = smmi_redundancy_profile(psd, 0, Atom([(2,), (1,)]))
-            assert np.array_equal(a.values, b.values)
+            a = redundancy(Atom([(1,), (2,)]))
+            b = redundancy(Atom([(2,), (1,)]))
+            assert np.array_equal(a, b)
             # monotonicity: adding an element cannot raise the profile
-            single = smmi_redundancy_profile(psd, 0, Atom([(1,)])).values
-            assert np.all(a.values <= single + 1e-10)
+            single = redundancy(Atom([(1,)]))
+            assert np.all(a <= single + 1e-10)
             # subset equality: a superset element never changes the minimum
             superset = spectral_mir(psd, 0, [1, 2]).values
             assert np.max(np.abs(np.minimum(single, superset) - single)) <= 1e-10
-            assert a.values.min() >= -1e-10
+            assert a.min() >= -1e-10
 
 
 def test_criterion_4_integration_commutes_with_inversion(grid, sim3_model):
     with criterion(4, "invert-then-integrate equals integrate-then-invert (sim3)"):
-        result = time_pird(spectral_pird(psd_from_var(sim3_model, grid), 0))
+        result = decompose(psd_from_var(sim3_model, grid), 0)
         assert len(result.lattice) == 18
-        dual = result.pi_time_from_redundancy()
+        dual = result.lattice.invert_values(result.atom_redundancy_time)
         assert np.max(np.abs(dual - result.atom_pi_time)) < 1e-9
 
 

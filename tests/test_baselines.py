@@ -13,7 +13,7 @@ from pird import (
     VarModel,
     autocovariance_sequence,
     build_scenario,
-    coarse_grained,
+    decompose,
     gaussian_mi,
     instantaneous_info,
     integrate_full,
@@ -84,7 +84,7 @@ def test_static_pid_sim1_c0(grid):
         0.5 * np.log(0.36 / 0.104) + 0.5 * np.log(0.36), abs=1e-12
     )
     # identical to the spectral route in the absence of dynamics
-    pird = coarse_grained(psd_from_var(m, grid), 0).terms["FULL"]
+    pird = decompose(psd_from_var(m, grid), 0).coarse["FULL"]
     assert abs(res.redundancy - pird.redundancy) < 1e-6
     assert abs(res.synergy - pird.synergy) < 1e-6
 

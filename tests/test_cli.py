@@ -169,6 +169,14 @@ def test_decompose_argument_errors(tmp_path):
     assert main([
         "decompose", "--scenario", "sim1", "--c", "0.95", "--out", str(tmp_path),
     ]) == 3
+    for sources in (",", "X1,Y", "Y", "X1,Q"):
+        assert main([
+            "decompose", "--scenario", "sim3", "--sources", sources, "--out", str(tmp_path),
+        ]) == 3
+    # one channel: no source left besides the target
+    white = tmp_path / "white1.json"
+    white.write_text(VarModel(coeffs=np.zeros((0, 1, 1)), sigma=np.eye(1)).to_json())
+    assert main(["decompose", "--model", str(white), "--out", str(tmp_path)]) == 3
 
 
 def test_decompose_explicit_fs_retimes_a_stored_model(tmp_path):
@@ -279,6 +287,15 @@ def test_decompose_single_source(tmp_path):
     assert set(rows) == {("JointMIR", "FULL")}  # no coarse split for one source
     atoms = (out / "atoms.csv").read_text().strip().splitlines()
     assert len(atoms) == 2  # header + the single trivial atom
+
+
+def test_decompose_repeated_source_is_one_source(tmp_path):
+    # the source list is a set: naming X1 twice is the one-source run
+    args = ["decompose", "--scenario", "sim3", "--bands", "B1:0.04-0.15,B2:0.15-0.4"]
+    assert main(args + ["--sources", "X1", "--out", str(tmp_path / "once")]) == 0
+    assert main(args + ["--sources", "X1,X1", "--out", str(tmp_path / "twice")]) == 0
+    for name in ("atoms.csv", "coarse.csv", "profiles.csv"):
+        assert (tmp_path / "twice" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
 
 
 def test_bench_unknown_scenario(tmp_path):

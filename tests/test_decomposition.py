@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pird import (
@@ -12,21 +12,17 @@ from pird import (
     FrequencyGrid,
     Scenario,
     build_scenario,
-    coarse_grained,
     decompose,
+    integrate_band,
     integrate_full,
     VarModel,
     psd_from_var,
     random_stable_var,
-    smmi_redundancy_profile,
     spectral_mir,
-    spectral_pird,
     static_pid,
     te_pid,
-    time_pird,
 )
 from pird.decomposition import (
-    aggregate_coarse,
     write_atoms_csv,
     write_coarse_csv,
     write_profiles_csv,
@@ -50,75 +46,75 @@ def sim3_psd(grid, sim3_model):
     return psd_from_var(sim3_model, grid)
 
 
+@pytest.fixture(scope="module")
+def sim3_result(sim3_psd):
+    return decompose(sim3_psd, 0)
+
+
+def redundancy_profile(result, atom):
+    """One atom's redundancy rate profile, looked up in a decomposition."""
+    return result.atom_redundancy[result.lattice.index(atom)]
+
+
 # ---------------------------------------------------------------------------
 # redundancy profiles
 
 
-def test_self_redundancy(sim3_psd):
-    atom = Atom([(1,)])
-    red = smmi_redundancy_profile(sim3_psd, 0, atom)
+def test_self_redundancy(sim3_psd, sim3_result):
+    red = redundancy_profile(sim3_result, Atom([(1,)]))
     direct = spectral_mir(sim3_psd, 0, [1])
-    assert np.array_equal(red.values, direct.values)
-    pair = Atom([(2, 3)])
-    red2 = smmi_redundancy_profile(sim3_psd, 0, pair)
-    assert np.array_equal(red2.values, spectral_mir(sim3_psd, 0, [2, 3]).values)
+    assert np.array_equal(red, direct.values)
+    red2 = redundancy_profile(sim3_result, Atom([(2, 3)]))
+    assert np.array_equal(red2, spectral_mir(sim3_psd, 0, [2, 3]).values)
 
 
-def test_redundancy_is_pointwise_min(sim3_psd):
-    atom = Atom([(1,), (2, 3)])
-    red = smmi_redundancy_profile(sim3_psd, 0, atom)
+def test_redundancy_is_pointwise_min(sim3_psd, sim3_result):
+    red = redundancy_profile(sim3_result, Atom([(1,), (2, 3)]))
     a = spectral_mir(sim3_psd, 0, [1]).values
     b = spectral_mir(sim3_psd, 0, [2, 3]).values
-    assert np.array_equal(red.values, np.minimum(a, b))
-    assert np.all(red.values <= a) and np.all(red.values <= b)
+    assert np.array_equal(red, np.minimum(a, b))
+    assert np.all(red <= a) and np.all(red <= b)
 
 
-def test_weak_symmetry_under_element_permutation(sim3_psd):
-    # canonicalization makes permuted atoms identical objects, and the
-    # profiles come out bit-for-bit equal
+def test_weak_symmetry_under_element_permutation(sim3_result):
+    # canonicalization makes permuted atoms identical objects, so they
+    # name the same row and the profiles come out bit-for-bit equal
     a = Atom([(1,), (2, 3)])
     b = Atom([(2, 3), (1,)])
     assert a == b
-    pa = smmi_redundancy_profile(sim3_psd, 0, a)
-    pb = smmi_redundancy_profile(sim3_psd, 0, b)
-    assert np.array_equal(pa.values, pb.values)
+    assert sim3_result.lattice.index(a) == sim3_result.lattice.index(b)
+    assert np.array_equal(redundancy_profile(sim3_result, a), redundancy_profile(sim3_result, b))
 
 
-def test_monotonicity_and_subset_equality(sim3_psd):
+def test_monotonicity_and_subset_equality(sim3_psd, sim3_result):
     # adding an element can only lower the profile; adding a superset of an
     # existing element changes nothing (its MIR dominates pointwise)
-    single = smmi_redundancy_profile(sim3_psd, 0, Atom([(1,)])).values
-    widened = smmi_redundancy_profile(sim3_psd, 0, Atom([(1,), (2,)])).values
+    single = redundancy_profile(sim3_result, Atom([(1,)]))
+    widened = redundancy_profile(sim3_result, Atom([(1,), (2,)]))
     assert np.all(widened <= single + 1e-10)
     superset = spectral_mir(sim3_psd, 0, [1, 2]).values
     assert np.all(np.minimum(single, superset) >= single - 1e-10)
     assert np.max(np.abs(np.minimum(single, superset) - single)) <= 1e-10
 
 
-def test_redundancy_nonnegative(sim3_psd):
-    lattice_atoms = spectral_pird(sim3_psd, 0).lattice.atoms
-    for atom in lattice_atoms:
-        red = smmi_redundancy_profile(sim3_psd, 0, atom)
-        assert red.values.min() >= -1e-10
+def test_redundancy_nonnegative(sim3_result):
+    assert sim3_result.atom_redundancy.min() >= -1e-10
 
 
 def test_element_index_out_of_range(sim1_c0_psd):
-    with pytest.raises(ArgumentError, match="source"):
-        smmi_redundancy_profile(sim1_c0_psd, 0, Atom([(3,)]))
+    # an atom naming a third source is not part of the two-source lattice
+    with pytest.raises(ArgumentError, match="sources"):
+        decompose(sim1_c0_psd, 0).lattice.index(Atom([(3,)]))
 
 
-def test_argmin_diagnostic(sim3_psd, sim1_c0_psd, grid):
-    from pird import smmi_argmin_elements
-
-    atom = Atom([(1,), (3,)])
-    winners = smmi_argmin_elements(sim3_psd, 0, atom)
+def test_sim3_redundancy_follows_the_weaker_source(sim3_psd, sim3_result, grid):
+    red = redundancy_profile(sim3_result, Atom([(1,), (3,)]))
+    x1 = spectral_mir(sim3_psd, 0, [1]).values
+    x3 = spectral_mir(sim3_psd, 0, [3]).values
     i01 = int(np.argmin(np.abs(grid.hz - 0.1)))
     i03 = int(np.argmin(np.abs(grid.hz - 0.3)))
-    assert winners[i01] == 0  # near 0.1 Hz the first element carries less
-    assert winners[i03] == 1  # near 0.3 Hz the third source carries less
-    # exact ties resolve to the lowest canonical element
-    tied = smmi_argmin_elements(sim1_c0_psd, 0, Atom([(1,), (2,)]))
-    assert np.all(tied == 0)
+    assert red[i01] == x1[i01] < x3[i01]  # near 0.1 Hz X1 carries less
+    assert red[i03] == x3[i03] < x1[i03]  # near 0.3 Hz X3 carries less
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +122,15 @@ def test_argmin_diagnostic(sim3_psd, sim1_c0_psd, grid):
 
 
 def test_single_source_trivial_decomposition(sim3_psd):
-    res = time_pird(spectral_pird(sim3_psd, 0, [1]))
+    res = decompose(sim3_psd, 0, [1])
     assert len(res.lattice) == 1
     assert np.array_equal(res.atom_pi[0], res.joint_profile.values)
     assert res.atom_pi_time[0] == pytest.approx(res.joint_mir, abs=1e-15)
+    assert res.coarse == {}
 
 
 def test_sim1_c0_flat_atoms(sim1_c0_psd):
-    res = time_pird(spectral_pird(sim1_c0_psd, 0))
+    res = decompose(sim1_c0_psd, 0)
     by_atom = {str(a): res.atom_pi[i] for i, a in enumerate(res.lattice.atoms)}
     assert np.allclose(by_atom["{1}{2}"], R_FLAT, atol=1e-9)
     assert np.allclose(by_atom["{1}"], 0.0, atol=1e-9)
@@ -146,8 +143,8 @@ def test_sim1_c0_flat_atoms(sim1_c0_psd):
     assert res.atom_pi_time[idx["{12}"]] == pytest.approx(J_FLAT - R_FLAT, abs=1e-9)
 
 
-def test_pointwise_reconstruction(sim3_psd):
-    res = spectral_pird(sim3_psd, 0)
+def test_pointwise_reconstruction(sim3_result):
+    res = sim3_result
     resum = res.atom_pi.sum(axis=0)
     assert np.max(np.abs(resum - res.joint_profile.values)) < 1e-9
     # redundancy equals the accumulated PI over each down-set, per frequency
@@ -156,15 +153,15 @@ def test_pointwise_reconstruction(sim3_psd):
         assert np.max(np.abs(acc - res.atom_redundancy[i])) < 1e-9
 
 
-def test_time_reconstruction_and_route_equivalence(sim3_psd):
-    res = time_pird(spectral_pird(sim3_psd, 0))
+def test_time_reconstruction_and_route_equivalence(sim3_result):
+    res = sim3_result
     assert abs(res.atom_pi_time.sum() - res.joint_mir) < 1e-6
-    dual = res.pi_time_from_redundancy()
+    dual = res.lattice.invert_values(res.atom_redundancy_time)
     assert np.max(np.abs(dual - res.atom_pi_time)) < 1e-9
 
 
-def test_sim3_low_band_dominated_by_third_source(sim3_psd, grid):
-    res = spectral_pird(sim3_psd, 0)
+def test_sim3_low_band_dominated_by_third_source(sim3_result, grid):
+    res = sim3_result
     i01 = int(np.argmin(np.abs(grid.hz - 0.1)))
     pi_at_01 = res.atom_pi[:, i01]
     best = int(np.argmax(pi_at_01))
@@ -173,7 +170,7 @@ def test_sim3_low_band_dominated_by_third_source(sim3_psd, grid):
 
 def test_band_integrals_present(sim3_psd):
     bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
-    res = time_pird(spectral_pird(sim3_psd, 0), bands)
+    res = decompose(sim3_psd, 0, bands=bands)
     assert set(res.atom_pi_bands) == {"B1", "B2"}
     assert res.joint_mir_bands["B1"] > 0
     # band values sum compatibly with the joint per band
@@ -185,12 +182,9 @@ def test_band_integrals_present(sim3_psd):
 
 def test_reserved_band_label(sim1_c0_psd):
     with pytest.raises(ArgumentError, match="reserved"):
-        time_pird(spectral_pird(sim1_c0_psd, 0), [Band(0.1, 0.2, "FULL")])
+        decompose(sim1_c0_psd, 0, bands=[Band(0.1, 0.2, "FULL")])
     with pytest.raises(ArgumentError, match="duplicate"):
-        time_pird(
-            spectral_pird(sim1_c0_psd, 0),
-            [Band(0.1, 0.2, "A"), Band(0.2, 0.3, "A")],
-        )
+        decompose(sim1_c0_psd, 0, bands=[Band(0.1, 0.2, "A"), Band(0.2, 0.3, "A")])
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +192,7 @@ def test_reserved_band_label(sim1_c0_psd):
 
 
 def test_sim1_c0_coarse_values(sim1_c0_psd):
-    coarse = coarse_grained(sim1_c0_psd, 0)
-    t = coarse.terms["FULL"]
+    t = decompose(sim1_c0_psd, 0).coarse["FULL"]
     assert t.redundancy == pytest.approx(R_FLAT, abs=1e-9)
     assert t.unique[0] == pytest.approx(0.0, abs=1e-9)
     assert t.unique[1] == pytest.approx(0.0, abs=1e-9)
@@ -209,41 +202,46 @@ def test_sim1_c0_coarse_values(sim1_c0_psd):
 
 @pytest.mark.parametrize("c", [0.0, 0.4, 0.8])
 def test_m2_coarse_equals_lattice_atoms(grid, c):
-    psd = psd_from_var(build_scenario(Scenario("sim1", {"c": c})), grid)
-    res = time_pird(spectral_pird(psd, 0))
+    res = decompose(psd_from_var(build_scenario(Scenario("sim1", {"c": c})), grid), 0)
     idx = {str(a): i for i, a in enumerate(res.lattice.atoms)}
-    for method in ("aggregate", "operational"):
-        t = coarse_grained(psd, 0, method=method).terms["FULL"]
-        assert abs(t.redundancy - res.atom_pi_time[idx["{1}{2}"]]) < 1e-9
-        assert abs(t.unique[0] - res.atom_pi_time[idx["{1}"]]) < 1e-9
-        assert abs(t.unique[1] - res.atom_pi_time[idx["{2}"]]) < 1e-9
-        assert abs(t.synergy - res.atom_pi_time[idx["{12}"]]) < 1e-9
+    # the bottom-atom identities per frequency: r = min_m i_m, u_m = i_m - r,
+    # s = joint - r - sum_m u_m; for two sources they are the four atoms
+    r = res.marginal_profiles.min(axis=0)
+    u = res.marginal_profiles - r
+    s = res.joint_profile.values - r - u.sum(axis=0)
+
+    def integral(row):
+        return np.trapezoid(row, grid.omegas) / np.pi
+
+    t = res.coarse["FULL"]
+    for value in (t.redundancy, integral(r)):
+        assert abs(value - res.atom_pi_time[idx["{1}{2}"]]) < 1e-9
+    for value in (t.unique[0], integral(u[0])):
+        assert abs(value - res.atom_pi_time[idx["{1}"]]) < 1e-9
+    for value in (t.unique[1], integral(u[1])):
+        assert abs(value - res.atom_pi_time[idx["{2}"]]) < 1e-9
+    for value in (t.synergy, integral(s)):
+        assert abs(value - res.atom_pi_time[idx["{12}"]]) < 1e-9
 
 
 def test_coarse_identity_per_band(sim3_psd):
     bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
-    coarse = coarse_grained(sim3_psd, 0, bands=bands)
-    for label, t in coarse.terms.items():
+    coarse = decompose(sim3_psd, 0, bands=bands).coarse
+    assert list(coarse) == ["FULL", "B1", "B2"]
+    for label, t in coarse.items():
         assert abs(sum(t.unique) + t.redundancy + t.synergy - t.joint_mir) < 1e-9
 
 
 def test_coarse_requires_two_sources(sim3_psd):
-    with pytest.raises(ArgumentError, match="two sources"):
-        coarse_grained(sim3_psd, 0, [1])
-    with pytest.raises(ArgumentError, match="method"):
-        coarse_grained(sim3_psd, 0, method="nope")
-
-
-def test_operational_profiles_sign_structure(sim3_psd):
-    coarse = coarse_grained(sim3_psd, 0, method="operational")
-    assert np.all(coarse.u_profiles >= 0.0)
-    assert coarse.r_profile.values.min() >= -1e-10
+    bands = [Band(0.04, 0.15, "B1")]
+    assert decompose(sim3_psd, 0, [1], bands).coarse == {}
+    assert list(decompose(sim3_psd, 0, [1, 2], bands).coarse) == ["FULL", "B1"]
 
 
 def test_sim1_dynamics_check(grid):
     # no dynamics: coarse PIRD equals the zero-lag PID
     m0 = build_scenario(Scenario("sim1", {"c": 0.0}))
-    pird0 = coarse_grained(psd_from_var(m0, grid), 0).terms["FULL"]
+    pird0 = decompose(psd_from_var(m0, grid), 0).coarse["FULL"]
     pid0 = static_pid(m0, 0)
     assert abs(pird0.redundancy - pid0.redundancy) < 1e-6
     assert abs(pird0.synergy - pid0.synergy) < 1e-6
@@ -251,14 +249,14 @@ def test_sim1_dynamics_check(grid):
     assert abs(pird0.joint_mir - pid0.mi_joint) < 1e-6
     # strong dynamics: synergy dominates and both unique terms activate
     m8 = build_scenario(Scenario("sim1", {"c": 0.8}))
-    t8 = coarse_grained(psd_from_var(m8, grid), 0).terms["FULL"]
+    t8 = decompose(psd_from_var(m8, grid), 0).coarse["FULL"]
     assert t8.synergy > t8.redundancy
     assert t8.unique[0] > 0 and t8.unique[1] > 0
 
 
 def test_sim2_topology_check(grid):
     m0 = build_scenario(Scenario("sim2", {"c": 0.0}))
-    pird0 = coarse_grained(psd_from_var(m0, grid), 0).terms["FULL"]
+    pird0 = decompose(psd_from_var(m0, grid), 0).coarse["FULL"]
     tep0 = te_pid(m0, 0)
     assert abs(pird0.redundancy - tep0.redundancy) < 1e-4
     assert abs(pird0.synergy - tep0.synergy) < 1e-4
@@ -267,7 +265,7 @@ def test_sim2_topology_check(grid):
     m8 = build_scenario(Scenario("sim2", {"c": 0.8}))
     tep8 = te_pid(m8, 0)
     assert all(abs(v) < 1e-6 for v in (tep8.te_joint, tep8.redundancy, tep8.synergy))
-    pird8 = coarse_grained(psd_from_var(m8, grid), 0).terms["FULL"]
+    pird8 = decompose(psd_from_var(m8, grid), 0).coarse["FULL"]
     assert pird8.joint_mir > 0.1
     assert pird8.redundancy > pird8.synergy
 
@@ -281,8 +279,8 @@ def test_sim3_aggregated_structure(sim3_psd):
     assert res.coarse["B2"].delta > 0.0  # net redundancy at the fast rhythm
 
 
-def test_smmi_not_above_mmi(sim3_psd):
-    res = time_pird(spectral_pird(sim3_psd, 0))
+def test_smmi_not_above_mmi(sim3_psd, sim3_result):
+    res = sim3_result
     for i, atom in enumerate(res.lattice.atoms):
         mmi = min(
             integrate_full(spectral_mir(sim3_psd, 0, [res.sources[j - 1] for j in el]))
@@ -296,7 +294,7 @@ def test_negative_atoms_are_reported_unclipped(grid):
     for m in make_model_set(count=6, seed=404):
         if m.dim < 3:
             continue
-        res = time_pird(spectral_pird(psd_from_var(m, grid), 0))
+        res = decompose(psd_from_var(m, grid), 0)
         assert abs(res.atom_pi_time.sum() - res.joint_mir) < 1e-6
         if np.any(res.atom_pi < 0):
             return
@@ -343,9 +341,10 @@ def reference_profiles_csv(result, path, scale=1.0):
     blocks = [(str(atom), result.atom_pi[i]) for i, atom in enumerate(result.lattice.atoms)]
     blocks += [(f"I_{n}", row) for n, row in zip(result.source_names, result.marginal_profiles)]
     if len(result.sources) >= 2:
-        coarse = aggregate_coarse(result)
-        blocks += [(f"U_{n}", row) for n, row in zip(result.source_names, coarse.u_profiles)]
-        blocks += [("R", coarse.r_profile.values), ("S", coarse.s_profile.values)]
+        groups = result.lattice.coarse_groups()
+        keys = [(f"U_{n}", f"unique:{j}") for j, n in enumerate(result.source_names, start=1)]
+        keys += [("R", "redundant"), ("S", "synergistic")]
+        blocks += [(key, result.atom_pi[list(groups[g])].sum(axis=0)) for key, g in keys]
     blocks.append(("JointMIR", result.joint_profile.values))
     lines = ["f_hz,atom_or_term,value"]
     for key, values in blocks:
@@ -389,20 +388,13 @@ def test_profiles_csv_matches_row_at_a_time_writer(tmp_path, grid, case, m, scal
     assert text.count(b"\n") == 1 + blocks * grid.n_points
 
 
-def test_export_requires_time_part(tmp_path, sim1_c0_psd):
-    res = spectral_pird(sim1_c0_psd, 0)
-    with pytest.raises(ArgumentError, match="time_pird"):
-        write_atoms_csv(res, tmp_path / "x.csv")
-
-
 def test_aggregate_coarse_band_consistency(sim3_psd):
     bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
-    res = time_pird(spectral_pird(sim3_psd, 0), bands)
-    coarse = aggregate_coarse(res)
+    res = decompose(sim3_psd, 0, bands=bands)
     # group sums of band-integrated atoms match the terms exactly
     groups = res.lattice.coarse_groups()
     for label in ("B1", "B2"):
-        t = coarse.terms[label]
+        t = res.coarse[label]
         r_sum = sum(res.atom_pi_bands[label][i] for i in groups["redundant"])
         assert t.redundancy == pytest.approx(r_sum, abs=0)
 
@@ -411,7 +403,8 @@ def reference_engine(psd, target, sources, bands):
     """The per-atom engine the array engine replaced: each element's MIR
     profile from :func:`spectral_mir` (cached per element), a per-atom
     ``np.minimum.reduce``, and ``np.interp`` + 1-D trapezoid per row and
-    band. Returns every array ``decompose`` produces, by name."""
+    band, and the coarse terms as Python sums over the coarse groups.
+    Returns every array ``decompose`` produces, by name."""
     srcs = tuple(sorted(sources))
     m = len(srcs)
     lattice = enumerate_antichains(m)
@@ -449,8 +442,15 @@ def reference_engine(psd, target, sources, bands):
         )
     if m >= 2:
         groups = lattice.coarse_groups()
-        for label in ("redundant", "synergistic", *(f"unique:{j}" for j in range(1, m + 1))):
-            out[f"profile:{label}"] = pi[list(groups.get(label, ()))].sum(axis=0)
+        names = [f"unique:{j}" for j in range(1, m + 1)] + ["redundant", "synergistic"]
+        integrals = {"FULL": (out["atom_pi_time"], out["joint_mir"])}
+        for band in bands:
+            integrals[band.label] = (
+                out[f"atom_pi_bands:{band.label}"], out[f"joint_mir_bands:{band.label}"]
+            )
+        for label, (values, joint) in integrals.items():
+            sums = [sum(values[i] for i in groups[g]) for g in names]
+            out[f"coarse:{label}"] = np.array([*sums, joint])
     return out
 
 
@@ -469,12 +469,8 @@ def engine_arrays(result):
         out[f"atom_pi_bands:{band.label}"] = result.atom_pi_bands[band.label]
         out[f"atom_redundancy_bands:{band.label}"] = result.atom_redundancy_bands[band.label]
         out[f"joint_mir_bands:{band.label}"] = np.float64(result.joint_mir_bands[band.label])
-    if len(result.sources) >= 2:
-        coarse = aggregate_coarse(result)
-        out["profile:redundant"] = coarse.r_profile.values
-        out["profile:synergistic"] = coarse.s_profile.values
-        for j, row in enumerate(coarse.u_profiles, start=1):
-            out[f"profile:unique:{j}"] = row
+    for label, t in result.coarse.items():
+        out[f"coarse:{label}"] = np.array([*t.unique, t.redundancy, t.synergy, t.joint_mir])
     return out
 
 
@@ -570,3 +566,71 @@ def test_atoms_unchanged_by_an_independent_non_source_channel(model, coeff, var)
     wider = VarModel(coeffs=coeffs, sigma=sigma)
     sources = list(range(1, q))
     assert np.max(np.abs(atom_values(wider, sources) - atom_values(model))) <= 1e-12
+
+
+BANDS = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
+#: sim3 and random VARs over 4 to 6 channels; the first four channels after
+#: the target are the sources, so any further channel is a non-source.
+WIDE_MODELS = st.one_of(
+    st.just(SIM3),
+    st.builds(
+        random_stable_var,
+        dim=st.integers(4, 6),
+        order=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.floats(0.3, 0.95),
+    ),
+)
+
+
+def atom_table(model, target, sources):
+    """Per atom: PI and redundancy rate over the full axis, B1 and B2."""
+    res = decompose(psd_from_var(model, FrequencyGrid(n_points=513)), target, sources, BANDS)
+    columns = [res.atom_pi_time, res.atom_redundancy_time]
+    for label in ("B1", "B2"):
+        columns += [res.atom_pi_bands[label], res.atom_redundancy_bands[label]]
+    return res, np.stack(columns, axis=1)
+
+
+@PROPERTY
+@given(model=WIDE_MODELS, data=st.data())
+@example(model=SIM3, data=None)
+def test_atoms_equivariant_under_channel_relabelling(model, data):
+    q = model.dim
+    if data is None:
+        perm = list(reversed(range(q)))
+    else:
+        perm = data.draw(st.permutations(range(q)))
+    # channel k of the relabelled model is channel perm[k] of the original
+    where = np.argsort(perm)
+    sources = list(range(1, min(q, 5)))
+    new_sources = sorted(int(where[c]) for c in sources)
+    # source position i (1-based, sorted) moves to position image[i]
+    image = {i: new_sources.index(where[c]) + 1 for i, c in enumerate(sources, start=1)}
+    assume(any(image[i] != i for i in image))
+    relabelled = VarModel(
+        coeffs=model.coeffs[:, perm][:, :, perm], sigma=model.sigma[np.ix_(perm, perm)]
+    )
+    res, before = atom_table(model, 0, sources)
+    res_new, after = atom_table(relabelled, int(where[0]), new_sources)
+    for i, atom in enumerate(res.lattice.atoms):
+        moved = Atom([[image[j] for j in el] for el in atom.elements])
+        j = res_new.lattice.index(moved)
+        assert np.max(np.abs(after[j] - before[i])) <= 1e-12, (str(atom), str(moved))
+
+
+@PROPERTY
+@given(model=MODELS, source=st.integers(1, 4))
+def test_single_source_atom_is_the_spectral_mir_integral(model, source):
+    psd = psd_from_var(model, FrequencyGrid(n_points=513))
+    s = 1 + (source - 1) % (model.dim - 1)
+    res = decompose(psd, 0, [s], BANDS)
+    profile = spectral_mir(psd, 0, [s])
+    pairs = [(res.atom_pi_time[0], res.atom_redundancy_time[0], integrate_full(profile))]
+    for band in BANDS:
+        pairs.append((res.atom_pi_bands[band.label][0], res.atom_redundancy_bands[band.label][0],
+                      integrate_band(profile, band)))
+    for pi, red, want in pairs:
+        assert abs(pi - want) <= 1e-12
+        assert abs(red - want) <= 1e-12
+        assert abs(pi - red) <= 1e-12

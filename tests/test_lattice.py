@@ -8,7 +8,6 @@ from pird import (
     Atom,
     CapabilityError,
     enumerate_antichains,
-    moebius_invert,
     precedes,
 )
 
@@ -139,10 +138,15 @@ def test_lattice_precedes_rejects_foreign_atoms():
         lattice.precedes(Atom([(3,)]), Atom([(1,)]))
 
 
+def by_atom(lattice, values):
+    """Atom-keyed values as an array in lattice order."""
+    return np.array([values[atom] for atom in lattice.atoms])
+
+
 def test_moebius_single_atom():
     lattice = enumerate_antichains(1)
-    pi = moebius_invert(lattice, {Atom([(1,)]): 0.37})
-    assert pi[Atom([(1,)])] == pytest.approx(0.37, abs=0)
+    pi = lattice.invert_values(np.array([0.37]))
+    assert pi[lattice.index(Atom([(1,)]))] == pytest.approx(0.37, abs=0)
 
 
 def test_moebius_hand_worked_m2_case():
@@ -153,7 +157,7 @@ def test_moebius_hand_worked_m2_case():
         Atom([(2,)]): 0.5,
         Atom([(1, 2)]): 0.7,
     }
-    pi = moebius_invert(lattice, red)
+    pi = dict(zip(lattice.atoms, lattice.invert_values(by_atom(lattice, red))))
     assert pi[Atom([(1,), (2,)])] == pytest.approx(0.2, abs=1e-15)
     assert pi[Atom([(1,)])] == pytest.approx(0.3, abs=1e-15)
     assert pi[Atom([(2,)])] == pytest.approx(0.3, abs=1e-15)
@@ -168,11 +172,12 @@ def test_moebius_hand_worked_m2_case():
 def test_moebius_constant_redundancy_telescopes(m):
     lattice = enumerate_antichains(m)
     c = 0.8125
-    pi = moebius_invert(lattice, {a: c for a in lattice.atoms})
-    assert pi[lattice.bottom] == pytest.approx(c, abs=1e-14)
-    for atom in lattice.atoms:
-        if atom != lattice.bottom:
-            assert pi[atom] == pytest.approx(0.0, abs=1e-13)
+    pi = lattice.invert_values(np.full(len(lattice), c))
+    bottom = lattice.index(lattice.bottom)
+    assert pi[bottom] == pytest.approx(c, abs=1e-14)
+    for i in range(len(lattice)):
+        if i != bottom:
+            assert pi[i] == pytest.approx(0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -195,24 +200,23 @@ def test_invert_values_matches_dict_route_on_profiles():
     rng = np.random.default_rng(7)
     profiles = rng.uniform(0.0, 1.0, size=(len(lattice), 5))
     pi = lattice.invert_values(profiles)
+    # trailing axes are carried through: each column inverts on its own
     for col in range(5):
-        by_dict = moebius_invert(
-            lattice, {a: profiles[i, col] for i, a in enumerate(lattice.atoms)}
-        )
-        for i, atom in enumerate(lattice.atoms):
-            assert pi[i, col] == pytest.approx(by_dict[atom], abs=1e-14)
+        by_column = lattice.invert_values(profiles[:, col])
+        for i in range(len(lattice)):
+            assert pi[i, col] == pytest.approx(by_column[i], abs=1e-14)
 
 
 def test_moebius_missing_atom_raises():
     lattice = enumerate_antichains(2)
-    with pytest.raises(ArgumentError, match="missing"):
-        moebius_invert(lattice, {Atom([(1,)]): 1.0})
+    with pytest.raises(ArgumentError, match="expected 4 redundancy rows"):
+        lattice.invert_values(np.array([1.0]))
 
 
 def test_moebius_nonfinite_raises():
     lattice = enumerate_antichains(1)
     with pytest.raises(ArgumentError, match="finite"):
-        moebius_invert(lattice, {Atom([(1,)]): float("nan")})
+        lattice.invert_values(np.array([float("nan")]))
 
 
 def test_coarse_groups_m2():

@@ -289,18 +289,6 @@ def test_sim3_band_concentration(sim3_model, grid):
     assert b2 >= 0.8 * full
 
 
-def test_profile_csv_export(tmp_path, grid):
-    rng = np.random.default_rng(8)
-    profile = SpectralProfile(grid=grid, values=rng.uniform(0, 1, grid.n_points))
-    path = tmp_path / "profile.csv"
-    profile.save_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "f_hz,value"
-    assert len(lines) == grid.n_points + 1
-    f, v = lines[1].split(",")
-    assert float(f) == 0.0 and float(v) == pytest.approx(profile.values[0], rel=1e-11)
-
-
 def test_parse_bands():
     bands = parse_bands("LF:0.04-0.15,HF:0.15-0.4")
     assert [b.label for b in bands] == ["LF", "HF"]
