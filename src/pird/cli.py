@@ -51,6 +51,7 @@ from .spectral import (
     Band,
     FrequencyGrid,
     SpectralProfile,
+    _check_nyquist,
     integrate_band,
     integrate_full,
     parse_bands,
@@ -276,10 +277,7 @@ def _bands_for(config: RunConfig, fs: float, default: str | None = None) -> list
         return []
     bands = parse_bands(spec)
     for band in bands:
-        if band.hi > fs / 2.0 + 1e-12:
-            raise ArgumentError(
-                f"band {band.label!r} exceeds the Nyquist frequency {fs / 2.0} Hz"
-            )
+        _check_nyquist(band, fs)
     return bands
 
 

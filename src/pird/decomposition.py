@@ -20,6 +20,16 @@ canonical order, into the rows of the atoms holding it, so values compare
 in the order of a per-atom ``np.minimum.reduce``. One row integrator,
 :func:`~pird.spectral.integrate_band_rows`, integrates all atoms per band.
 
+The inversion is the *sorted element chain*. Spectral MIR never falls when
+a source is added, so at each frequency the E elements sorted by value
+(ties by size) make a chain of up-sets U_k (the ranks k and up); the atom
+gamma_k of U_k's minimal elements gets PI = g_(k) - g_(k-1), with
+g_(0) = 0, and every other atom exactly 0. So PI is nonnegative by
+construction, with at most E nonzero atoms per frequency, all on one chain
+of the lattice order. The sort runs on the monotone envelope
+g~(B) = max over A within B of g(A), equal to g unless roundoff broke
+monotonicity, so every U_k is an up-set.
+
 Atom element indices are 1-based positions into the sorted tuple of source
 channels: with ``sources = (2, 5, 7)``, the atom ``{1}{23}`` pairs channel 2
 against the group ``(5, 7)``.
@@ -32,7 +42,8 @@ import secrets
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,13 +106,16 @@ class DecompositionResult:
         Full-axis integral of the joint profile.
     bands : tuple of Band
         The requested bands, in order.
-    atom_redundancy_bands, atom_pi_bands : dict of str to ndarray
+    atom_redundancy_bands, atom_pi_bands : mapping of str to ndarray
         Per band label, the band integrals of every atom.
-    joint_mir_bands : dict of str to float
+    joint_mir_bands : mapping of str to float
         Per band label, the band integral of the joint profile.
-    coarse : dict of str to CoarseTerms
-        Per band label, ``"FULL"`` first, the coarse terms; ``{}`` for one
+    coarse : mapping of str to CoarseTerms
+        Per band label, ``"FULL"`` first, the coarse terms; empty for one
         source.
+
+    :func:`decompose` freezes it all the way down: its arrays are read-only
+    and its mappings are read-only views.
     """
 
     lattice: RedundancyLattice
@@ -116,10 +130,10 @@ class DecompositionResult:
     atom_pi_time: np.ndarray
     joint_mir: float
     bands: tuple[Band, ...]
-    atom_pi_bands: dict[str, np.ndarray]
-    atom_redundancy_bands: dict[str, np.ndarray]
-    joint_mir_bands: dict[str, float]
-    coarse: dict[str, CoarseTerms]
+    atom_pi_bands: Mapping[str, np.ndarray]
+    atom_redundancy_bands: Mapping[str, np.ndarray]
+    joint_mir_bands: Mapping[str, float]
+    coarse: Mapping[str, CoarseTerms]
 
     @property
     def grid(self):
@@ -130,15 +144,59 @@ class DecompositionResult:
         return tuple(self.names[s] for s in self.sources)
 
 
+class _ElementTable(NamedTuple):
+    """The distinct lattice elements over ``m`` sources (sorted as within
+    each atom) and, all read-only: ``member[a, k]``, atom ``a`` holds
+    element ``k``; the element ``sizes``; ``smaller``, per size from 2 up,
+    the elements of that size and the indices of their subsets one source
+    smaller; ``atom_of_upset``, per element bitmask the lattice index of
+    the atom of its minimal elements if the mask is an up-set, else -1."""
+
+    elements: tuple[tuple[int, ...], ...]
+    member: np.ndarray
+    sizes: np.ndarray
+    smaller: tuple[tuple[np.ndarray, np.ndarray], ...]
+    atom_of_upset: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _element_table(m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The distinct elements of the lattice over ``m`` sources, sorted as
-    within each atom, and the ``(atoms, elements)`` membership table."""
+def _element_table(m: int) -> _ElementTable:
     atoms = enumerate_antichains(m).atoms
     elements = tuple(sorted({el for atom in atoms for el in atom.elements}))
     member = np.array([[el in atom.elements for el in elements] for atom in atoms])
-    member.setflags(write=False)
-    return elements, member
+    sizes = np.array([len(el) for el in elements])
+    smaller = tuple(
+        (np.flatnonzero(sizes == s),
+         np.array([[elements.index(tuple(j for j in el if j != i)) for i in el]
+                   for el in elements if len(el) == s]))
+        for s in range(2, m + 1)
+    )
+    atom_of_upset = np.full(1 << len(elements), -1, dtype=np.int16)
+    for a, atom in enumerate(atoms):
+        mask = sum(1 << k for k, el in enumerate(elements)
+                   if any(set(low) <= set(el) for low in atom.elements))
+        atom_of_upset[mask] = a
+    for array in (member, sizes, atom_of_upset, *(x for pair in smaller for x in pair)):
+        array.setflags(write=False)
+    return _ElementTable(elements, member, sizes, smaller, atom_of_upset)
+
+
+def _chain_pi(table: np.ndarray, tab: _ElementTable, n_atoms: int) -> np.ndarray:
+    """Every atom's PI profile from the ``(elements, n_freq)`` MIR table by
+    the sorted element chain (see the module docstring)."""
+    # + 0.0 turns the -0.0 MIR of an exactly independent source into +0.0,
+    # so each difference below is +0.0 or positive.
+    env = table + 0.0
+    for idx, subs in tab.smaller:
+        env[idx] = np.maximum(env[idx], env[subs].max(axis=1))
+    order = np.lexsort((np.broadcast_to(tab.sizes[:, None], env.shape), env), axis=0)
+    delta = np.diff(np.take_along_axis(env, order, axis=0), axis=0, prepend=0.0)
+    bits = (1 << np.arange(len(tab.elements)))[order]
+    at = tab.atom_of_upset[np.bitwise_or.accumulate(bits[::-1], axis=0)[::-1]]
+    assert np.all(at >= 0), "a sorted envelope gave a non-up-set"
+    pi = np.zeros((n_atoms, table.shape[1]))
+    pi[at, np.arange(table.shape[1])] = delta
+    return pi
 
 
 def _check_band_labels(bands: tuple[Band, ...]) -> None:
@@ -207,14 +265,15 @@ def decompose(
     _check_band_labels(bands)
     grid, m = psd.grid, len(srcs)
     lattice = enumerate_antichains(m)
-    elements, member = _element_table(m)
+    tab = _element_table(m)
+    elements = tab.elements
     table = np.stack(
         [spectral_mir(psd, target, tuple(srcs[i - 1] for i in el)).values for el in elements]
     )
     red = np.full((len(lattice), grid.n_points), np.inf)
     for k in range(len(elements)):
-        np.minimum(red, table[k], out=red, where=member[:, k, None])
-    pi = lattice.invert_values(red)
+        np.minimum(red, table[k], out=red, where=tab.member[:, k, None])
+    pi = _chain_pi(table, tab, len(lattice))
     joint = SpectralProfile(grid=grid, values=table[elements.index(tuple(range(1, m + 1)))])
     pi_time = np.trapezoid(pi, grid.omegas, axis=1) / np.pi
     joint_mir = integrate_full(joint)
@@ -225,6 +284,12 @@ def decompose(
         coarse = aggregate_coarse(
             lattice, {FULL_BAND: pi_time, **pi_bands}, {FULL_BAND: joint_mir, **joint_bands}
         )
+    red_bands = {b.label: integrate_band_rows(red, grid, b) for b in bands}
+    marginal = table[[elements.index((j,)) for j in range(1, m + 1)]]
+    red_time = np.trapezoid(red, grid.omegas, axis=1) / np.pi
+    # Frozen all the way down, so a writer prints what was computed here.
+    for array in (red, pi, marginal, red_time, pi_time, *pi_bands.values(), *red_bands.values()):
+        array.setflags(write=False)
     return DecompositionResult(
         lattice=lattice,
         target=target,
@@ -233,15 +298,15 @@ def decompose(
         atom_redundancy=red,
         atom_pi=pi,
         joint_profile=joint,
-        marginal_profiles=table[[elements.index((j,)) for j in range(1, m + 1)]],
-        atom_redundancy_time=np.trapezoid(red, grid.omegas, axis=1) / np.pi,
+        marginal_profiles=marginal,
+        atom_redundancy_time=red_time,
         atom_pi_time=pi_time,
         joint_mir=joint_mir,
         bands=bands,
-        atom_pi_bands=pi_bands,
-        atom_redundancy_bands={b.label: integrate_band_rows(red, grid, b) for b in bands},
-        joint_mir_bands=joint_bands,
-        coarse=coarse,
+        atom_pi_bands=MappingProxyType(pi_bands),
+        atom_redundancy_bands=MappingProxyType(red_bands),
+        joint_mir_bands=MappingProxyType(joint_bands),
+        coarse=MappingProxyType(coarse),
     )
 
 

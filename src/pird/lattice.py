@@ -142,6 +142,13 @@ class RedundancyLattice:
     def invert_values(self, redundancy: np.ndarray) -> np.ndarray:
         """Moebius-invert an array of redundancy values into PI values.
 
+        The general inversion, valid for any redundancy values: each atom's
+        value minus the PI of its strict predecessors, in one forward pass.
+        The decomposition engine does not call it, because a pointwise
+        minimum of monotone element rates inverts in closed form (the sorted
+        element chain of :mod:`pird.decomposition`); it is the oracle that
+        chain is tested against.
+
         Parameters
         ----------
         redundancy : ndarray

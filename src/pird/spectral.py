@@ -293,11 +293,7 @@ def integrate_band_rows(rows: np.ndarray, grid: FrequencyGrid, band: Band) -> np
         If the band exceeds the Nyquist range of the grid.
     """
     fs = grid.fs
-    if band.hi > fs / 2.0 + 1e-12:
-        raise ArgumentError(
-            f"band {band.label!r} [{band.lo}, {band.hi}] Hz outside Nyquist range "
-            f"[0, {fs / 2.0}] Hz"
-        )
+    _check_nyquist(band, fs)
     w_lo = 2.0 * np.pi * band.lo / fs
     w_hi = min(2.0 * np.pi * band.hi / fs, np.pi)
     omegas = grid.omegas
@@ -314,6 +310,16 @@ def integrate_band_rows(rows: np.ndarray, grid: FrequencyGrid, band: Band) -> np
             slope = (rows[:, j + 1] - rows[:, j]) / (omegas[j + 1] - omegas[j])
             ys[:, col] = slope * (w - omegas[j]) + rows[:, j]
     return np.trapezoid(ys, xs, axis=1) / np.pi
+
+
+def _check_nyquist(band: Band, fs: float) -> None:
+    """Raise :class:`ArgumentError` if ``band`` reaches above the Nyquist
+    frequency ``fs / 2``; an upper edge within 1e-12 Hz of it is on it."""
+    if band.hi > fs / 2.0 + 1e-12:
+        raise ArgumentError(
+            f"band {band.label!r} [{band.lo}, {band.hi}] Hz exceeds the Nyquist "
+            f"frequency {fs / 2.0} Hz"
+        )
 
 
 def parse_bands(spec: str) -> list[Band]:

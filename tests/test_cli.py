@@ -188,6 +188,17 @@ def test_decompose_explicit_fs_retimes_a_stored_model(tmp_path):
     assert main(args + ["--fs", "1"]) == 3
 
 
+def test_band_beyond_nyquist_same_message_from_cli_and_decompose(tmp_path, sim3_model, capsys):
+    psd = pird.psd_from_var(sim3_model, pird.FrequencyGrid(fs=sim3_model.fs, n_points=257))
+    with pytest.raises(pird.ArgumentError) as raised:
+        pird.decompose(psd, 0, bands=[pird.Band(0.2, 0.9, "LF")])
+    out = tmp_path / "out"
+    args = ["decompose", "--scenario", "sim3", "--bands", "LF:0.2-0.9", "--out", str(out)]
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert not out.exists()  # rejected before any file is written
+
+
 def test_outputs_get_the_umask_mode(tmp_path):
     old = os.umask(0o022)
     try:

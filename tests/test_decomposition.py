@@ -23,6 +23,8 @@ from pird import (
     te_pid,
 )
 from pird.decomposition import (
+    _chain_pi,
+    _element_table,
     write_atoms_csv,
     write_coarse_csv,
     write_profiles_csv,
@@ -289,16 +291,36 @@ def test_smmi_not_above_mmi(sim3_psd, sim3_result):
         assert res.atom_redundancy_time[i] <= mmi + 1e-12
 
 
-def test_negative_atoms_are_reported_unclipped(grid):
-    # Moebius inversion produces negative atoms; nothing may clip them
+def test_atoms_are_nonnegative_without_clipping(grid):
+    # The chain's values are differences of sorted element rates: nonnegative
+    # by construction (no sign bit, so no -0.0 either), at most E nonzero
+    # atoms per frequency, and they still sum to the joint rate.
     for m in make_model_set(count=6, seed=404):
         if m.dim < 3:
             continue
         res = decompose(psd_from_var(m, grid), 0)
         assert abs(res.atom_pi_time.sum() - res.joint_mir) < 1e-6
-        if np.any(res.atom_pi < 0):
-            return
-    pytest.skip("no negative atom found in the sampled models")
+        assert not np.any(np.signbit(res.atom_pi))
+        assert np.all(np.count_nonzero(res.atom_pi, axis=0) <= 2 ** len(res.sources) - 1)
+        # nothing was clipped: the recursion on the same redundancy agrees
+        oracle = res.lattice.invert_values(res.atom_redundancy)
+        assert np.max(np.abs(res.atom_pi - oracle)) <= 1e-15 * res.joint_profile.values.max()
+
+
+def test_result_is_frozen_all_the_way_down(sim1_c0_psd):
+    res = decompose(sim1_c0_psd, 0, bands=[Band(0.1, 0.2, "A")])
+    with pytest.raises(ValueError, match="read-only"):
+        res.atom_pi[0, 0] = 5.0
+    with pytest.raises(TypeError):
+        res.coarse["FULL"] = None
+    for array in (res.atom_redundancy, res.marginal_profiles, res.atom_pi_time,
+                  res.atom_redundancy_time, res.atom_pi_bands["A"],
+                  res.atom_redundancy_bands["A"]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5.0
+    for mapping in (res.atom_pi_bands, res.atom_redundancy_bands, res.joint_mir_bands):
+        with pytest.raises(TypeError):
+            mapping["A"] = None
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +496,11 @@ def engine_arrays(result):
     return out
 
 
+def _from_pi(key):
+    """Keys of :func:`engine_arrays` derived from the atoms' PI rates."""
+    return key in ("atom_pi", "atom_pi_time") or key.startswith(("atom_pi_bands:", "coarse:"))
+
+
 def _engine_case(case):
     bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
     grid = FrequencyGrid(fs=1.0, n_points=2049)
@@ -499,17 +526,87 @@ def _engine_case(case):
      "var6 seed=1", "var6 seed=2", "var6 seed=3"],
 )
 def test_decompose_equals_per_atom_reference_engine(case):
-    # Bit-for-bit, signs of zero included: the array engine compares and
-    # sums in the same order as the per-atom loops (sim1 at c = 0 has
-    # exact ties between elements).
+    # Redundancy, joint and marginal outputs bit for bit, signs of zero
+    # included: the array engine compares and sums in the same order as the
+    # per-atom loops (sim1 at c = 0 has exact ties between elements). The PI
+    # outputs come from the sorted element chain instead of the recursion,
+    # so they agree to roundoff of the joint rate.
     psd, sources, bands = _engine_case(case)
     result = decompose(psd, 0, sources, bands)
     want = reference_engine(psd, 0, result.sources, bands)
     got = engine_arrays(result)
     assert sorted(got) == sorted(want)
+    bound = 1e-15 * result.joint_profile.values.max()
     for key, value in want.items():
-        assert np.array_equal(got[key], value), key
-        assert np.array_equal(np.signbit(got[key]), np.signbit(value)), key
+        if _from_pi(key):
+            assert np.max(np.abs(got[key] - value)) <= bound, key
+        else:
+            assert np.array_equal(got[key], value), key
+            assert np.array_equal(np.signbit(got[key]), np.signbit(value)), key
+
+
+def scalar_chain(table, elements, lattice):
+    """The sorted element chain one frequency at a time in plain Python:
+    ``table[k]`` is the MIR profile of ``elements[k]``. Per frequency, take
+    the monotone envelope (each element's largest value over its subsets),
+    sort by (envelope, size), and walk the ranks from the bottom: rank k
+    puts ``value_k - value_(k-1)`` on the atom of the minimal elements of
+    the ranks k and above."""
+    n_el, n = table.shape
+    subsets = [[a for a in range(n_el) if set(elements[a]) <= set(elements[b])]
+               for b in range(n_el)]
+    atom_of = {}
+    pi = np.zeros((len(lattice), n))
+    for j in range(n):
+        g = [float(table[k, j]) + 0.0 for k in range(n_el)]
+        env = [max(g[a] for a in subsets[b]) for b in range(n_el)]
+        ranked = sorted(range(n_el), key=lambda k: (env[k], len(elements[k])))
+        below = 0.0
+        for r, k in enumerate(ranked):
+            up = frozenset(ranked[r:])
+            if up not in atom_of:
+                low = [elements[b] for b in up if not any(
+                    a != b and a in up for a in subsets[b])]
+                atom_of[up] = lattice.index(Atom(low))
+            pi[atom_of[up], j] = env[k] - below
+            below = env[k]
+    return pi
+
+
+@pytest.mark.parametrize("case", ["sim1 c=0", "sim3", "var6 seed=1", "independent"])
+def test_atom_pi_equals_scalar_chain_reference(case):
+    # Byte-exact: max is exact and each value is one subtraction, so the
+    # vectorised chain must reproduce the scalar walk bit for bit.
+    if case == "independent":
+        psd, sources = psd_from_var(with_independent_source(SIM3, 1), GRID_513), None
+    else:
+        psd, sources, _ = _engine_case(case)
+    result = decompose(psd, 0, sources)
+    lattice = result.lattice
+    elements = sorted({el for atom in lattice.atoms for el in atom.elements})
+    table = np.stack([
+        spectral_mir(psd, 0, [result.sources[i - 1] for i in el]).values for el in elements
+    ])
+    want = scalar_chain(table, elements, lattice)
+    assert np.array_equal(result.atom_pi, want)
+    assert np.array_equal(np.signbit(result.atom_pi), np.signbit(want))
+
+
+def test_chain_envelope_absorbs_monotonicity_roundoff():
+    # With an independent source X1, {12} ties {2} exactly. Pushing {12}
+    # one ulp below {2} breaks monotonicity the way roundoff could; the
+    # envelope restores the tie, so the PI rates do not move by a bit.
+    psd = psd_from_var(with_independent_source(SIM3, 1), GRID_513)
+    tab = _element_table(4)
+    lattice = enumerate_antichains(4)
+    table = np.stack([spectral_mir(psd, 0, list(el)).values for el in tab.elements])
+    low, high = tab.elements.index((2,)), tab.elements.index((1, 2))
+    assert np.array_equal(table[low], table[high])
+    broken = table.copy()
+    broken[high] = np.nextafter(table[high], -np.inf)
+    pi = _chain_pi(broken, tab, len(lattice))
+    assert np.array_equal(pi, _chain_pi(table, tab, len(lattice)))
+    assert np.array_equal(pi, scalar_chain(broken, list(tab.elements), lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +615,22 @@ def test_decompose_equals_per_atom_reference_engine(case):
 # derandomize: every run draws the same examples, so the gate is reproducible
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 SIM3 = build_scenario(Scenario("sim3"))
+GRID_513 = FrequencyGrid(n_points=513)
+
+
+def with_independent_source(model, position, coeff=0.5, var=1.0):
+    """``model`` with a new channel at index ``position`` (1 .. dim) that is
+    an AR(1) driven by its own noise and coupled to nothing: every element
+    holding it ties analytically with the element without it."""
+    q = model.dim
+    old = [k for k in range(q + 1) if k != position]
+    coeffs = np.zeros((max(model.order, 1), q + 1, q + 1))
+    coeffs[np.ix_(range(model.order), old, old)] = model.coeffs
+    coeffs[0, position, position] = coeff
+    sigma = np.zeros((q + 1, q + 1))
+    sigma[np.ix_(old, old)] = model.sigma
+    sigma[position, position] = var
+    return VarModel(coeffs=coeffs, sigma=sigma)
 MODELS = st.one_of(
     st.just(SIM3),
     st.builds(
@@ -634,3 +747,45 @@ def test_single_source_atom_is_the_spectral_mir_integral(model, source):
         assert abs(pi - want) <= 1e-12
         assert abs(red - want) <= 1e-12
         assert abs(pi - red) <= 1e-12
+
+
+#: sim3, random 3-5-channel VARs, and either with an independent source
+#: added at a drawn position (the first four non-target channels are the
+#: sources, so the independent one is always among them).
+CHAIN_MODELS = st.one_of(
+    MODELS,
+    st.builds(
+        with_independent_source,
+        model=MODELS,
+        position=st.integers(1, 3),
+        coeff=st.floats(-0.9, 0.9),
+        var=st.floats(1e-3, 1e3),
+    ),
+)
+
+
+def _weakly_below(lattice):
+    """``leq[a, b]``: atom ``b`` precedes or equals atom ``a``."""
+    leq = np.eye(len(lattice), dtype=bool)
+    for a, below in enumerate(lattice.down_sets):
+        leq[a, list(below)] = True
+    return leq
+
+
+@PROPERTY
+@given(model=CHAIN_MODELS)
+@example(model=SIM3)
+@example(model=with_independent_source(SIM3, 1))
+def test_atom_pi_lies_on_a_chain_of_the_lattice(model):
+    sources = list(range(1, min(model.dim, 5)))
+    res = decompose(psd_from_var(model, GRID_513), 0, sources)
+    pi, n_elements = res.atom_pi, 2 ** len(sources) - 1
+    assert not np.any(np.signbit(pi))  # every value >= +0.0
+    leq = _weakly_below(res.lattice)
+    for j in range(pi.shape[1]):
+        on = np.flatnonzero(pi[:, j])
+        assert len(on) <= n_elements
+        sub = leq[np.ix_(on, on)]
+        assert np.all(sub | sub.T), j  # pairwise comparable: a chain
+    oracle = res.lattice.invert_values(res.atom_redundancy)
+    assert np.max(np.abs(pi - oracle)) <= 1e-15 * res.joint_profile.values.max()
