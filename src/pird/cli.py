@@ -306,10 +306,10 @@ def cmd_fit(config: RunConfig) -> int:
             f"{model.spectral_radius():.6f}); try a different order"
         )
     out = _outdir(config)
-    atomic_write_text(out / "model.json", model.to_json() + "\n")
+    atomic_write_text(out / "model.json", (model.to_json(), "\n"))
     if curve is not None:
         lines = ["p,aic"] + [f"{p},{_fmt(a)}" for p, a in enumerate(curve, start=1)]
-        atomic_write_text(out / "aic.csv", "\n".join(lines) + "\n")
+        atomic_write_text(out / "aic.csv", (line + "\n" for line in lines))
     margin = 1.0 - model.spectral_radius()
     print(f"selected order: {model.order}")
     print(f"stability margin: {_fmt(margin)}")
@@ -396,7 +396,7 @@ def _coupling_sweep(config: RunConfig, scenario: str) -> int:
         lines.append(",".join(row))
     out = _outdir(config)
     path = out / f"bench_{scenario}.csv"
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, (line + "\n" for line in lines))
     print(f"swept c over {len(cs)} points ({unit}); wrote {path}")
     return 0
 
@@ -434,7 +434,7 @@ def _band_table(config: RunConfig) -> int:
         lines.append(",".join(row))
     out = _outdir(config)
     path = out / "bench_sim3.csv"
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, (line + "\n" for line in lines))
     print(f"band table in {unit}; wrote {path}")
     return 0
 

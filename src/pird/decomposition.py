@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -314,18 +314,21 @@ def decompose(
 # Tabular exports
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write a file atomically (temp file in the target dir, then rename).
+def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated text ``chunks`` to a file atomically (temp
+    file in the target dir, then rename).
 
-    The temp file is created with mode 0666 less the umask, the mode any new
-    file gets, and ``O_EXCL`` so that an existing file is never reused.
+    The chunks are consumed while the temp file is open; if one raises, the
+    temp file is removed and the target is left as it was. The temp file is
+    created with mode 0666 less the umask, the mode any new file gets, and
+    ``O_EXCL`` so that an existing file is never reused.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -342,19 +345,19 @@ def write_atoms_csv(
 ) -> None:
     """Per-atom table: ``(atom, band, pi_<unit>, redundancy_<unit>)`` rows
     for the full axis and every band of the result."""
-    lines = [f"atom,band,pi_{unit},redundancy_{unit}"]
+    lines = [f"atom,band,pi_{unit},redundancy_{unit}\n"]
     for i, atom in enumerate(result.lattice.atoms):
         lines.append(
             f"{atom},{FULL_BAND},{_fmt(result.atom_pi_time[i], scale)},"
-            f"{_fmt(result.atom_redundancy_time[i], scale)}"
+            f"{_fmt(result.atom_redundancy_time[i], scale)}\n"
         )
         for band in result.bands:
             lines.append(
                 f"{atom},{band.label},"
                 f"{_fmt(result.atom_pi_bands[band.label][i], scale)},"
-                f"{_fmt(result.atom_redundancy_bands[band.label][i], scale)}"
+                f"{_fmt(result.atom_redundancy_bands[band.label][i], scale)}\n"
             )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, lines)
 
 
 def coarse_rows(
@@ -385,10 +388,10 @@ def write_coarse_csv(
 ) -> None:
     """Coarse-term table ``(term, band, value_<unit>)``; ``extra_rows`` lets
     callers append baseline decompositions in the same schema."""
-    lines = [f"term,band,value_{unit}"]
+    lines = [f"term,band,value_{unit}\n"]
     for term, band, value in list(coarse_rows(result, scale)) + list(extra_rows):
-        lines.append(f"{term},{band},{value}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        lines.append(f"{term},{band},{value}\n")
+    atomic_write_text(path, lines)
 
 
 def write_profiles_csv(
@@ -403,6 +406,9 @@ def write_profiles_csv(
     ``S`` (coarse profiles, two or more sources only) and last
     ``JointMIR``. With M >= 2 sources that is ``atoms + 2M + 3`` blocks of
     ``grid`` rows after the header.
+
+    The file is streamed in chunks while it is written, so peak memory does
+    not grow with the file's size. Every value prints as ``%.12g``.
     """
     blocks: list[tuple[str, np.ndarray]] = []
     for i, atom in enumerate(result.lattice.atoms):
@@ -415,12 +421,40 @@ def write_profiles_csv(
         groups += [("R", red_idx), ("S", syn_idx)]
         blocks += [(key, result.atom_pi[list(idx)].sum(axis=0)) for key, idx in groups]
     blocks.append(("JointMIR", result.joint_profile.values))
-    # One %-template per block: the frequencies are formatted once, "\0"
-    # marks where the key goes, and the values fill the %.12g fields.
-    template = "".join(f"{f:.12g},\0,%.12g\n" for f in result.grid.hz)
-    parts = ["f_hz,atom_or_term,value\n"]
-    for key, values in blocks:
-        block = template.replace("\0", key.replace("%", "%%"))
-        parts.append(block % tuple((values / scale).tolist()))
-    atomic_write_text(path, "".join(parts))
+    atomic_write_text(path, _profile_chunks(blocks, result.grid.hz, scale))
 
+
+def _profile_chunks(
+    blocks: list[tuple[str, np.ndarray]], hz: np.ndarray, scale: float
+) -> Iterator[str]:
+    """The text of ``profiles.csv`` in chunks. Most atom PI values are +0.0,
+    in long runs (at most E atoms are nonzero per frequency), so each block
+    is sliced from a zero template that prints them as "0", and only its
+    runs of other values go through a ``%.12g`` template. A -0.0 is such a
+    value: it prints as "-0". "\0" marks where a row's key goes."""
+    zero_rows = [f"{f:.12g},\0,0\n" for f in hz]
+    value_rows = [f"{f:.12g},\0,%.12g\n" for f in hz]
+    zero, values_template = "".join(zero_rows), "".join(value_rows)
+    # Row i starts at zero_at[i] in `zero` (at value_at[i] in the template);
+    # the last entry is the length.
+    zero_at = np.cumsum([0] + [len(r) for r in zero_rows]).tolist()
+    value_at = np.cumsum([0] + [len(r) for r in value_rows]).tolist()
+    n = len(zero_rows)
+    yield "f_hz,atom_or_term,value\n"
+    for key, values in blocks:
+        scaled = values / scale
+        nonzero = (scaled != 0.0) | np.signbit(scaled)
+        # Run boundaries: starts and ends alternate.
+        edges = np.flatnonzero(np.diff(nonzero, prepend=False, append=False)).tolist()
+        # Each key in `zero_key` shifts row i by i * (len(key) - 1).
+        zero_key, shift = zero.replace("\0", key), len(key) - 1
+        escaped = key.replace("%", "%%")
+        done = 0
+        for a, b in zip(edges[::2], edges[1::2]):
+            if done < a:
+                yield zero_key[zero_at[done] + shift * done:zero_at[a] + shift * a]
+            run = values_template[value_at[a]:value_at[b]].replace("\0", escaped)
+            yield run % tuple(scaled[a:b].tolist())
+            done = b
+        if done < n:
+            yield zero_key[zero_at[done] + shift * done:]

@@ -21,7 +21,7 @@ from .errors import (
     SpectralSingularityError,
     UnstableModelError,
 )
-from .var import VarModel, _resolve_sources, is_stable
+from .var import VarModel, _check_names, _resolve_sources, is_stable
 
 #: Default number of grid points on [0, pi]. Dense enough that trapezoid
 #: error is far below the working tolerances for pole radii up to ~0.9
@@ -110,9 +110,7 @@ class SpectralMatrix:
             np.linalg.cholesky(mats + shift[:, None, None] * np.eye(q))
         except np.linalg.LinAlgError:
             raise NumericalError("spectral matrix is not positive semi-definite") from None
-        names = tuple(self.names) or tuple(f"ch{i}" for i in range(q))
-        if len(names) != q:
-            raise ArgumentError(f"expected {q} channel names, got {len(names)}")
+        names = _check_names(self.names, tuple(f"ch{i}" for i in range(q)))
         mats.setflags(write=False)
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "names", names)

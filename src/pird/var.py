@@ -59,6 +59,27 @@ def _resolve_sources(dim: int, target: int, sources: Sequence[int] | None) -> tu
     return srcs
 
 
+def _check_names(names: Sequence[str], default: tuple[str, ...]) -> tuple[str, ...]:
+    """The channel names as a tuple, ``default`` if none are given;
+    ArgumentError unless there are as many as in ``default`` and they are
+    distinct, non-empty strings that the unquoted CSV outputs can hold (no
+    comma, double quote, carriage return or newline)."""
+    names, count = tuple(names) or default, len(default)
+    if len(names) != count:
+        raise ArgumentError(f"expected {count} channel names, got {len(names)}")
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise ArgumentError(f"channel names must be non-empty strings, got {name!r}")
+        if any(c in name for c in ',"\r\n'):
+            raise ArgumentError(
+                f"channel name {name!r} holds a comma, double quote, carriage "
+                "return or newline, which the CSV outputs cannot hold"
+            )
+    if len(set(names)) != count:
+        raise ArgumentError(f"channel names must be distinct, got {list(names)}")
+    return names
+
+
 @dataclass(frozen=True)
 class VarModel:
     """Parameters of a VAR(p) process.
@@ -103,9 +124,7 @@ class VarModel:
             raise ArgumentError("sigma must be positive definite") from None
         if self.fs <= 0.0:
             raise ArgumentError("fs must be positive")
-        names = tuple(self.names) or ("Y",) + tuple(f"X{i}" for i in range(1, q))
-        if len(names) != q:
-            raise ArgumentError(f"expected {q} channel names, got {len(names)}")
+        names = _check_names(self.names, ("Y",) + tuple(f"X{i}" for i in range(1, q)))
         object.__setattr__(self, "coeffs", _readonly(coeffs))
         object.__setattr__(self, "sigma", _readonly(sigma))
         object.__setattr__(self, "names", names)
@@ -177,13 +196,7 @@ class TimeSeriesMatrix:
             raise ArgumentError("need at least one sample")
         if not np.all(np.isfinite(samples)):
             raise ArgumentError("samples must be finite")
-        names = tuple(self.names) or tuple(
-            f"ch{i}" for i in range(samples.shape[1])
-        )
-        if len(names) != samples.shape[1]:
-            raise ArgumentError(
-                f"expected {samples.shape[1]} channel names, got {len(names)}"
-            )
+        names = _check_names(self.names, tuple(f"ch{i}" for i in range(samples.shape[1])))
         object.__setattr__(self, "samples", _readonly(samples))
         object.__setattr__(self, "names", names)
 

@@ -177,6 +177,12 @@ def test_decompose_argument_errors(tmp_path):
     white = tmp_path / "white1.json"
     white.write_text(VarModel(coeffs=np.zeros((0, 1, 1)), sigma=np.eye(1)).to_json())
     assert main(["decompose", "--model", str(white), "--out", str(tmp_path)]) == 3
+    # duplicate channel names, which --sources could not tell apart
+    dup = tmp_path / "dup.json"
+    doc = json.loads(VarModel(coeffs=np.zeros((0, 3, 3)), sigma=np.eye(3)).to_json())
+    doc["names"] = ["Y", "X", "X"]
+    dup.write_text(json.dumps(doc))
+    assert main(["decompose", "--model", str(dup), "--sources", "X", "--out", str(tmp_path)]) == 3
 
 
 def test_decompose_explicit_fs_retimes_a_stored_model(tmp_path):

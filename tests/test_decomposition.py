@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from pird import (
 from pird.decomposition import (
     _chain_pi,
     _element_table,
+    atomic_write_text,
     write_atoms_csv,
     write_coarse_csv,
     write_profiles_csv,
@@ -357,9 +360,8 @@ def test_csv_exports(tmp_path, sim3_psd):
     assert {"{1}{2}{3}", "I_X1", "U_X3", "R", "S", "JointMIR"} <= keys
 
 
-def reference_profiles_csv(result, path, scale=1.0):
-    """The row-at-a-time writer that the block-template writer replaced:
-    one ``.12g`` format per frequency and per value."""
+def reference_profile_blocks(result):
+    """The ``(key, values)`` blocks of ``profiles.csv``, in file order."""
     blocks = [(str(atom), result.atom_pi[i]) for i, atom in enumerate(result.lattice.atoms)]
     blocks += [(f"I_{n}", row) for n, row in zip(result.source_names, result.marginal_profiles)]
     if len(result.sources) >= 2:
@@ -368,8 +370,14 @@ def reference_profiles_csv(result, path, scale=1.0):
         keys += [("R", "redundant"), ("S", "synergistic")]
         blocks += [(key, result.atom_pi[list(groups[g])].sum(axis=0)) for key, g in keys]
     blocks.append(("JointMIR", result.joint_profile.values))
+    return blocks
+
+
+def reference_profiles_csv(result, path, scale=1.0):
+    """The row-at-a-time writer that the chunked writer replaced: one
+    ``.12g`` format per frequency and per value."""
     lines = ["f_hz,atom_or_term,value"]
-    for key, values in blocks:
+    for key, values in reference_profile_blocks(result):
         for f, v in zip(result.grid.hz, values):
             lines.append(f"{f:.12g},{key},{v / scale:.12g}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -381,6 +389,12 @@ def _profiles_case(case, grid):
         return decompose(psd_from_var(build_scenario(Scenario("sim1", {"c": 0.4})), grid), 0)
     if case == "sim3":
         return decompose(psd_from_var(build_scenario(Scenario("sim3")), grid), 0, bands=bands)
+    if case == "sim3-two-points":
+        return decompose(psd_from_var(build_scenario(Scenario("sim3")), FrequencyGrid(n_points=2)), 0)
+    if case == "independent-source":
+        return decompose(psd_from_var(with_independent_source(SIM3, 1), grid), 0, bands=bands)
+    if case == "var4-run-of-one":
+        return decompose(psd_from_var(random_stable_var(4, 2, seed=10, radius=0.9), grid), 0)
     model = random_stable_var(5, 3, seed=17, radius=0.9)
     if case == "var5-one-source":
         return decompose(psd_from_var(model, grid), 0, [3], bands=bands)
@@ -394,20 +408,102 @@ def _profiles_case(case, grid):
     return decompose(psd_from_var(named, grid), 0, bands=bands)
 
 
+def _runs(values):
+    """``(start, stop)`` of each run of values other than +0.0."""
+    runs, start = [], None
+    for i, v in enumerate(values.tolist() + [0.0]):
+        plus_zero = v == 0.0 and math.copysign(1.0, v) > 0.0
+        if start is None and not plus_zero:
+            start = i
+        elif start is not None and plus_zero:
+            runs.append((start, i))
+            start = None
+    return runs
+
+
+def _has_feature(feature, blocks, n):
+    """Whether the profile blocks hold what a writer case is meant to test."""
+    runs = [_runs(values) for _, values in blocks]
+    if feature == "minus-zero":
+        return any(np.any((values == 0.0) & np.signbit(values)) for _, values in blocks)
+    if feature == "edge-runs":  # runs from the first and to the last point, not whole blocks
+        return (any(r and r[0][0] == 0 and r[0][1] < n for r in runs)
+                and any(r and r[-1][1] == n and r[-1][0] > 0 for r in runs))
+    if feature == "run-of-one":  # between two zeros
+        return any(b - a == 1 and 0 < a < n - 1 for r in runs for a, b in r)
+    if feature == "all-zero-blocks":
+        return any(not r for r in runs)
+    assert feature == "two-points"
+    return n == 2
+
+
+#: What each writer case must contain, so that no case passes vacuously.
+PROFILE_FEATURES = {
+    "sim1": ("edge-runs",),
+    "sim3": ("edge-runs", "all-zero-blocks"),
+    "sim3-two-points": ("two-points", "all-zero-blocks"),
+    "var4-run-of-one": ("run-of-one",),
+    "var5": ("edge-runs", "all-zero-blocks"),
+    "independent-source": ("minus-zero", "all-zero-blocks"),
+}
+
+
 @pytest.mark.parametrize(
     "case, m",
-    [("var5-one-source", 1), ("sim1", 2), ("sim3", 3), ("var5", 4), ("percent-names", 4)],
+    [
+        ("var5-one-source", 1), ("sim1", 2), ("sim3", 3), ("sim3-two-points", 3),
+        ("var4-run-of-one", 3), ("var5", 4), ("independent-source", 4), ("percent-names", 4),
+    ],
 )
 @pytest.mark.parametrize("scale", [1.0, np.log(2.0)])
 def test_profiles_csv_matches_row_at_a_time_writer(tmp_path, grid, case, m, scale):
     res = _profiles_case(case, grid)
     assert len(res.sources) == m
+    n = res.grid.n_points
+    for feature in PROFILE_FEATURES.get(case, ()):
+        assert _has_feature(feature, reference_profile_blocks(res), n), feature
     write_profiles_csv(res, tmp_path / "profiles.csv", scale)
     reference_profiles_csv(res, tmp_path / "reference.csv", scale)
     text = (tmp_path / "profiles.csv").read_bytes()
     assert text == (tmp_path / "reference.csv").read_bytes()
     blocks = len(res.lattice) + (2 * m + 3 if m >= 2 else m + 1)
-    assert text.count(b"\n") == 1 + blocks * grid.n_points
+    assert text.count(b"\n") == 1 + blocks * n
+    if case == "independent-source":
+        assert b",-0\n" in text
+
+
+def test_profiles_csv_memory_does_not_grow_with_the_file(tmp_path, grid):
+    # M = 4 on 2049 points: a file of about 10.6 MB, written in chunks.
+    res = _profiles_case("var5", grid)
+    path = tmp_path / "profiles.csv"
+    write_profiles_csv(res, path)
+    tracemalloc.start()
+    try:
+        write_profiles_csv(res, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 10_000_000
+    assert peak < size / 4, (peak, size)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_atomic_write_leaves_the_target_alone_when_the_chunks_raise(tmp_path, existing):
+    target = tmp_path / "out.csv"
+    if existing:
+        target.write_bytes(b"old,bytes\n")
+
+    def chunks():
+        yield "x" * (1 << 20)  # more than a write buffer: the temp file has bytes
+        yield "y\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        atomic_write_text(target, chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.csv"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"old,bytes\n"
 
 
 def test_aggregate_coarse_band_consistency(sim3_psd):

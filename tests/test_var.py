@@ -9,6 +9,7 @@ from pird import (
     ArgumentError,
     EstimationError,
     FormatError,
+    FrequencyGrid,
     Scenario,
     TimeSeriesMatrix,
     UnstableModelError,
@@ -22,6 +23,7 @@ from pird import (
     select_order_aic,
     simulate,
     simulate_ensemble,
+    SpectralMatrix,
     zero_lag_covariance,
 )
 from pird import var as var_module
@@ -147,6 +149,45 @@ def test_varmodel_validation():
         VarModel(coeffs=np.zeros((1, 3, 3)), sigma=np.eye(2))
     with pytest.raises(ArgumentError, match="names"):
         VarModel(coeffs=np.zeros((0, 2, 2)), sigma=np.eye(2), names=("a",))
+
+
+#: Channel names that the unquoted CSV outputs cannot hold, or that
+#: ``--sources`` cannot address, each with the rule it breaks.
+BAD_NAMES = [
+    pytest.param(("Y", "a,b", "X2"), "cannot hold", id="comma"),
+    pytest.param(("Y", 'a"b', "X2"), "cannot hold", id="double-quote"),
+    pytest.param(("Y", "a\rb", "X2"), "cannot hold", id="carriage-return"),
+    pytest.param(("Y", "a\nb", "X2"), "cannot hold", id="newline"),
+    pytest.param(("Y", "X", "X"), "distinct", id="duplicate"),
+    pytest.param(("Y", "", "X2"), "non-empty", id="empty"),
+    pytest.param(("Y", 1, "X2"), "strings", id="not-a-string"),
+]
+
+
+@pytest.mark.parametrize("names, match", BAD_NAMES)
+def test_channel_names_the_csv_outputs_cannot_hold_are_rejected(names, match):
+    with pytest.raises(ArgumentError, match=match):
+        VarModel(coeffs=np.zeros((0, 3, 3)), sigma=np.eye(3), names=names)
+    with pytest.raises(ArgumentError, match=match):
+        TimeSeriesMatrix(samples=np.zeros((4, 3)), names=names)
+    grid = FrequencyGrid(n_points=3)
+    with pytest.raises(ArgumentError, match=match):
+        SpectralMatrix(grid=grid, mats=np.broadcast_to(np.eye(3), (3, 3, 3)), names=names)
+    doc = json.loads(VarModel(coeffs=np.zeros((1, 3, 3)), sigma=np.eye(3)).to_json())
+    doc["names"] = list(names)
+    with pytest.raises(ArgumentError, match=match):
+        VarModel.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("names, match", [p for p in BAD_NAMES if p.id != "not-a-string"])
+def test_load_csv_rejects_channel_names_the_csv_outputs_cannot_hold(tmp_path, names, match):
+    path = tmp_path / "series.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)  # quotes the names that need it
+        writer.writerow(names)
+        writer.writerow(["1.0", "2.0", "3.0"])
+    with pytest.raises(ArgumentError, match=match):
+        TimeSeriesMatrix.load_csv(path)
 
 
 @pytest.mark.parametrize("scale", [1e-20, 1e20])
