@@ -14,7 +14,13 @@ rates summed over the lattice's coarse groups give the unique, redundant
 and synergistic rates of the full axis and of each band.
 
 The engine is a few array operations. An *element table* holds one MIR
-profile per distinct lattice element (15 for four sources). The redundancy
+profile per distinct lattice element (15 for four sources), built by one
+call to :func:`~pird.spectral.spectral_mir_rows`: the elements' sorted
+channel groups form a prefix trie, and each node adds one source's row of
+the shared Cholesky factor and one target entry, so no element's block is
+factored twice; each row equals :func:`~pird.spectral.spectral_mir` of its
+element bit for bit. The full-axis integrals run ``np.trapezoid``'s own
+operations in one buffer per table. The redundancy
 is a *masked minimum*: from ``+inf``, each element's row is folded, in
 canonical order, into the rows of the atoms holding it, so values compare
 in the order of a per-atom ``np.minimum.reduce``. One row integrator,
@@ -56,7 +62,9 @@ from .spectral import (
     integrate_band,
     integrate_band_rows,
     integrate_full,
-    spectral_mir,
+    _trapezoid_rows,
+    spectral_mir,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
+    spectral_mir_rows,
 )
 from .var import _resolve_sources
 
@@ -267,15 +275,13 @@ def decompose(
     lattice = enumerate_antichains(m)
     tab = _element_table(m)
     elements = tab.elements
-    table = np.stack(
-        [spectral_mir(psd, target, tuple(srcs[i - 1] for i in el)).values for el in elements]
-    )
+    table = spectral_mir_rows(psd, target, [[srcs[i - 1] for i in el] for el in elements])
     red = np.full((len(lattice), grid.n_points), np.inf)
     for k in range(len(elements)):
         np.minimum(red, table[k], out=red, where=tab.member[:, k, None])
     pi = _chain_pi(table, tab, len(lattice))
     joint = SpectralProfile(grid=grid, values=table[elements.index(tuple(range(1, m + 1)))])
-    pi_time = np.trapezoid(pi, grid.omegas, axis=1) / np.pi
+    pi_time = _trapezoid_rows(pi, grid.omegas) / np.pi
     joint_mir = integrate_full(joint)
     pi_bands = {b.label: integrate_band_rows(pi, grid, b) for b in bands}
     joint_bands = {b.label: integrate_band(joint, b) for b in bands}
@@ -286,7 +292,7 @@ def decompose(
         )
     red_bands = {b.label: integrate_band_rows(red, grid, b) for b in bands}
     marginal = table[[elements.index((j,)) for j in range(1, m + 1)]]
-    red_time = np.trapezoid(red, grid.omegas, axis=1) / np.pi
+    red_time = _trapezoid_rows(red, grid.omegas) / np.pi
     # Frozen all the way down, so a writer prints what was computed here.
     for array in (red, pi, marginal, red_time, pi_time, *pi_bands.values(), *red_bands.values()):
         array.setflags(write=False)
@@ -419,9 +425,19 @@ def write_profiles_csv(
         unique_idx, red_idx, syn_idx = _group_indices(result.lattice)
         groups = [(f"U_{name}", idx) for name, idx in zip(result.source_names, unique_idx)]
         groups += [("R", red_idx), ("S", syn_idx)]
-        blocks += [(key, result.atom_pi[list(idx)].sum(axis=0)) for key, idx in groups]
+        blocks += [(key, _row_sum(result.atom_pi, idx)) for key, idx in groups]
     blocks.append(("JointMIR", result.joint_profile.values))
     atomic_write_text(path, _profile_chunks(blocks, result.grid.hz, scale))
+
+
+def _row_sum(rows: np.ndarray, idx: Sequence[int]) -> np.ndarray:
+    """``rows[list(idx)].sum(axis=0)`` bit for bit, signs of zero included,
+    without copying the selected rows: the first row, then the others added
+    in order."""
+    total = rows[idx[0]].copy()
+    for i in idx[1:]:
+        total += rows[i]
+    return total
 
 
 def _profile_chunks(

@@ -11,7 +11,7 @@ integral_{-pi}^{pi}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,6 +199,23 @@ def psd_from_var(model: VarModel, grid: FrequencyGrid) -> SpectralMatrix:
     return SpectralMatrix(grid=grid, mats=mats, names=model.names)
 
 
+class _TrieNode(NamedTuple):
+    """A prefix of sorted sources in :func:`spectral_mir_rows`: its last
+    source's ``row`` of ``L`` against the prefix before it and its
+    ``pivot``, the target's entry ``t_entry`` below that pivot, the target's
+    residual ``r`` and the product ``det`` of the prefix's squared pivots."""
+
+    row: list[np.ndarray]
+    pivot: np.ndarray
+    t_entry: np.ndarray
+    r: np.ndarray
+    det: np.ndarray
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
 def spectral_mir(
     psd: SpectralMatrix, target: int, sources: Sequence[int]
 ) -> SpectralProfile:
@@ -210,10 +227,15 @@ def spectral_mir(
 
     where ``P_S`` is the source-block submatrix, ``P_T`` the target's PSD and
     ``P_[S,T]`` the joint submatrix. The joint block is taken in ``[S, T]``
-    order and scaled to unit diagonal (coherence form), which cancels in the
-    ratio; its Cholesky factor ``L`` holds the pivots of ``det P_S`` first,
-    so ``i(omega) = -ln L[-1, -1]``. Nonnegative up to roundoff for any valid
-    PSD matrix, and unchanged when any channel is rescaled.
+    order with the sources sorted and scaled to unit diagonal (coherence
+    form), which cancels in the ratio; its Cholesky factor ``L`` holds the
+    pivots of ``det P_S`` first, so ``i(omega) = -ln L[-1, -1]``.
+    Nonnegative up to roundoff for any valid PSD matrix, and unchanged when
+    any channel is rescaled.
+
+    This is the one-group case of :func:`spectral_mir_rows`, whose prefix
+    trie factors only this group's chain of prefixes, so its values equal
+    that group's row of any table bit for bit.
 
     Raises
     ------
@@ -222,37 +244,81 @@ def spectral_mir(
         determinant falls below :data:`DET_FLOOR` at some grid frequency
         (the message names the first one).
     """
-    srcs = _resolve_sources(psd.dim, target, sources)
-    idx = np.array([*srcs, target])
-    block = psd.mats[:, idx[:, None], idx]
-    scale = 1.0 / np.sqrt(np.diagonal(block, axis1=1, axis2=2).real)
-    coh = block * (scale[:, :, None] * scale[:, None, :])
-    diag = np.arange(len(idx))
-    coh[:, diag, diag] = 1.0
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(coh), axis1=1, axis2=2).real
-    except np.linalg.LinAlgError:
-        pivots = _pivots_or_nan(coh)
-    bad = ~(pivots.prod(axis=1) >= np.sqrt(DET_FLOOR))
-    if np.any(bad):
-        raise SpectralSingularityError(
-            f"joint spectrum of target {target} and sources {list(srcs)} singular "
-            f"(normalised determinant below {DET_FLOOR:g}) at "
-            f"f = {psd.grid.hz[np.argmax(bad)]:.6g} Hz (consider the diagonal-loading knob)"
-        )
-    return SpectralProfile(grid=psd.grid, values=-np.log(pivots[:, -1]))
+    return SpectralProfile(grid=psd.grid, values=spectral_mir_rows(psd, target, [sources])[0])
 
 
-def _pivots_or_nan(mats: np.ndarray) -> np.ndarray:
-    """Cholesky pivots of each matrix, NaN where its factorisation fails:
-    the error path of a batched factorisation, which names no matrix."""
-    pivots = np.full(mats.shape[:2], np.nan)
-    for i, mat in enumerate(mats):
-        try:
-            pivots[i] = np.diagonal(np.linalg.cholesky(mat)).real
-        except np.linalg.LinAlgError:
-            pass
-    return pivots
+def spectral_mir_rows(
+    psd: SpectralMatrix, target: int, groups: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Spectral MIR profiles of ``target`` against each source group, as a
+    ``(len(groups), n_points)`` array in the order of ``groups``.
+
+    Every coherence entry ``P_ab / (sqrt(P_aa) sqrt(P_bb))`` the groups
+    need is gathered once, as a contiguous row over frequency. The Cholesky
+    factors of the ``[S, T]`` blocks (sources sorted) share their leading
+    rows along the prefix trie of the groups: the node of a prefix adds its
+    last source's row of ``L`` against its ancestors, that source's pivot
+    and the target's entry ``L[T, j]`` below it, and the target's running
+    residual ``r`` then gives the prefix's MIR as ``-ln sqrt(r)``. Each row
+    depends only on its group's own prefixes, so it does not change with
+    the other groups asked for.
+
+    Raises
+    ------
+    ArgumentError
+        On an invalid target or source group.
+    SpectralSingularityError
+        For the first group whose normalised joint block is not positive
+        definite or whose determinant (the product of the squared pivots
+        and ``r``) falls below :data:`DET_FLOOR` at some grid frequency
+        (the message names the first one).
+    """
+    groups = [_resolve_sources(psd.dim, target, g) for g in groups]
+    # Every prefix of every group, each after its parent.
+    prefixes = list(dict.fromkeys(g[:k] for g in groups for k in range(1, len(g) + 1)))
+    # The entries below the diagonal of [S, T], row channel first.
+    pairs = list(dict.fromkeys(
+        pair for p in prefixes for pair in ((target, p[-1]), *((p[-1], b) for b in p[:-1]))
+    ))
+    at = {pair: i for i, pair in enumerate(pairs)}
+    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+    root = np.sqrt(np.diagonal(psd.mats, axis1=1, axis2=2).real.T)
+    coh = np.ascontiguousarray(psd.mats[:, rows, cols].T)
+    coh /= root[rows] * root[cols]
+    one = np.ones(psd.grid.n_points)
+    # The empty prefix: r = 1 and an empty product of pivots.
+    nodes = {(): _TrieNode([], one, one, one, one)}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p in prefixes:
+            a, parent = p[-1], nodes[p[:-1]]
+            ancestors = [nodes[p[:j]] for j in range(1, len(p))]
+            row: list[np.ndarray] = []
+            for b, anc in zip(p, ancestors):
+                entry = coh[at[a, b]]
+                for x, y in zip(row, anc.row):
+                    entry = entry - x * y.conj()
+                row.append(entry / anc.pivot)
+            square = one
+            for x in row:
+                square = square - _abs2(x)
+            pivot = np.sqrt(square)
+            entry = coh[at[target, a]]
+            for anc, x in zip(ancestors, row):
+                entry = entry - anc.t_entry * x.conj()
+            t_entry = entry / pivot
+            nodes[p] = _TrieNode(row, pivot, t_entry, parent.r - _abs2(t_entry), parent.det * square)
+    out = np.empty((len(groups), psd.grid.n_points))
+    for k, g in enumerate(groups):
+        r = nodes[g].r
+        bad = ~(nodes[g].det * r >= DET_FLOOR)
+        if np.any(bad):
+            raise SpectralSingularityError(
+                f"joint spectrum of target {target} and sources {list(g)} singular "
+                f"(normalised determinant below {DET_FLOOR:g}) at "
+                f"f = {psd.grid.hz[np.argmax(bad)]:.6g} Hz (consider the diagonal-loading knob)"
+            )
+        out[k] = -np.log(np.sqrt(r))
+    return out
 
 
 def integrate_full(profile: SpectralProfile) -> float:
@@ -307,7 +373,17 @@ def integrate_band_rows(rows: np.ndarray, grid: FrequencyGrid, band: Band) -> np
         else:
             slope = (rows[:, j + 1] - rows[:, j]) / (omegas[j + 1] - omegas[j])
             ys[:, col] = slope * (w - omegas[j]) + rows[:, j]
-    return np.trapezoid(ys, xs, axis=1) / np.pi
+    return _trapezoid_rows(ys, xs) / np.pi
+
+
+def _trapezoid_rows(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``np.trapezoid(rows, xs, axis=1)`` of a C-contiguous ``rows`` array,
+    bit for bit: the same operations in the same order, run in one buffer
+    instead of three temporaries of the array's size."""
+    buf = np.add(rows[:, 1:], rows[:, :-1])
+    np.multiply(buf, np.diff(xs), out=buf)
+    np.divide(buf, 2.0, out=buf)
+    return np.add.reduce(buf, axis=1)
 
 
 def _check_nyquist(band: Band, fs: float) -> None:

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from pathlib import Path
@@ -27,6 +28,7 @@ from pird import (
 from pird.decomposition import (
     _chain_pi,
     _element_table,
+    _row_sum,
     atomic_write_text,
     write_atoms_csv,
     write_coarse_csv,
@@ -472,6 +474,18 @@ def test_profiles_csv_matches_row_at_a_time_writer(tmp_path, grid, case, m, scal
         assert b",-0\n" in text
 
 
+@pytest.mark.parametrize("case", ["var5", "independent-source"])
+def test_profiles_group_sums_equal_the_fancy_index_sum(grid, case):
+    # Bit for bit, signs of zero included: the writer's in-place sums add
+    # the rows in the order of a reduction along axis 0.
+    res = _profiles_case(case, grid)
+    for idx in res.lattice.coarse_groups().values():
+        want = res.atom_pi[list(idx)].sum(axis=0)
+        got = _row_sum(res.atom_pi, idx)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_profiles_csv_memory_does_not_grow_with_the_file(tmp_path, grid):
     # M = 4 on 2049 points: a file of about 10.6 MB, written in chunks.
     res = _profiles_case("var5", grid)
@@ -486,6 +500,8 @@ def test_profiles_csv_memory_does_not_grow_with_the_file(tmp_path, grid):
     size = path.stat().st_size
     assert size > 10_000_000
     assert peak < size / 4, (peak, size)
+    # The group sums add rows in place instead of copying each group.
+    assert peak < 1_500_000, peak
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -639,6 +655,24 @@ def test_decompose_equals_per_atom_reference_engine(case):
         else:
             assert np.array_equal(got[key], value), key
             assert np.array_equal(np.signbit(got[key]), np.signbit(value)), key
+
+
+def test_decompose_leaves_no_reference_cycles():
+    # The engine's arrays go when the last reference does, not when the
+    # garbage collector next runs: a cycle through the element-table walk
+    # would keep every operation's arrays alive until then.
+    psd = psd_from_var(random_stable_var(5, 2, seed=8, radius=0.9), GRID_513)
+    bands = [Band(0.04, 0.15, "B1")]
+    decompose(psd, 0, bands=bands)  # fill the per-M caches
+    gc.collect()
+    gc.disable()
+    try:
+        result = decompose(psd, 0, bands=bands)
+        assert len(result.sources) == 4
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def scalar_chain(table, elements, lattice):

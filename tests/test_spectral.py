@@ -1,5 +1,10 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pird import (
     ArgumentError,
@@ -16,12 +21,13 @@ from pird import (
     integrate_full,
     parse_bands,
     psd_from_var,
+    random_stable_var,
     spectral_mir,
     transfer_function,
     zero_lag_covariance,
 )
 
-from pird.spectral import integrate_band_rows
+from pird.spectral import integrate_band_rows, spectral_mir_rows
 
 from conftest import make_model_set, reference_band_integral
 
@@ -159,6 +165,113 @@ def test_spectral_mir_determinant_floor():
     tiny = np.tile(np.eye(3, dtype=complex) * 1e-101, (4, 1, 1))
     mir = spectral_mir(SpectralMatrix(grid=grid, mats=tiny), 0, [1, 2])
     assert np.array_equal(mir.values, np.zeros(4))
+
+
+def _with_independent_channel(model, coeff=0.5):
+    """``model`` with a last channel that is an AR(1) coupled to nothing:
+    its coherence with every other channel is exactly zero."""
+    p, q = max(model.order, 1), model.dim + 1
+    coeffs = np.zeros((p, q, q))
+    coeffs[:model.order, :-1, :-1] = model.coeffs
+    coeffs[0, -1, -1] = coeff
+    sigma = np.zeros((q, q))
+    sigma[:-1, :-1] = model.sigma
+    sigma[-1, -1] = 1.0
+    return VarModel(coeffs=coeffs, sigma=sigma)
+
+
+#: Target 0 of a 6-channel model whose channel 5 is independent of the rest.
+MIR_ROWS_PSD = psd_from_var(
+    _with_independent_channel(random_stable_var(5, 3, seed=41, radius=0.9)),
+    FrequencyGrid(n_points=257),
+)
+
+
+@given(st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=6), min_size=1, max_size=10))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_spectral_mir_rows_equal_one_group_calls(groups):
+    # Each row depends only on its own group's prefixes, so no choice or
+    # order of the other groups moves a bit, signs of zero included.
+    rows = spectral_mir_rows(MIR_ROWS_PSD, 0, groups)
+    assert rows.shape == (len(groups), MIR_ROWS_PSD.grid.n_points)
+    for row, group in zip(rows, groups):
+        want = spectral_mir(MIR_ROWS_PSD, 0, group).values
+        assert np.array_equal(row, want), group
+        assert np.array_equal(np.signbit(row), np.signbit(want)), group
+
+
+def lapack_mir(psd, target, sources):
+    """The MIR as ``-ln`` of the last pivot of a batched LAPACK Cholesky
+    of each ``[S, T]`` block in coherence form."""
+    idx = np.array([*sorted(sources), target])
+    block = psd.mats[:, idx[:, None], idx]
+    scale = 1.0 / np.sqrt(np.diagonal(block, axis1=1, axis2=2).real)
+    coh = block * (scale[:, :, None] * scale[:, None, :])
+    return -np.log(np.linalg.cholesky(coh)[:, -1, -1].real)
+
+
+def test_spectral_mir_rows_match_a_batched_cholesky(grid):
+    # The recursion sums in its own order. Both read the MIR off the
+    # residual r = 1 - sum |L[T, j]|^2 = exp(-2 MIR), whose absolute roundoff
+    # of a few eps becomes an error of about eps / (2 r) in -ln sqrt(r).
+    for model in make_model_set(count=6, seed=5, max_dim=5) + [build_scenario(Scenario("sim3"))]:
+        psd = psd_from_var(model, grid)
+        groups = [g for size in range(1, model.dim) for g in
+                  itertools.combinations(range(1, model.dim), size)]
+        rows = spectral_mir_rows(psd, 0, groups)
+        for row, group in zip(rows, groups):
+            want = lapack_mir(psd, 0, group)
+            bound = 32 * np.finfo(float).eps * np.exp(2.0 * want)
+            assert np.all(np.abs(row - want) <= bound), group
+
+
+def test_spectral_mir_rows_of_an_independent_source_are_minus_zero():
+    # Coherence exactly 0 leaves r = 1 exactly, and -ln sqrt(1) is -0.0,
+    # which profiles.csv prints as "-0".
+    rows = spectral_mir_rows(MIR_ROWS_PSD, 0, [[5], [1], [1, 5]])
+    assert np.all(rows[0] == 0.0) and np.all(np.signbit(rows[0]))
+    assert np.all(rows[1] > 0.0)
+    assert np.array_equal(rows[2], rows[1])
+
+
+def _singular_psd(kind):
+    """Four channels on 5 points, white except at f = 0.25 Hz (index 2):
+    a zero source pivot (sources 1 and 2 equal), a zero target residual
+    (target equal to source 1), or a residual below zero (a coherence of
+    1 + 1e-12 between target and source 1, inside the validation's
+    tolerance)."""
+    grid = FrequencyGrid(fs=1.0, n_points=5)
+    mats = np.tile(np.eye(4, dtype=complex), (5, 1, 1))
+    a, b = (1, 2) if kind == "zero-pivot" else (0, 1)
+    mats[2, a, b] = mats[2, b, a] = 1.0 + 1e-12 if kind == "negative-residual" else 1.0
+    return SpectralMatrix(grid=grid, mats=mats)
+
+
+@pytest.mark.parametrize("kind", ["zero-pivot", "zero-residual", "negative-residual"])
+def test_spectral_mir_rows_singular_blocks(kind):
+    psd = _singular_psd(kind)
+    bad = [1, 2] if kind == "zero-pivot" else [1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning leaks
+        # the groups before the bad one are fine
+        assert np.array_equal(spectral_mir_rows(psd, 0, [[3], [2, 3]]), np.zeros((2, 5)))
+        for groups, named in (([[3], bad], bad), ([[3], [1, 2, 3]], [1, 2, 3])):
+            with pytest.raises(SpectralSingularityError, match=(
+                rf"target 0 and sources \[{', '.join(map(str, named))}\] singular "
+                rf".* at f = 0.25 Hz"
+            )):
+                spectral_mir_rows(psd, 0, groups)
+        with pytest.raises(SpectralSingularityError, match="f = 0.25 Hz"):
+            spectral_mir(psd, 0, bad)
+
+
+def test_spectral_mir_rows_argument_errors():
+    psd = psd_from_var(WHITE_080, FrequencyGrid(n_points=5))
+    for groups in ([[1], [0, 1]], [[1], []], [[1], [3]]):
+        with pytest.raises(ArgumentError):
+            spectral_mir_rows(psd, 0, groups)
+    with pytest.raises(ArgumentError):
+        spectral_mir_rows(psd, 5, [[1]])
 
 
 def test_diagonal_loading(grid):
