@@ -7,8 +7,6 @@ frequency, within configurable spectral bands, and in the time domain.
 """
 
 from .baselines import (
-    StaticPidResult,
-    TePidResult,
     gaussian_mi,
     instantaneous_info,
     mir_decomposition,
@@ -81,8 +79,6 @@ __all__ = [
     "Scenario",
     "SpectralMatrix",
     "SpectralProfile",
-    "StaticPidResult",
-    "TePidResult",
     "TimeSeriesMatrix",
     "VarModel",
     "ArgumentError",

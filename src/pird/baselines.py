@@ -14,43 +14,13 @@ simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .decomposition import CoarseTerms
 from .errors import ArgumentError, EstimationError, NumericalError
 from .var import _MAX_DOUBLINGS, VarModel, _require_stable, _resolve_sources
-
-
-@dataclass(frozen=True)
-class StaticPidResult:
-    """Minimum-MI PID of the zero-lag Gaussian mutual information."""
-
-    mi_joint: float
-    mi_marginals: tuple[float, ...]
-    unique: tuple[float, ...]
-    redundancy: float
-    synergy: float
-
-    @property
-    def delta(self) -> float:
-        return self.redundancy - self.synergy
-
-
-@dataclass(frozen=True)
-class TePidResult:
-    """Minimum-MI PID of the joint transfer entropy from sources to target."""
-
-    te_joint: float
-    te_marginals: tuple[float, ...]
-    unique: tuple[float, ...]
-    redundancy: float
-    synergy: float
-
-    @property
-    def delta(self) -> float:
-        return self.redundancy - self.synergy
 
 
 def _logdet_spd(mat: np.ndarray, what: str, err=NumericalError) -> float:
@@ -88,13 +58,14 @@ def gaussian_mi(cov: np.ndarray, target: int, sources: Sequence[int]) -> float:
 
 def static_pid(
     model: VarModel, target: int, sources: Sequence[int] | None = None
-) -> StaticPidResult:
-    """Zero-lag minimum-MI PID from the model's stationary covariance.
+) -> CoarseTerms:
+    """Zero-lag minimum-MI PID from the model's stationary covariance: the
+    single-source and joint Gaussian MIs through
+    :meth:`~pird.decomposition.CoarseTerms.min_mi`, so ``joint_mir`` holds
+    the joint MI.
 
     The stationary covariance comes from Smith doubling of the
-    companion-form Lyapunov equation; redundancy is the minimum
-    single-source MI, and the unique and synergistic terms follow from the
-    additive identities.
+    companion-form Lyapunov equation.
     """
     from .var import zero_lag_covariance
 
@@ -102,18 +73,8 @@ def static_pid(
     if len(srcs) < 2:
         raise ArgumentError("static PID needs at least two sources")
     gamma0 = zero_lag_covariance(model)
-    marginals = tuple(gaussian_mi(gamma0, target, (s,)) for s in srcs)
-    joint = gaussian_mi(gamma0, target, srcs)
-    r = min(marginals)
-    unique = tuple(mi - r for mi in marginals)
-    s = joint - r - sum(unique)
-    return StaticPidResult(
-        mi_joint=joint,
-        mi_marginals=marginals,
-        unique=unique,
-        redundancy=r,
-        synergy=s,
-    )
+    marginals = [gaussian_mi(gamma0, target, (s,)) for s in srcs]
+    return CoarseTerms.min_mi(gaussian_mi(gamma0, target, srcs), marginals)
 
 
 def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
@@ -287,8 +248,9 @@ def te_pid(
     target: int,
     sources: Sequence[int] | None = None,
     conditioned: bool = False,
-) -> TePidResult:
-    """Minimum-MI PID applied to the joint transfer entropy.
+) -> CoarseTerms:
+    """Minimum-MI PID (:meth:`~pird.decomposition.CoarseTerms.min_mi`)
+    applied to the joint transfer entropy, which ``joint_mir`` holds.
 
     Marginal transfers are bivariate by default (each source against the
     target's own past only); ``conditioned=True`` conditions each marginal
@@ -306,22 +268,12 @@ def te_pid(
             solved[chans] = submodel_innovation(model, chans)
         return solved[chans]
 
-    te_joint = _transfer_entropy(innovation, srcs, target, ())
+    joint = _transfer_entropy(innovation, srcs, target, ())
     marginals = []
     for s in srcs:
         cond = tuple(o for o in srcs if o != s) if conditioned else ()
         marginals.append(_transfer_entropy(innovation, (s,), target, cond))
-    marginals = tuple(marginals)
-    r = min(marginals)
-    unique = tuple(te - r for te in marginals)
-    s_term = te_joint - r - sum(unique)
-    return TePidResult(
-        te_joint=te_joint,
-        te_marginals=marginals,
-        unique=unique,
-        redundancy=r,
-        synergy=s_term,
-    )
+    return CoarseTerms.min_mi(joint, marginals)
 
 
 def mir_decomposition(
@@ -335,23 +287,3 @@ def mir_decomposition(
     te_to_sources = transfer_entropy(model, (target,), srcs)
     inst = instantaneous_info(model, srcs, target)
     return te_to_target, te_to_sources, inst
-
-
-def baseline_rows(
-    result: StaticPidResult | TePidResult,
-    source_names: Sequence[str],
-    prefix: str,
-    scale: float = 1.0,
-) -> list[tuple[str, str, str]]:
-    """Coarse-table rows ``(term, band, value)`` for a baseline result,
-    using the shared schema with a ``prefix:`` on every term (full axis
-    only, since the baselines are time-domain quantities)."""
-    joint = result.mi_joint if isinstance(result, StaticPidResult) else result.te_joint
-    rows = []
-    for name, value in zip(source_names, result.unique):
-        rows.append((f"{prefix}:U_{name}", "FULL", f"{value / scale:.12g}"))
-    rows.append((f"{prefix}:R", "FULL", f"{result.redundancy / scale:.12g}"))
-    rows.append((f"{prefix}:S", "FULL", f"{result.synergy / scale:.12g}"))
-    rows.append((f"{prefix}:Delta", "FULL", f"{result.delta / scale:.12g}"))
-    rows.append((f"{prefix}:JointMIR", "FULL", f"{joint / scale:.12g}"))
-    return rows

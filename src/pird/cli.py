@@ -35,6 +35,7 @@ from . import baselines as bl
 from .decomposition import (
     FULL_BAND,
     atomic_write_text,
+    coarse_values,
     decompose,
     write_atoms_csv,
     write_coarse_csv,
@@ -50,10 +51,7 @@ from .errors import (
 from .spectral import (
     Band,
     FrequencyGrid,
-    SpectralProfile,
     _check_nyquist,
-    integrate_band,
-    integrate_full,
     parse_bands,
     psd_from_var,
 )
@@ -198,6 +196,12 @@ def _build_parser() -> _Parser:
     bench.add_argument("--sweep", help="coupling grid start:step:stop (default 0:0.05:0.8)")
     bench.add_argument("--grid", type=int, help="frequency grid points (default 2049)")
     bench.add_argument("--bands", help="bands for the sim3 table (default B1/B2)")
+    bench.add_argument(
+        "--conditioned-te",
+        action="store_true",
+        default=None,
+        help="condition marginal transfer entropies on the other sources (sim2)",
+    )
     return parser
 
 
@@ -337,15 +341,13 @@ def cmd_decompose(config: RunConfig) -> int:
     result = decompose(psd, target, sources, bands)
     scale, unit = _unit_scale(config)
 
-    extra = []
+    baselines = {}
     if len(sources) >= 2:
-        stat = bl.static_pid(model, target, sources)
-        extra += bl.baseline_rows(stat, result.source_names, "staticPID", scale)
-        tep = bl.te_pid(model, target, sources, conditioned=config.conditioned_te)
-        extra += bl.baseline_rows(tep, result.source_names, "tePID", scale)
+        baselines["staticPID"] = bl.static_pid(model, target, sources)
+        baselines["tePID"] = bl.te_pid(model, target, sources, conditioned=config.conditioned_te)
     out = _outdir(config)
     write_atoms_csv(result, out / "atoms.csv", scale, unit)
-    write_coarse_csv(result, out / "coarse.csv", scale, unit, extra_rows=extra)
+    write_coarse_csv(result, out / "coarse.csv", scale, unit, baselines)
     write_profiles_csv(result, out / "profiles.csv", scale)
     print(
         f"target {model.names[target]}, sources "
@@ -370,30 +372,18 @@ def _coupling_sweep(config: RunConfig, scenario: str) -> int:
     cs = _parse_sweep(config.sweep)
     scale, unit = _unit_scale(config)
     prefix = "staticPID" if scenario == "sim1" else "tePID"
-    src_names = ("X1", "X2")
-    header = ["c"]
-    header += [f"pird_U_{n}" for n in src_names]
-    header += ["pird_R", "pird_S", "pird_Delta", "pird_JointMIR"]
-    header += [f"{prefix}_U_{n}" for n in src_names]
-    header += [f"{prefix}_R", f"{prefix}_S", f"{prefix}_Delta", f"{prefix}_JointMIR"]
-    lines = [",".join(header)]
+    terms = ["U_X1", "U_X2", "R", "S", "Delta", "JointMIR"]  # coarse_values order
+    lines = [",".join(["c"] + [f"pird_{t}" for t in terms] + [f"{prefix}_{t}" for t in terms])]
     for c in cs:
         model = _retimed(build_scenario(Scenario(scenario, {"c": float(c)})), config)
         grid = FrequencyGrid(fs=model.fs, n_points=config.grid)
         result = decompose(psd_from_var(model, grid), 0)
-        terms = result.coarse[FULL_BAND]
         if scenario == "sim1":
             base = bl.static_pid(model, 0)
-            base_vals = [*base.unique, base.redundancy, base.synergy, base.delta, base.mi_joint]
         else:
             base = bl.te_pid(model, 0, conditioned=config.conditioned_te)
-            base_vals = [*base.unique, base.redundancy, base.synergy, base.delta, base.te_joint]
-        row = [f"{c:.12g}"]
-        row += [_fmt(v / scale) for v in terms.unique]
-        row += [_fmt(terms.redundancy / scale), _fmt(terms.synergy / scale)]
-        row += [_fmt(terms.delta / scale), _fmt(terms.joint_mir / scale)]
-        row += [_fmt(v / scale) for v in base_vals]
-        lines.append(",".join(row))
+        values = coarse_values(result.coarse[FULL_BAND]) + coarse_values(base)
+        lines.append(",".join([f"{c:.12g}"] + [_fmt(v / scale) for v in values]))
     out = _outdir(config)
     path = out / f"bench_{scenario}.csv"
     atomic_write_text(path, (line + "\n" for line in lines))
@@ -417,21 +407,10 @@ def _band_table(config: RunConfig) -> int:
         + ["R", "S", "Delta"]
     )
     lines = [",".join(header)]
-    for label in [FULL_BAND] + [b.label for b in bands]:
-        terms = result.coarse[label]
-        row = [label]
-        for m in range(len(src)):
-            profile = SpectralProfile(grid=grid, values=result.marginal_profiles[m])
-            if label == FULL_BAND:
-                val = integrate_full(profile)
-            else:
-                band = next(b for b in bands if b.label == label)
-                val = integrate_band(profile, band)
-            row.append(_fmt(val / scale))
-        row.append(_fmt(terms.joint_mir / scale))
-        row += [_fmt(u / scale) for u in terms.unique]
-        row += [_fmt(terms.redundancy / scale), _fmt(terms.synergy / scale), _fmt(terms.delta / scale)]
-        lines.append(",".join(row))
+    for label, terms in result.coarse.items():
+        values = [*terms.marginals, terms.joint_mir, *terms.unique]
+        values += [terms.redundancy, terms.synergy, terms.delta]
+        lines.append(",".join([label] + [_fmt(v / scale) for v in values]))
     out = _outdir(config)
     path = out / "bench_sim3.csv"
     atomic_write_text(path, (line + "\n" for line in lines))

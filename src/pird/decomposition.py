@@ -11,7 +11,11 @@ yields the atoms' *partial information rate profiles*. Time-domain and
 band-limited quantities follow by normalized trapezoid integration, which
 commutes with the (linear) inversion. With two or more sources, the atoms'
 rates summed over the lattice's coarse groups give the unique, redundant
-and synergistic rates of the full axis and of each band.
+and synergistic rates of the full axis and of each band, held in a
+:class:`CoarseTerms` with the band's joint and single-source rates. The
+reference PIDs of :mod:`pird.baselines` return the same record, built by
+:meth:`CoarseTerms.min_mi`, and :func:`write_coarse_csv` writes both in one
+row layout.
 
 The engine is a few array operations. An *element table* holds one MIR
 profile per distinct lattice element (15 for four sources), built by one
@@ -24,11 +28,13 @@ operations in one buffer per table. The redundancy
 is a *masked minimum*: from ``+inf``, each element's row is folded, in
 canonical order, into the rows of the atoms holding it, so values compare
 in the order of a per-atom ``np.minimum.reduce``. One row integrator,
-:func:`~pird.spectral.integrate_band_rows`, integrates all atoms per band.
+:func:`~pird.spectral.integrate_band_rows`, integrates all atoms, and the
+single-source profiles, per band.
 
 The inversion is the *sorted element chain*. Spectral MIR never falls when
 a source is added, so at each frequency the E elements sorted by value
-(ties by size) make a chain of up-sets U_k (the ranks k and up); the atom
+(a stable sort over the size-major element numbering, so ties go by size)
+make a chain of up-sets U_k (the ranks k and up); the atom
 gamma_k of U_k's minimal elements gets PI = g_(k) - g_(k-1), with
 g_(0) = 0, and every other atom exactly 0. So PI is nonnegative by
 construction, with at most E nonzero atoms per frequency, all on one chain
@@ -74,17 +80,46 @@ FULL_BAND = "FULL"
 
 @dataclass(frozen=True)
 class CoarseTerms:
-    """Coarse-grained rates for one band: per-source unique terms plus
-    redundancy, synergy, their balance ``delta = R - S`` and the joint MIR."""
+    """Coarse-grained rates of one decomposition: per-source unique terms
+    plus redundancy, synergy, their balance ``delta = R - S``, the joint
+    rate and the per-source single-source rates ``marginals``.
+
+    It holds a band of :func:`decompose` and the reference PIDs of
+    :func:`pird.baselines.static_pid` and :func:`pird.baselines.te_pid`
+    alike; for those two, ``joint_mir`` is the joint zero-lag MI and the
+    joint transfer entropy."""
 
     unique: tuple[float, ...]
     redundancy: float
     synergy: float
     joint_mir: float
+    marginals: tuple[float, ...]
 
     @property
     def delta(self) -> float:
         return self.redundancy - self.synergy
+
+    @classmethod
+    def min_mi(cls, joint: float, marginals: Sequence[float]) -> CoarseTerms:
+        """The minimum-MI PID (Barrett, Phys. Rev. E 91, 052802, 2015):
+        redundancy is the smallest marginal, each unique term a marginal's
+        excess over it, and synergy what the joint has beyond them."""
+        marginals = tuple(float(v) for v in marginals)
+        r = min(marginals)
+        unique = tuple(v - r for v in marginals)
+        return cls(
+            unique=unique,
+            redundancy=r,
+            synergy=float(joint) - r - sum(unique),
+            joint_mir=float(joint),
+            marginals=marginals,
+        )
+
+
+def coarse_values(terms: CoarseTerms) -> list[float]:
+    """``[U_1 .. U_M, R, S, Delta, JointMIR]``, the order of every coarse
+    row this package writes."""
+    return [*terms.unique, terms.redundancy, terms.synergy, terms.delta, terms.joint_mir]
 
 
 @dataclass(frozen=True)
@@ -107,7 +142,8 @@ class DecompositionResult:
     joint_profile : SpectralProfile
         Spectral MIR between the target and all sources.
     marginal_profiles : ndarray, shape (M, n_freq)
-        Spectral MIR between the target and each source.
+        Spectral MIR between the target and each source; their integrals
+        are the ``marginals`` of every band's coarse terms.
     atom_redundancy_time, atom_pi_time : ndarray, shape (n_atoms,)
         Full-axis integrals of the redundancy and PI profiles.
     joint_mir : float
@@ -154,15 +190,15 @@ class DecompositionResult:
 
 class _ElementTable(NamedTuple):
     """The distinct lattice elements over ``m`` sources (sorted as within
-    each atom) and, all read-only: ``member[a, k]``, atom ``a`` holds
-    element ``k``; the element ``sizes``; ``smaller``, per size from 2 up,
-    the elements of that size and the indices of their subsets one source
-    smaller; ``atom_of_upset``, per element bitmask the lattice index of
-    the atom of its minimal elements if the mask is an up-set, else -1."""
+    each atom), numbered size-major: by size, then lexicographically. And,
+    all read-only: ``member[a, k]``, atom ``a`` holds element ``k``;
+    ``smaller``, per size from 2 up, the elements of that size and the
+    indices of their subsets one source smaller; ``atom_of_upset``, per
+    element bitmask the lattice index of the atom of its minimal elements
+    if the mask is an up-set, else -1."""
 
     elements: tuple[tuple[int, ...], ...]
     member: np.ndarray
-    sizes: np.ndarray
     smaller: tuple[tuple[np.ndarray, np.ndarray], ...]
     atom_of_upset: np.ndarray
 
@@ -170,7 +206,8 @@ class _ElementTable(NamedTuple):
 @lru_cache(maxsize=None)
 def _element_table(m: int) -> _ElementTable:
     atoms = enumerate_antichains(m).atoms
-    elements = tuple(sorted({el for atom in atoms for el in atom.elements}))
+    elements = tuple(sorted({el for atom in atoms for el in atom.elements},
+                            key=lambda el: (len(el), el)))
     member = np.array([[el in atom.elements for el in elements] for atom in atoms])
     sizes = np.array([len(el) for el in elements])
     smaller = tuple(
@@ -184,9 +221,9 @@ def _element_table(m: int) -> _ElementTable:
         mask = sum(1 << k for k, el in enumerate(elements)
                    if any(set(low) <= set(el) for low in atom.elements))
         atom_of_upset[mask] = a
-    for array in (member, sizes, atom_of_upset, *(x for pair in smaller for x in pair)):
+    for array in (member, atom_of_upset, *(x for pair in smaller for x in pair)):
         array.setflags(write=False)
-    return _ElementTable(elements, member, sizes, smaller, atom_of_upset)
+    return _ElementTable(elements, member, smaller, atom_of_upset)
 
 
 def _chain_pi(table: np.ndarray, tab: _ElementTable, n_atoms: int) -> np.ndarray:
@@ -197,7 +234,8 @@ def _chain_pi(table: np.ndarray, tab: _ElementTable, n_atoms: int) -> np.ndarray
     env = table + 0.0
     for idx, subs in tab.smaller:
         env[idx] = np.maximum(env[idx], env[subs].max(axis=1))
-    order = np.lexsort((np.broadcast_to(tab.sizes[:, None], env.shape), env), axis=0)
+    # Stable on size-major numbering: ties by value go by size.
+    order = np.argsort(env, axis=0, kind="stable")
     delta = np.diff(np.take_along_axis(env, order, axis=0), axis=0, prepend=0.0)
     bits = (1 << np.arange(len(tab.elements)))[order]
     at = tab.atom_of_upset[np.bitwise_or.accumulate(bits[::-1], axis=0)[::-1]]
@@ -225,10 +263,12 @@ def aggregate_coarse(
     lattice: RedundancyLattice,
     atom_pi: Mapping[str, np.ndarray],
     joint_mir: Mapping[str, float],
+    marginals: Mapping[str, np.ndarray],
 ) -> dict[str, CoarseTerms]:
     """Coarse terms per band label: the atoms' PI rates of that band summed
     over the unique / redundant / synergistic groups of the lattice (see
-    :meth:`pird.lattice.RedundancyLattice.coarse_group`).
+    :meth:`pird.lattice.RedundancyLattice.coarse_group`), with the band's
+    joint and single-source rates.
 
     For two sources the groups are single atoms. For three or more sources
     the aggregation keeps all coarse terms meaningful per group (e.g. a
@@ -242,6 +282,7 @@ def aggregate_coarse(
             redundancy=float(sum(values[i] for i in red_idx)),
             synergy=float(sum(values[i] for i in syn_idx)),
             joint_mir=float(joint_mir[label]),
+            marginals=tuple(marginals[label].tolist()),
         )
         for label, values in atom_pi.items()
     }
@@ -277,21 +318,25 @@ def decompose(
     elements = tab.elements
     table = spectral_mir_rows(psd, target, [[srcs[i - 1] for i in el] for el in elements])
     red = np.full((len(lattice), grid.n_points), np.inf)
-    for k in range(len(elements)):
+    for k in sorted(range(len(elements)), key=elements.__getitem__):  # canonical order
         np.minimum(red, table[k], out=red, where=tab.member[:, k, None])
     pi = _chain_pi(table, tab, len(lattice))
     joint = SpectralProfile(grid=grid, values=table[elements.index(tuple(range(1, m + 1)))])
+    marginal = table[[elements.index((j,)) for j in range(1, m + 1)]]
     pi_time = _trapezoid_rows(pi, grid.omegas) / np.pi
     joint_mir = integrate_full(joint)
     pi_bands = {b.label: integrate_band_rows(pi, grid, b) for b in bands}
     joint_bands = {b.label: integrate_band(joint, b) for b in bands}
     coarse = {}
     if m >= 2:
+        marginal_bands = {b.label: integrate_band_rows(marginal, grid, b) for b in bands}
         coarse = aggregate_coarse(
-            lattice, {FULL_BAND: pi_time, **pi_bands}, {FULL_BAND: joint_mir, **joint_bands}
+            lattice,
+            {FULL_BAND: pi_time, **pi_bands},
+            {FULL_BAND: joint_mir, **joint_bands},
+            {FULL_BAND: _trapezoid_rows(marginal, grid.omegas) / np.pi, **marginal_bands},
         )
     red_bands = {b.label: integrate_band_rows(red, grid, b) for b in bands}
-    marginal = table[[elements.index((j,)) for j in range(1, m + 1)]]
     red_time = _trapezoid_rows(red, grid.omegas) / np.pi
     # Frozen all the way down, so a writer prints what was computed here.
     for array in (red, pi, marginal, red_time, pi_time, *pi_bands.values(), *red_bands.values()):
@@ -366,37 +411,34 @@ def write_atoms_csv(
     atomic_write_text(path, lines)
 
 
-def coarse_rows(
-    result: DecompositionResult, scale: float = 1.0
-) -> list[tuple[str, str, str]]:
-    """``(term, band, value)`` rows of the coarse table (JointMIR always;
-    U/R/S/Delta when coarse terms exist)."""
-    joints = {FULL_BAND: result.joint_mir, **result.joint_mir_bands}
-    rows = []
-    for label, joint in joints.items():
-        terms = result.coarse.get(label)
-        if terms is not None:
-            for name, value in zip(result.source_names, terms.unique):
-                rows.append((f"U_{name}", label, _fmt(value, scale)))
-            rows.append(("R", label, _fmt(terms.redundancy, scale)))
-            rows.append(("S", label, _fmt(terms.synergy, scale)))
-            rows.append(("Delta", label, _fmt(terms.delta, scale)))
-        rows.append(("JointMIR", label, _fmt(joint, scale)))
-    return rows
-
-
 def write_coarse_csv(
     result: DecompositionResult,
     path: str | Path,
     scale: float = 1.0,
     unit: str = "nats",
-    extra_rows: Iterable[tuple[str, str, str]] = (),
+    baselines: Mapping[str, CoarseTerms] = MappingProxyType({}),
 ) -> None:
-    """Coarse-term table ``(term, band, value_<unit>)``; ``extra_rows`` lets
-    callers append baseline decompositions in the same schema."""
+    """Coarse-term table ``(term, band, value_<unit>)``.
+
+    Per band, ``FULL`` first: the rows ``U_<name>`` per source, ``R``,
+    ``S``, ``Delta`` and ``JointMIR`` of the result's coarse terms, or
+    ``JointMIR`` alone for one source. Then each entry of ``baselines``
+    (e.g. ``{"staticPID": ..., "tePID": ...}``) writes the same terms on
+    ``FULL`` with its key as a ``prefix:`` on every term.
+    """
+    names = [f"U_{name}" for name in result.source_names] + ["R", "S", "Delta", "JointMIR"]
     lines = [f"term,band,value_{unit}\n"]
-    for term, band, value in list(coarse_rows(result, scale)) + list(extra_rows):
-        lines.append(f"{term},{band},{value}\n")
+    joints = {FULL_BAND: result.joint_mir, **result.joint_mir_bands}
+    for label, joint in joints.items():
+        terms = result.coarse.get(label)
+        if terms is None:
+            lines.append(f"JointMIR,{label},{_fmt(joint, scale)}\n")
+        else:
+            lines += [f"{name},{label},{_fmt(v, scale)}\n"
+                      for name, v in zip(names, coarse_values(terms))]
+    for prefix, terms in baselines.items():
+        lines += [f"{prefix}:{name},{FULL_BAND},{_fmt(v, scale)}\n"
+                  for name, v in zip(names, coarse_values(terms))]
     atomic_write_text(path, lines)
 
 

@@ -73,9 +73,9 @@ def case_values(case: str) -> dict[str, list[float]]:
             t = res.coarse[label]
             out[f"coarse:{label}"] = [*t.unique, t.redundancy, t.synergy, t.joint_mir]
         stat = static_pid(model, 0, res.sources)
-        out["staticPID"] = [*stat.unique, stat.redundancy, stat.synergy, stat.mi_joint]
+        out["staticPID"] = [*stat.unique, stat.redundancy, stat.synergy, stat.joint_mir]
         tep = te_pid(model, 0, res.sources)
-        out["tePID"] = [*tep.unique, tep.redundancy, tep.synergy, tep.te_joint]
+        out["tePID"] = [*tep.unique, tep.redundancy, tep.synergy, tep.joint_mir]
     profiles = np.vstack([res.atom_pi, res.atom_redundancy, res.marginal_profiles,
                           res.joint_profile.values])
     rows, cols = sample_positions(profiles.shape)

@@ -75,7 +75,7 @@ def test_criterion_1_closed_form_anchor(grid):
         assert abs(terms.synergy - pid.synergy) < 1e-6
         assert abs(terms.unique[0] - pid.unique[0]) < 1e-6
         assert abs(terms.unique[1] - pid.unique[1]) < 1e-6
-        assert abs(result.joint_mir - pid.mi_joint) < 1e-6
+        assert abs(result.joint_mir - pid.joint_mir) < 1e-6
 
 
 def test_criterion_2_pointwise_min_never_exceeds_global_min(grid, property_models):
@@ -167,13 +167,13 @@ def test_criterion_6_sim2_sweep(grid):
         for c in cs:
             model = build_scenario(Scenario("sim2", {"c": float(c)}))
             tep = te_pid(model, 0)
-            te_joint.append(tep.te_joint)
+            te_joint.append(tep.joint_mir)
             result = decompose(psd_from_var(model, grid), 0)
             pird_terms[float(c)] = result.coarse["FULL"]
             te_terms[float(c)] = tep
         assert all(a >= b - 1e-12 for a, b in zip(te_joint[:-1], te_joint[1:]))
         tep8 = te_terms[0.8]
-        for v in (tep8.te_joint, tep8.redundancy, tep8.synergy, *tep8.unique):
+        for v in (tep8.joint_mir, tep8.redundancy, tep8.synergy, *tep8.unique):
             assert abs(v) < 1e-6
         full8 = pird_terms[0.8]
         assert full8.joint_mir > 0.1
@@ -184,7 +184,7 @@ def test_criterion_6_sim2_sweep(grid):
         assert abs(full0.synergy - tep0.synergy) < 1e-4
         assert abs(full0.unique[0] - tep0.unique[0]) < 1e-4
         assert abs(full0.unique[1] - tep0.unique[1]) < 1e-4
-        assert abs(full0.joint_mir - tep0.te_joint) < 1e-4
+        assert abs(full0.joint_mir - tep0.joint_mir) < 1e-4
 
 
 def test_criterion_7_sim3_band_structure(grid, sim3_model):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pird import (
     ArgumentError,
+    Band,
     EstimationError,
     FrequencyGrid,
     Scenario,
@@ -27,7 +28,7 @@ from pird import (
     transfer_entropy,
 )
 from pird import baselines, var
-from pird.baselines import baseline_rows
+from pird.decomposition import write_coarse_csv
 from pird.cli import main
 
 from conftest import make_model_set
@@ -92,7 +93,7 @@ def test_static_pid_sim1_c0(grid):
 def test_static_pid_uncorrelated_white_is_zero():
     m = VarModel(coeffs=np.zeros((0, 3, 3)), sigma=np.eye(3))
     res = static_pid(m, 0)
-    for v in (res.mi_joint, res.redundancy, res.synergy, *res.unique):
+    for v in (res.joint_mir, res.redundancy, res.synergy, *res.unique):
         assert abs(v) < 1e-12
 
 
@@ -102,8 +103,8 @@ def test_static_pid_additivity_identity():
             continue
         res = static_pid(m, 0)
         total = sum(res.unique) + res.redundancy + res.synergy
-        assert abs(total - res.mi_joint) < 1e-10
-        for u, mi in zip(res.unique, res.mi_marginals):
+        assert abs(total - res.joint_mir) < 1e-10
+        for u, mi in zip(res.unique, res.marginals):
             assert u == pytest.approx(mi - res.redundancy, abs=1e-12)
 
 
@@ -321,13 +322,13 @@ def test_instantaneous_info_sim1_c0_equals_joint_mir():
 def test_te_pid_sim2_extremes():
     m8 = build_scenario(Scenario("sim2", {"c": 0.8}))
     res8 = te_pid(m8, 0)
-    for v in (res8.te_joint, res8.redundancy, res8.synergy, *res8.unique):
+    for v in (res8.joint_mir, res8.redundancy, res8.synergy, *res8.unique):
         assert abs(v) < 1e-6
     m0 = build_scenario(Scenario("sim2", {"c": 0.0}))
     res0 = te_pid(m0, 0)
-    assert res0.te_joint == pytest.approx(0.5 * np.log(4.2), abs=1e-9)
+    assert res0.joint_mir == pytest.approx(0.5 * np.log(4.2), abs=1e-9)
     total = sum(res0.unique) + res0.redundancy + res0.synergy
-    assert abs(total - res0.te_joint) < 1e-12
+    assert abs(total - res0.joint_mir) < 1e-12
 
 
 def test_te_pid_symmetric_sources_have_no_unique_share():
@@ -344,7 +345,7 @@ def test_te_pid_symmetric_sources_have_no_unique_share():
 def test_te_pid_conditioned_variant(sim3_model):
     biv = te_pid(sim3_model, 0)
     cond = te_pid(sim3_model, 0, conditioned=True)
-    assert biv.te_joint == pytest.approx(cond.te_joint, abs=1e-12)
+    assert biv.joint_mir == pytest.approx(cond.joint_mir, abs=1e-12)
     assert biv.redundancy != pytest.approx(cond.redundancy, abs=1e-6)
 
 
@@ -371,8 +372,8 @@ def test_te_pid_solves_each_distinct_submodel_once(monkeypatch, m, conditioned):
     res = te_pid(model, 1, srcs, conditioned=conditioned)
     assert len(calls) == m + 2
     assert len(set(calls)) == len(calls)
-    assert res.te_joint == expected_joint
-    assert res.te_marginals == expected_marginals
+    assert res.joint_mir == expected_joint
+    assert res.marginals == expected_marginals
 
 
 def test_te_nonnegative_across_models():
@@ -464,7 +465,7 @@ def test_te_pid_invariant_under_source_permutation(m, data):
     perm = [0] + data.draw(st.permutations(range(1, m.dim)))
     m_p = VarModel(coeffs=m.coeffs[:, perm][:, :, perm], sigma=m.sigma[np.ix_(perm, perm)])
     res, res_p = te_pid(m, 0), te_pid(m_p, 0)
-    assert res_p.te_joint == pytest.approx(res.te_joint, abs=1e-12)
+    assert res_p.joint_mir == pytest.approx(res.joint_mir, abs=1e-12)
     assert res_p.redundancy == pytest.approx(res.redundancy, abs=1e-12)
     assert res_p.synergy == pytest.approx(res.synergy, abs=1e-12)
     for i, old in enumerate(perm[1:]):
@@ -475,16 +476,38 @@ def test_te_pid_invariant_under_source_permutation(m, data):
 # export rows
 
 
-def test_baseline_rows_schema():
-    m = build_scenario(Scenario("sim1", {"c": 0.0}))
-    rows = baseline_rows(static_pid(m, 0), ("X1", "X2"), "staticPID")
-    terms = [r[0] for r in rows]
-    assert terms == [
-        "staticPID:U_X1",
-        "staticPID:U_X2",
-        "staticPID:R",
-        "staticPID:S",
-        "staticPID:Delta",
-        "staticPID:JointMIR",
+def read_rows(path):
+    return [tuple(line.split(",")) for line in path.read_text().splitlines()[1:]]
+
+
+def test_write_coarse_csv_one_source_writes_joint_rows_only(tmp_path):
+    psd = psd_from_var(build_scenario(Scenario("sim3")), FrequencyGrid(n_points=513))
+    res = decompose(psd, 0, [1], [Band(0.04, 0.15, "B1")])
+    write_coarse_csv(res, tmp_path / "coarse.csv")
+    assert read_rows(tmp_path / "coarse.csv") == [
+        ("JointMIR", "FULL", f"{res.joint_mir:.12g}"),
+        ("JointMIR", "B1", f"{res.joint_mir_bands['B1']:.12g}"),
     ]
-    assert all(band == "FULL" for _, band, _ in rows)
+
+
+def test_write_coarse_csv_schema(tmp_path):
+    # U/R/S/Delta/JointMIR per band, FULL first, then each baseline's terms
+    # on FULL with its prefix.
+    model = build_scenario(Scenario("sim3"))
+    bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
+    res = decompose(psd_from_var(model, FrequencyGrid(n_points=513)), 0, bands=bands)
+    base = {"staticPID": static_pid(model, 0), "tePID": te_pid(model, 0)}
+    sections = [("", label, res.coarse[label]) for label in ("FULL", "B1", "B2")]
+    sections += [(f"{prefix}:", "FULL", terms) for prefix, terms in base.items()]
+    names = ["U_X1", "U_X2", "U_X3", "R", "S", "Delta", "JointMIR"]
+    for scale, unit in ((1.0, "nats"), (np.log(2.0), "bits")):
+        path = tmp_path / f"coarse_{unit}.csv"
+        write_coarse_csv(res, path, scale, unit, base)
+        assert path.read_text().splitlines()[0] == f"term,band,value_{unit}"
+        assert read_rows(path) == [
+            (prefix + name, label, f"{value / scale:.12g}")
+            for prefix, label, t in sections
+            for name, value in zip(
+                names, [*t.unique, t.redundancy, t.synergy, t.delta, t.joint_mir], strict=True
+            )
+        ]

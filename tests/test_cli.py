@@ -244,6 +244,20 @@ def test_bench_sim2_mini_sweep(tmp_path):
     assert te_joint[2] < 1e-6
 
 
+def test_bench_conditioned_te_flag_equals_config_key(tmp_path):
+    sweep = ["bench", "--scenario", "sim2", "--sweep", "0:0.4:0.8"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("conditioned_te = true\n")
+    assert main(sweep + ["--conditioned-te", "--out", str(tmp_path / "flag")]) == 0
+    assert main(sweep + ["--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+    assert main(sweep + ["--out", str(tmp_path / "plain")]) == 0
+    flag, cfg_out, plain = (
+        (tmp_path / d / "bench_sim2.csv").read_bytes() for d in ("flag", "cfg", "plain")
+    )
+    assert flag == cfg_out
+    assert flag != plain  # the conditioned marginals differ from the bivariate ones
+
+
 def test_bench_sim3_band_table(tmp_path):
     out = tmp_path / "bench3"
     assert main(["bench", "--scenario", "sim3", "--out", str(out)]) == 0

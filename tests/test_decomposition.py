@@ -14,6 +14,7 @@ from pird import (
     Band,
     FrequencyGrid,
     Scenario,
+    SpectralProfile,
     build_scenario,
     decompose,
     integrate_band,
@@ -253,7 +254,7 @@ def test_sim1_dynamics_check(grid):
     assert abs(pird0.redundancy - pid0.redundancy) < 1e-6
     assert abs(pird0.synergy - pid0.synergy) < 1e-6
     assert abs(pird0.unique[0] - pid0.unique[0]) < 1e-6
-    assert abs(pird0.joint_mir - pid0.mi_joint) < 1e-6
+    assert abs(pird0.joint_mir - pid0.joint_mir) < 1e-6
     # strong dynamics: synergy dominates and both unique terms activate
     m8 = build_scenario(Scenario("sim1", {"c": 0.8}))
     t8 = decompose(psd_from_var(m8, grid), 0).coarse["FULL"]
@@ -271,7 +272,7 @@ def test_sim2_topology_check(grid):
     assert abs(pird0.unique[1] - tep0.unique[1]) < 1e-4
     m8 = build_scenario(Scenario("sim2", {"c": 0.8}))
     tep8 = te_pid(m8, 0)
-    assert all(abs(v) < 1e-6 for v in (tep8.te_joint, tep8.redundancy, tep8.synergy))
+    assert all(abs(v) < 1e-6 for v in (tep8.joint_mir, tep8.redundancy, tep8.synergy))
     pird8 = decompose(psd_from_var(m8, grid), 0).coarse["FULL"]
     assert pird8.joint_mir > 0.1
     assert pird8.redundancy > pird8.synergy
@@ -531,6 +532,34 @@ def test_aggregate_coarse_band_consistency(sim3_psd):
         t = res.coarse[label]
         r_sum = sum(res.atom_pi_bands[label][i] for i in groups["redundant"])
         assert t.redundancy == pytest.approx(r_sum, abs=0)
+
+
+@pytest.mark.parametrize("fs", [1.0, 3.0, 4.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_coarse_marginals_are_the_marginal_profile_integrals(fs, seed):
+    # Bit for bit: the engine integrates the single-source rows with the
+    # same row integrators integrate_full and integrate_band run on one row.
+    model = random_stable_var(5, 1 + seed % 3, seed=300 + seed, radius=0.9)
+    grid = FrequencyGrid(fs=fs, n_points=513)
+    bands = [Band(0.0, 0.11 * fs, "A"), Band(0.13 * fs, 0.37 * fs, "B"),
+             Band(0.4 * fs, 0.5 * fs, "C")]
+    res = decompose(psd_from_var(model, grid), 0, None if seed % 2 else (1, 3), bands)
+    profiles = [SpectralProfile(grid=grid, values=row) for row in res.marginal_profiles]
+    assert res.coarse["FULL"].marginals == tuple(integrate_full(p) for p in profiles)
+    for band in bands:
+        assert res.coarse[band.label].marginals == tuple(integrate_band(p, band) for p in profiles)
+
+
+@pytest.mark.parametrize("case", ["sim1 c=0", "sim1 c=0.5", "sim2", "var6 seed=1", "var6 seed=2"])
+def test_two_source_marginal_is_unique_plus_redundancy(case):
+    # With M = 2 the single-source rate of {i} is PI({1}{2}) + PI({i}) at
+    # every frequency, so its integral is U_i + R up to roundoff.
+    psd, sources, bands = _engine_case(case)
+    res = decompose(psd, 0, None if sources is None else sources[:2], bands)
+    assert len(res.sources) == 2
+    for terms in res.coarse.values():
+        for marginal, unique in zip(terms.marginals, terms.unique, strict=True):
+            assert abs(marginal - (unique + terms.redundancy)) <= 1e-14
 
 
 def reference_engine(psd, target, sources, bands):
