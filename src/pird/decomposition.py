@@ -68,6 +68,7 @@ from .spectral import (
     integrate_band,
     integrate_band_rows,
     integrate_full,
+    _check_nyquist,
     _trapezoid_rows,
     spectral_mir,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
     spectral_mir_rows,
@@ -120,6 +121,12 @@ def coarse_values(terms: CoarseTerms) -> list[float]:
     """``[U_1 .. U_M, R, S, Delta, JointMIR]``, the order of every coarse
     row this package writes."""
     return [*terms.unique, terms.redundancy, terms.synergy, terms.delta, terms.joint_mir]
+
+
+def coarse_names(source_names: Sequence[str]) -> list[str]:
+    """``[U_<name> .., R, S, Delta, JointMIR]``: the term names of
+    :func:`coarse_values`, in its order."""
+    return [f"U_{name}" for name in source_names] + ["R", "S", "Delta", "JointMIR"]
 
 
 @dataclass(frozen=True)
@@ -245,7 +252,9 @@ def _chain_pi(table: np.ndarray, tab: _ElementTable, n_atoms: int) -> np.ndarray
     return pi
 
 
-def _check_band_labels(bands: tuple[Band, ...]) -> None:
+def _check_bands(bands: tuple[Band, ...], fs: float) -> None:
+    for band in bands:
+        _check_nyquist(band, fs)
     labels = [b.label for b in bands]
     if FULL_BAND in labels:
         raise ArgumentError(f"band label {FULL_BAND!r} is reserved for the full axis")
@@ -306,12 +315,13 @@ def decompose(
     Raises
     ------
     ArgumentError
-        On an invalid channel choice, or a band labelled ``"FULL"`` or
-        given twice.
+        On an invalid channel choice, or a band above the Nyquist
+        frequency, labelled ``"FULL"`` or given twice; all before any
+        spectral MIR is computed.
     """
     srcs = _resolve_sources(psd.dim, target, sources)
     bands = tuple(bands)
-    _check_band_labels(bands)
+    _check_bands(bands, psd.grid.fs)
     grid, m = psd.grid, len(srcs)
     lattice = enumerate_antichains(m)
     tab = _element_table(m)
@@ -387,7 +397,9 @@ def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _fmt(value: float, scale: float) -> str:
+def _fmt(value: float, scale: float = 1.0) -> str:
+    """A number as every output of this package prints it: ``%.12g`` of
+    ``value / scale``."""
     return f"{value / scale:.12g}"
 
 
@@ -426,7 +438,7 @@ def write_coarse_csv(
     (e.g. ``{"staticPID": ..., "tePID": ...}``) writes the same terms on
     ``FULL`` with its key as a ``prefix:`` on every term.
     """
-    names = [f"U_{name}" for name in result.source_names] + ["R", "S", "Delta", "JointMIR"]
+    names = coarse_names(result.source_names)
     lines = [f"term,band,value_{unit}\n"]
     joints = {FULL_BAND: result.joint_mir, **result.joint_mir_bands}
     for label, joint in joints.items():
@@ -465,8 +477,7 @@ def write_profiles_csv(
         blocks.append((f"I_{name}", row))
     if len(result.sources) >= 2:
         unique_idx, red_idx, syn_idx = _group_indices(result.lattice)
-        groups = [(f"U_{name}", idx) for name, idx in zip(result.source_names, unique_idx)]
-        groups += [("R", red_idx), ("S", syn_idx)]
+        groups = zip(coarse_names(result.source_names)[:-2], [*unique_idx, red_idx, syn_idx])
         blocks += [(key, _row_sum(result.atom_pi, idx)) for key, idx in groups]
     blocks.append(("JointMIR", result.joint_profile.values))
     atomic_write_text(path, _profile_chunks(blocks, result.grid.hz, scale))

@@ -79,10 +79,10 @@ class Band:
 class SpectralMatrix:
     """Per-frequency Hermitian PSD matrices ``mats[i]`` on ``grid``.
 
-    Construction validates the PSD invariants at every grid point:
-    Hermitian within 1e-10 relative, strictly positive real diagonal, and
-    smallest eigenvalue >= -1e-10 * trace, checked as a successful Cholesky
-    factorisation of ``mats[i] + 1e-10 * trace * I``.
+    Construction validates the PSD invariants at every grid point: finite
+    entries, Hermitian within 1e-10 relative, strictly positive real
+    diagonal, and smallest eigenvalue >= -1e-10 * trace, checked as a
+    successful Cholesky factorisation of ``mats[i] + 1e-10 * trace * I``.
     """
 
     grid: FrequencyGrid
@@ -96,8 +96,11 @@ class SpectralMatrix:
             raise ArgumentError(
                 f"expected {n} matrices of shape ({q}, {q}), got {mats.shape}"
             )
+        scale = np.max(np.abs(mats))
+        if not np.isfinite(scale):
+            raise NumericalError("spectral matrix has a non-finite entry")
+        scale = max(scale, np.finfo(float).tiny)
         herm_resid = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)))
-        scale = max(np.max(np.abs(mats)), np.finfo(float).tiny)
         if herm_resid > 1e-10 * scale:
             raise NumericalError(
                 f"spectral matrix not Hermitian (residual {herm_resid / scale:.2e} relative)"
@@ -125,8 +128,8 @@ class SpectralMatrix:
         An explicit regularization knob for near-singular spectra; off by
         default everywhere because silent loading biases information rates.
         """
-        if delta < 0:
-            raise ArgumentError("loading factor must be nonnegative")
+        if not 0.0 <= delta < np.inf:  # NaN included
+            raise ArgumentError(f"loading factor must be finite and nonnegative, got {delta}")
         traces = np.trace(self.mats, axis1=1, axis2=2).real / self.dim
         mats = self.mats + delta * traces[:, None, None] * np.eye(self.dim)
         return SpectralMatrix(grid=self.grid, mats=mats, names=self.names)

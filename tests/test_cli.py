@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -10,7 +11,9 @@ import pytest
 
 import pird
 from pird import VarModel, simulate
-from pird.cli import main
+from pird.cli import _build_parser, _parse_args, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="session")
@@ -222,6 +225,123 @@ def test_bad_config_file(tmp_path):
     assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     cfg.write_text("unknown_key = 3\n")
     assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+# (verb, option action) for every option a verb's parser declares, except
+# --help and --config itself
+VERB_OPTIONS = [
+    (name, action)
+    for name, verb in _build_parser()[1].items()
+    for action in verb._actions
+    if action.option_strings and action.dest not in ("help", "config")
+]
+
+
+def _sample_value(action):
+    """A value the option accepts that differs from its default."""
+    if action.choices:
+        return next(c for c in action.choices if c != action.default)
+    return {int: "7", float: "0.25"}.get(action.type, "abc")
+
+
+@pytest.mark.parametrize(
+    "verb,action",
+    VERB_OPTIONS,
+    ids=[f"{verb}{action.option_strings[-1]}" for verb, action in VERB_OPTIONS],
+)
+def test_config_key_equals_its_flag(verb, action, tmp_path):
+    flag = action.option_strings[-1]
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.cfg"
+    if action.nargs == 0:  # a switch
+        from_flag = _parse_args([verb, flag])
+        cfg.write_text(f"{key} = yes\n")
+    else:
+        value = _sample_value(action)
+        from_flag = _parse_args([verb, flag, value])
+        cfg.write_text(f"{key} = {value}\n")
+    from_file = _parse_args([verb, "--config", str(cfg)])
+    assert from_file.config == str(cfg) and from_flag.config is None
+    from_file.config = None
+    assert from_file == from_flag
+    assert getattr(from_file, action.dest) != action.default  # the option took effect
+
+
+SIM1 = ["decompose", "--scenario", "sim1", "--c", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv,config,code,message",
+    [
+        # a config value goes through its flag's type and choices
+        (SIM1, "units = bit", 2, "'units'"),
+        (SIM1, "grid = 0x10", 2, "'grid'"),
+        (["bench", "--scenario", "sim2"], "conditioned_te = maybe", 2, "'conditioned_te'"),
+        # a config key must be one of the verb's own flags, spelled out
+        (["bench", "--scenario", "sim3"], "target = Z", 2, "'target' for pird bench"),
+        (["bench", "--scenario", "sim3"], "diag_load = 0.1", 2, "'diag_load' for pird bench"),
+        (["bench", "--scenario", "sim3"], "input = x.csv", 2, "'input' for pird bench"),
+        (["fit", "--input", "x.csv"], "units = bits", 2, "'units' for pird fit"),
+        (SIM1, "max = 3", 2, "'max' for pird decompose"),
+        (SIM1, "help = 1", 2, "'help'"),
+        (SIM1, "config = x.cfg", 2, "'config'"),
+        # flags a verb never read are gone from it
+        (["bench", "--scenario", "sim3", "--input", "x.csv"], None, 3, "--input"),
+        (["fit", "--input", "x.csv", "--units", "bits"], None, 3, "--units"),
+        # a negative or NaN diagonal loading is rejected, not skipped
+        (SIM1 + ["--diag-load", "-0.5"], None, 3, "loading"),
+        (SIM1 + ["--diag-load", "nan"], None, 3, "loading"),
+        (SIM1, "diag_load = -0.5", 3, "loading"),
+    ],
+)
+def test_options_behave_as_declared(argv, config, code, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--grid", "65"] * (argv[0] != "fit") + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_take_dashes_and_lose_to_their_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max-order = 3\nunits = bits\nconditioned-te = off\n")
+    args = _parse_args(["decompose", "--config", str(cfg), "--units", "nats"])
+    assert (args.max_order, args.units, args.conditioned_te) == (3, "nats", False)
+    assert _parse_args(["decompose", "--config", str(cfg), "--conditioned-te"]).conditioned_te
+
+
+def test_diag_load_zero_is_the_default(tmp_path):
+    args = ["decompose", "--scenario", "sim1", "--c", "0.4", "--grid", "257"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(args + ["--diag-load", "0", "--out", str(tmp_path / "zero")]) == 0
+    assert main(args + ["--diag-load", "0.1", "--out", str(tmp_path / "loaded")]) == 0
+    plain, zero, loaded = (
+        (tmp_path / d / "coarse.csv").read_bytes() for d in ("plain", "zero", "loaded")
+    )
+    assert plain == zero
+    assert plain != loaded
+
+
+def test_help_shows_the_parser_defaults(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["bench", "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for default in ("(default 2049)", "(default 0:0.05:0.8)", "(default B1:0.04-0.15,B2:0.15-0.4)"):
+        assert default in text
+
+
+def test_readme_lists_each_verbs_flags():
+    text = README.read_text(encoding="utf-8")
+    lists = dict(re.findall(r"^\* `pird (\w+)`:(.*?)(?=^\* |^$)", text, re.M | re.S))
+    _, verbs = _build_parser()
+    assert set(lists) == set(verbs)
+    for name, verb in verbs.items():
+        declared = {s for a in verb._actions for s in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"`(--[a-z][a-z-]*)", lists[name])) == declared, name
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from pird.decomposition import (
     _element_table,
     _row_sum,
     atomic_write_text,
+    coarse_names,
+    coarse_values,
     write_atoms_csv,
     write_coarse_csv,
     write_profiles_csv,
@@ -195,8 +197,23 @@ def test_reserved_band_label(sim1_c0_psd):
         decompose(sim1_c0_psd, 0, bands=[Band(0.1, 0.2, "A"), Band(0.2, 0.3, "A")])
 
 
+def test_band_beyond_nyquist_raises_before_the_mir_kernel(sim1_c0_psd, monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("spectral_mir_rows ran before the band check")
+
+    monkeypatch.setattr("pird.decomposition.spectral_mir_rows", kernel)
+    with pytest.raises(ArgumentError, match="Nyquist"):
+        decompose(sim1_c0_psd, 0, bands=[Band(0.1, 0.2, "A"), Band(0.3, 0.6, "B")])
+
+
 # ---------------------------------------------------------------------------
 # coarse graining
+
+
+def test_coarse_names_follow_coarse_values(sim3_result):
+    names = coarse_names(sim3_result.source_names)
+    assert names == ["U_X1", "U_X2", "U_X3", "R", "S", "Delta", "JointMIR"]
+    assert len(names) == len(coarse_values(sim3_result.coarse["FULL"]))
 
 
 def test_sim1_c0_coarse_values(sim1_c0_psd):

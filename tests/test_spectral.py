@@ -10,6 +10,7 @@ from pird import (
     ArgumentError,
     Band,
     FrequencyGrid,
+    NumericalError,
     Scenario,
     SpectralMatrix,
     SpectralProfile,
@@ -110,6 +111,16 @@ def test_spectral_matrix_validation(grid):
     mats[5, 0, 1] = 0.5  # breaks Hermitian symmetry
     with pytest.raises(Exception, match="Hermitian"):
         SpectralMatrix(grid=grid, mats=mats)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_spectral_matrix_rejects_non_finite_entries(grid, bad):
+    mats = np.tile(np.eye(2, dtype=complex), (grid.n_points, 1, 1))
+    mats[3, 1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic on it
+        with pytest.raises(NumericalError, match="non-finite"):
+            SpectralMatrix(grid=grid, mats=mats)
 
 
 def test_spectral_mir_independent_blocks(grid):
@@ -282,6 +293,10 @@ def test_diagonal_loading(grid):
     assert np.all(soft < base)  # loading shrinks dependence
     with pytest.raises(ArgumentError):
         psd.with_diagonal_loading(-0.1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ArgumentError, match="finite and nonnegative"):
+            psd.with_diagonal_loading(bad)
+    assert np.array_equal(psd.with_diagonal_loading(0.0).mats, psd.mats)
 
 
 def test_integrate_full_constant(grid):
