@@ -37,7 +37,6 @@ from .lattice import (
     Atom,
     RedundancyLattice,
     enumerate_antichains,
-    precedes,
 )
 from .spectral import (
     Band,
@@ -102,7 +101,6 @@ __all__ = [
     "mir_decomposition",
     "parse_bands",
     "poles_to_coeffs",
-    "precedes",
     "psd_from_var",
     "random_stable_var",
     "select_order_aic",

@@ -228,6 +228,11 @@ def _obtain_model(args: argparse.Namespace) -> tuple[VarModel, list[float] | Non
         raise ArgumentError(
             f"exactly one of --model, --scenario or --input is required, got {given or 'none'}"
         )
+    # An ignored option whose absence would change the run is an error.
+    if args.order is not None and not args.input:
+        raise ArgumentError(f"--order applies to --input (the inline fit), not to {given[0]}")
+    if args.c is not None and not args.scenario:
+        raise ArgumentError(f"--c applies to --scenario sim1/sim2, not to {given[0]}")
     if args.model:
         try:
             text = Path(args.model).read_text(encoding="utf-8")
@@ -329,8 +334,8 @@ def _parse_sweep(spec: str) -> np.ndarray:
         start, step, stop = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ArgumentError(f"cannot parse sweep {spec!r} (expected start:step:stop)") from None
-    if step <= 0 or stop < start:
-        raise ArgumentError(f"invalid sweep {spec!r}")
+    if not np.all(np.isfinite([start, step, stop])) or step <= 0 or stop < start:
+        raise ArgumentError(f"invalid sweep {spec!r} (finite start <= stop, step > 0)")
     return np.arange(start, stop + step / 2.0, step)
 
 
@@ -376,6 +381,8 @@ def _band_table(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.conditioned_te and args.scenario in ("sim1", "sim3"):
+        raise ArgumentError(f"--conditioned-te applies to sim2's TE PID, not to {args.scenario}")
     if args.scenario in ("sim1", "sim2"):
         return _coupling_sweep(args, args.scenario)
     if args.scenario == "sim3":

@@ -17,30 +17,32 @@ reference PIDs of :mod:`pird.baselines` return the same record, built by
 :meth:`CoarseTerms.min_mi`, and :func:`write_coarse_csv` writes both in one
 row layout.
 
-The engine is a few array operations. An *element table* holds one MIR
-profile per distinct lattice element (15 for four sources), built by one
-call to :func:`~pird.spectral.spectral_mir_rows`: the elements' sorted
-channel groups form a prefix trie, and each node adds one source's row of
-the shared Cholesky factor and one target entry, so no element's block is
+The engine is a few array operations over the tables of the
+:class:`~pird.lattice.RedundancyLattice`, which numbers the lattice
+elements (the nonempty source subsets, 15 for four sources) and knows which
+atoms hold them. An *element table* holds one MIR profile per element, in
+the lattice's numbering, built by one call to
+:func:`~pird.spectral.spectral_mir_rows`: the elements' sorted channel
+groups form a prefix trie, and each node adds one source's row of the
+shared Cholesky factor and one target entry, so no element's block is
 factored twice; each row equals :func:`~pird.spectral.spectral_mir` of its
 element bit for bit. The full-axis integrals run ``np.trapezoid``'s own
-operations in one buffer per table. The redundancy
-is a *masked minimum*: from ``+inf``, each element's row is folded, in
-canonical order, into the rows of the atoms holding it, so values compare
-in the order of a per-atom ``np.minimum.reduce``. One row integrator,
+operations in one buffer per table. The redundancy is a *masked minimum*:
+from ``+inf``, each element's row is folded, in canonical order, into the
+rows of the atoms holding it, so values compare in the order of a per-atom
+``np.minimum.reduce``. One row integrator,
 :func:`~pird.spectral.integrate_band_rows`, integrates all atoms, and the
 single-source profiles, per band.
 
 The inversion is the *sorted element chain*. Spectral MIR never falls when
-a source is added, so at each frequency the E elements sorted by value
-(a stable sort over the size-major element numbering, so ties go by size)
-make a chain of up-sets U_k (the ranks k and up); the atom
-gamma_k of U_k's minimal elements gets PI = g_(k) - g_(k-1), with
-g_(0) = 0, and every other atom exactly 0. So PI is nonnegative by
-construction, with at most E nonzero atoms per frequency, all on one chain
-of the lattice order. The sort runs on the monotone envelope
-g~(B) = max over A within B of g(A), equal to g unless roundoff broke
-monotonicity, so every U_k is an up-set.
+a source is added, so at each frequency the E elements sorted by value (a
+stable sort over the lattice's size-major element numbering, so ties go by
+size) make a chain of up-sets U_k (the ranks k and up); the atom gamma_k of
+U_k's minimal elements gets PI = g_(k) - g_(k-1), with g_(0) = 0, and every
+other atom exactly 0. So PI is nonnegative by construction, with at most E
+nonzero atoms per frequency, all on one chain of the lattice order. The
+sort runs on the monotone envelope g~(B) = max over A within B of g(A),
+equal to g unless roundoff broke monotonicity, so every U_k is an up-set.
 
 Atom element indices are 1-based positions into the sorted tuple of source
 channels: with ``sources = (2, 5, 7)``, the atom ``{1}{23}`` pairs channel 2
@@ -52,10 +54,9 @@ from __future__ import annotations
 import os
 import secrets
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -195,59 +196,22 @@ class DecompositionResult:
         return tuple(self.names[s] for s in self.sources)
 
 
-class _ElementTable(NamedTuple):
-    """The distinct lattice elements over ``m`` sources (sorted as within
-    each atom), numbered size-major: by size, then lexicographically. And,
-    all read-only: ``member[a, k]``, atom ``a`` holds element ``k``;
-    ``smaller``, per size from 2 up, the elements of that size and the
-    indices of their subsets one source smaller; ``atom_of_upset``, per
-    element bitmask the lattice index of the atom of its minimal elements
-    if the mask is an up-set, else -1."""
-
-    elements: tuple[tuple[int, ...], ...]
-    member: np.ndarray
-    smaller: tuple[tuple[np.ndarray, np.ndarray], ...]
-    atom_of_upset: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _element_table(m: int) -> _ElementTable:
-    atoms = enumerate_antichains(m).atoms
-    elements = tuple(sorted({el for atom in atoms for el in atom.elements},
-                            key=lambda el: (len(el), el)))
-    member = np.array([[el in atom.elements for el in elements] for atom in atoms])
-    sizes = np.array([len(el) for el in elements])
-    smaller = tuple(
-        (np.flatnonzero(sizes == s),
-         np.array([[elements.index(tuple(j for j in el if j != i)) for i in el]
-                   for el in elements if len(el) == s]))
-        for s in range(2, m + 1)
-    )
-    atom_of_upset = np.full(1 << len(elements), -1, dtype=np.int16)
-    for a, atom in enumerate(atoms):
-        mask = sum(1 << k for k, el in enumerate(elements)
-                   if any(set(low) <= set(el) for low in atom.elements))
-        atom_of_upset[mask] = a
-    for array in (member, atom_of_upset, *(x for pair in smaller for x in pair)):
-        array.setflags(write=False)
-    return _ElementTable(elements, member, smaller, atom_of_upset)
-
-
-def _chain_pi(table: np.ndarray, tab: _ElementTable, n_atoms: int) -> np.ndarray:
-    """Every atom's PI profile from the ``(elements, n_freq)`` MIR table by
-    the sorted element chain (see the module docstring)."""
+def _chain_pi(table: np.ndarray, lattice: RedundancyLattice) -> np.ndarray:
+    """Every atom's PI profile from the ``(elements, n_freq)`` MIR table, in
+    ``lattice.elements`` order, by the sorted element chain (see the module
+    docstring)."""
     # + 0.0 turns the -0.0 MIR of an exactly independent source into +0.0,
     # so each difference below is +0.0 or positive.
     env = table + 0.0
-    for idx, subs in tab.smaller:
+    for idx, subs in lattice.smaller:
         env[idx] = np.maximum(env[idx], env[subs].max(axis=1))
     # Stable on size-major numbering: ties by value go by size.
     order = np.argsort(env, axis=0, kind="stable")
     delta = np.diff(np.take_along_axis(env, order, axis=0), axis=0, prepend=0.0)
-    bits = (1 << np.arange(len(tab.elements)))[order]
-    at = tab.atom_of_upset[np.bitwise_or.accumulate(bits[::-1], axis=0)[::-1]]
+    bits = (1 << np.arange(len(lattice.elements)))[order]
+    at = lattice.atom_of_upset[np.bitwise_or.accumulate(bits[::-1], axis=0)[::-1]]
     assert np.all(at >= 0), "a sorted envelope gave a non-up-set"
-    pi = np.zeros((n_atoms, table.shape[1]))
+    pi = np.zeros((len(lattice), table.shape[1]))
     pi[at, np.arange(table.shape[1])] = delta
     return pi
 
@@ -324,13 +288,12 @@ def decompose(
     _check_bands(bands, psd.grid.fs)
     grid, m = psd.grid, len(srcs)
     lattice = enumerate_antichains(m)
-    tab = _element_table(m)
-    elements = tab.elements
+    elements = lattice.elements
     table = spectral_mir_rows(psd, target, [[srcs[i - 1] for i in el] for el in elements])
     red = np.full((len(lattice), grid.n_points), np.inf)
     for k in sorted(range(len(elements)), key=elements.__getitem__):  # canonical order
-        np.minimum(red, table[k], out=red, where=tab.member[:, k, None])
-    pi = _chain_pi(table, tab, len(lattice))
+        np.minimum(red, table[k], out=red, where=lattice.member[:, k, None])
+    pi = _chain_pi(table, lattice)
     joint = SpectralProfile(grid=grid, values=table[elements.index(tuple(range(1, m + 1)))])
     marginal = table[[elements.index((j,)) for j in range(1, m + 1)]]
     pi_time = _trapezoid_rows(pi, grid.omegas) / np.pi

@@ -6,6 +6,12 @@ partially ordered by the Williams-Beer relation, and redundancy values
 assigned to atoms are converted into partial-information values by Moebius
 inversion over that order.
 
+The lattice is also where the *elements*, the ``2**m - 1`` nonempty source
+subsets, are numbered: size-major, by size and then lexicographically. The
+decomposition engine reads its element tables (membership, subsets one
+source smaller, the atom of each up-set) from :class:`RedundancyLattice` in
+that numbering; no other module renumbers them.
+
 Source indices are 1-based (``1..M``) everywhere in this module; the mapping
 from atom indices to actual data channels is the caller's concern.
 """
@@ -72,18 +78,6 @@ class Atom:
         return f"Atom({self})"
 
 
-def precedes(a: Atom, b: Atom) -> bool:
-    """Williams-Beer partial order: ``a`` precedes ``b`` iff every element
-    of ``b`` has some element of ``a`` as a subset.
-
-    The relation is reflexive, antisymmetric and transitive on canonical
-    atoms over a common source set.
-    """
-    return all(
-        any(set(ai) <= set(bj) for ai in a.elements) for bj in b.elements
-    )
-
-
 @dataclass(frozen=True)
 class RedundancyLattice:
     """All antichain atoms over ``m`` sources with their partial order.
@@ -93,12 +87,28 @@ class RedundancyLattice:
     single forward pass suffices for the Moebius recursion. ``down_sets``
     holds, for each atom, the indices of its strict predecessors.
 
+    The element tables of the decomposition engine, all read-only and left
+    out of equality and hashing (they follow from ``m``):
+
+    * ``elements``: the nonempty source subsets, numbered size-major;
+    * ``member[a, k]``: atom ``a`` holds element ``k``;
+    * ``smaller``: per size from 2 up, the indices of the elements of that
+      size and, per such element, the indices of its subsets one source
+      smaller (dropping its sources in ascending order);
+    * ``atom_of_upset``: per element bitmask (bit ``k`` for element ``k``),
+      the index of the atom of its minimal elements if the mask is an
+      up-set, else -1.
+
     Instances are immutable and safe to share across threads.
     """
 
     m: int
     atoms: tuple[Atom, ...]
     down_sets: tuple[tuple[int, ...], ...]
+    elements: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    member: np.ndarray = field(repr=False, compare=False)
+    smaller: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
+    atom_of_upset: np.ndarray = field(repr=False, compare=False)
     _index: dict[Atom, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -121,23 +131,6 @@ class RedundancyLattice:
             raise ArgumentError(
                 f"atom {atom} is not part of the lattice over M={self.m} sources"
             ) from None
-
-    @property
-    def top(self) -> Atom:
-        """The greatest atom: the full source set as a single element."""
-        return Atom([tuple(range(1, self.m + 1))])
-
-    @property
-    def bottom(self) -> Atom:
-        """The least atom: all singletons."""
-        return Atom([(i,) for i in range(1, self.m + 1)])
-
-    def precedes(self, a: Atom, b: Atom) -> bool:
-        """Partial-order test with membership validation (both atoms must
-        belong to this lattice, which catches mismatched source counts)."""
-        self.index(a)
-        self.index(b)
-        return precedes(a, b)
 
     def invert_values(self, redundancy: np.ndarray) -> np.ndarray:
         """Moebius-invert an array of redundancy values into PI values.
@@ -207,12 +200,13 @@ class RedundancyLattice:
 def enumerate_antichains(m: int) -> RedundancyLattice:
     """Build the full redundancy lattice over ``m`` sources.
 
-    The ``2**m - 1`` nonempty subsets of ``{1..m}`` are numbered, so an atom
-    is a bitmask over them. Every mask holding no nested pair of subsets is
-    an antichain (the empty antichain excluded). ``b`` precedes ``a``
-    exactly when each element of ``a`` lies in the up-set of ``b`` (the
-    subsets containing an element of ``b``), which gives the whole order
-    as one array comparison of masks. Results are cached per ``m``.
+    The ``2**m - 1`` nonempty subsets of ``{1..m}`` are numbered size-major,
+    so an atom is a bitmask over them. Every mask holding no nested pair of
+    subsets is an antichain (the empty antichain excluded). ``b`` precedes
+    ``a`` exactly when each element of ``a`` lies in the up-set of ``b``
+    (the subsets containing an element of ``b``), which gives the whole
+    order as one array comparison of masks, and the engine's element tables
+    as slices of the same masks. Results are cached per ``m``.
 
     Raises
     ------
@@ -224,8 +218,9 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
             f"lattice over M={m} sources is unsupported (limit is 1..{M_MAX}; "
             f"the atom count grows super-exponentially)"
         )
-    bits = np.arange(1, 1 << m)  # subset j holds source i + 1 iff bit i of bits[j]
-    subsets = [tuple(i + 1 for i in range(m) if b >> i & 1) for b in bits.tolist()]
+    subsets = [el for size in range(1, m + 1) for el in combinations(range(1, m + 1), size)]
+    # Source i is bit i - 1 of bits[j], the subset j.
+    bits = np.array([sum(1 << (i - 1) for i in el) for el in subsets])
     n = len(bits)
     # supersets[j]: mask of the subsets that contain subset j.
     contains = (bits[None, :] & bits[:, None]) == bits[:, None]
@@ -248,7 +243,26 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
     below = below[np.ix_(order, order)]
     np.fill_diagonal(below, False)
     down_sets = tuple(tuple(np.flatnonzero(row).tolist()) for row in below)
-    return RedundancyLattice(
-        m=m, atoms=tuple(atoms[i] for i in order), down_sets=down_sets
-    )
 
+    member = (masks[order, None] >> np.arange(n)) & 1 == 1
+    atom_of_upset = np.full(1 << n, -1, dtype=np.int16)
+    atom_of_upset[upsets[order]] = np.arange(len(order))
+    position = {b: j for j, b in enumerate(bits.tolist())}
+    sizes = np.array([len(el) for el in subsets])
+    smaller = tuple(
+        (np.flatnonzero(sizes == s),
+         np.array([[position[b & ~(1 << i)] for i in range(m) if b >> i & 1]
+                   for b in bits[sizes == s].tolist()]))
+        for s in range(2, m + 1)
+    )
+    for array in (member, atom_of_upset, *(x for pair in smaller for x in pair)):
+        array.setflags(write=False)
+    return RedundancyLattice(
+        m=m,
+        atoms=tuple(atoms[i] for i in order),
+        down_sets=down_sets,
+        elements=tuple(subsets),
+        member=member,
+        smaller=smaller,
+        atom_of_upset=atom_of_upset,
+    )

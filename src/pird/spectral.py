@@ -21,7 +21,7 @@ from .errors import (
     SpectralSingularityError,
     UnstableModelError,
 )
-from .var import VarModel, _check_names, _resolve_sources, is_stable
+from .var import VarModel, _check_fs, _check_names, _resolve_sources, is_stable
 
 #: Default number of grid points on [0, pi]. Dense enough that trapezoid
 #: error is far below the working tolerances for pole radii up to ~0.9
@@ -48,8 +48,7 @@ class FrequencyGrid:
     n_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
-        if self.fs <= 0:
-            raise ArgumentError("fs must be positive")
+        _check_fs(self.fs)
         if self.n_points < 2:
             raise ArgumentError("a frequency grid needs at least 2 points")
 

@@ -80,6 +80,13 @@ def _check_names(names: Sequence[str], default: tuple[str, ...]) -> tuple[str, .
     return names
 
 
+def _check_fs(fs: float) -> None:
+    """ArgumentError unless the sampling rate ``fs`` is positive and finite
+    (NaN fails too)."""
+    if not 0.0 < fs < np.inf:
+        raise ArgumentError(f"fs must be positive and finite, got {fs}")
+
+
 @dataclass(frozen=True)
 class VarModel:
     """Parameters of a VAR(p) process.
@@ -122,8 +129,7 @@ class VarModel:
             np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             raise ArgumentError("sigma must be positive definite") from None
-        if self.fs <= 0.0:
-            raise ArgumentError("fs must be positive")
+        _check_fs(self.fs)
         names = _check_names(self.names, ("Y",) + tuple(f"X{i}" for i in range(1, q)))
         object.__setattr__(self, "coeffs", _readonly(coeffs))
         object.__setattr__(self, "sigma", _readonly(sigma))
@@ -196,6 +202,7 @@ class TimeSeriesMatrix:
             raise ArgumentError("need at least one sample")
         if not np.all(np.isfinite(samples)):
             raise ArgumentError("samples must be finite")
+        _check_fs(self.fs)
         names = _check_names(self.names, tuple(f"ch{i}" for i in range(samples.shape[1])))
         object.__setattr__(self, "samples", _readonly(samples))
         object.__setattr__(self, "names", names)

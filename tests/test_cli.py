@@ -197,6 +197,21 @@ def test_decompose_explicit_fs_retimes_a_stored_model(tmp_path):
     assert main(args + ["--fs", "1"]) == 3
 
 
+@pytest.mark.parametrize("fs", ["nan", "inf", "-1"])
+def test_fs_must_be_positive_and_finite(fs, tmp_path, capsys):
+    series = tmp_path / "white.csv"
+    simulate(VarModel(coeffs=np.zeros((0, 2, 2)), sigma=np.eye(2)), 200, seed=1).save_csv(series)
+    for argv in (
+        ["fit", "--input", str(series)],
+        ["decompose", "--input", str(series), "--order", "1", "--grid", "65"],
+        ["decompose", "--scenario", "sim1", "--c", "0.4", "--grid", "65"],
+    ):
+        out = tmp_path / "out"
+        assert main(argv + ["--fs", fs, "--out", str(out)]) == 3
+        assert "fs must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_band_beyond_nyquist_same_message_from_cli_and_decompose(tmp_path, sim3_model, capsys):
     psd = pird.psd_from_var(sim3_model, pird.FrequencyGrid(fs=sim3_model.fs, n_points=257))
     with pytest.raises(pird.ArgumentError) as raised:
@@ -292,6 +307,18 @@ SIM1 = ["decompose", "--scenario", "sim1", "--c", "0"]
         (SIM1 + ["--diag-load", "-0.5"], None, 3, "loading"),
         (SIM1 + ["--diag-load", "nan"], None, 3, "loading"),
         (SIM1, "diag_load = -0.5", 3, "loading"),
+        # a non-finite sweep is an argument error, not numpy's ValueError
+        (["bench", "--scenario", "sim1", "--sweep", "0:nan:0.8"], None, 3, "invalid sweep"),
+        (["bench", "--scenario", "sim1", "--sweep", "nan:0.1:0.8"], None, 3, "invalid sweep"),
+        (["bench", "--scenario", "sim1", "--sweep", "0:0.1:inf"], None, 3, "invalid sweep"),
+        # an option the run would ignore, and whose absence would show, is rejected
+        (SIM1 + ["--order", "3"], None, 3, "--order applies"),
+        (SIM1, "order = 3", 3, "--order applies"),
+        (["decompose", "--model", "x.json", "--order", "3"], None, 3, "--order applies"),
+        (["decompose", "--model", "x.json", "--c", "0.2"], None, 3, "--c applies"),
+        (["decompose", "--input", "x.csv", "--c", "0.2"], None, 3, "--c applies"),
+        (["bench", "--scenario", "sim1", "--conditioned-te"], None, 3, "--conditioned-te"),
+        (["bench", "--scenario", "sim3", "--conditioned-te"], None, 3, "--conditioned-te"),
     ],
 )
 def test_options_behave_as_declared(argv, config, code, message, tmp_path, capsys):

@@ -28,7 +28,6 @@ from pird import (
 )
 from pird.decomposition import (
     _chain_pi,
-    _element_table,
     _row_sum,
     atomic_write_text,
     coarse_names,
@@ -773,16 +772,16 @@ def test_chain_envelope_absorbs_monotonicity_roundoff():
     # one ulp below {2} breaks monotonicity the way roundoff could; the
     # envelope restores the tie, so the PI rates do not move by a bit.
     psd = psd_from_var(with_independent_source(SIM3, 1), GRID_513)
-    tab = _element_table(4)
     lattice = enumerate_antichains(4)
-    table = np.stack([spectral_mir(psd, 0, list(el)).values for el in tab.elements])
-    low, high = tab.elements.index((2,)), tab.elements.index((1, 2))
+    elements = lattice.elements
+    table = np.stack([spectral_mir(psd, 0, list(el)).values for el in elements])
+    low, high = elements.index((2,)), elements.index((1, 2))
     assert np.array_equal(table[low], table[high])
     broken = table.copy()
     broken[high] = np.nextafter(table[high], -np.inf)
-    pi = _chain_pi(broken, tab, len(lattice))
-    assert np.array_equal(pi, _chain_pi(table, tab, len(lattice)))
-    assert np.array_equal(pi, scalar_chain(broken, list(tab.elements), lattice))
+    pi = _chain_pi(broken, lattice)
+    assert np.array_equal(pi, _chain_pi(table, lattice))
+    assert np.array_equal(pi, scalar_chain(broken, list(elements), lattice))
 
 
 # ---------------------------------------------------------------------------

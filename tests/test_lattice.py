@@ -8,8 +8,23 @@ from pird import (
     Atom,
     CapabilityError,
     enumerate_antichains,
-    precedes,
 )
+
+
+def precedes(a, b):
+    """Williams-Beer order, from sets: ``a`` precedes ``b`` iff every
+    element of ``b`` has some element of ``a`` as a subset."""
+    return all(any(set(ai) <= set(bj) for ai in a.elements) for bj in b.elements)
+
+
+def top(m):
+    """The greatest atom: the full source set as a single element."""
+    return Atom([tuple(range(1, m + 1))])
+
+
+def bottom(m):
+    """The least atom: all singletons."""
+    return Atom([(i,) for i in range(1, m + 1)])
 
 
 def brute_force_antichains(m):
@@ -99,11 +114,10 @@ def test_order_is_a_partial_order(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_top_bottom_and_downsets(m):
     lattice = enumerate_antichains(m)
-    top, bottom = lattice.top, lattice.bottom
-    assert top in lattice.atoms and bottom in lattice.atoms
+    assert top(m) in lattice.atoms and bottom(m) in lattice.atoms
     for atom in lattice.atoms:
-        assert precedes(atom, top)
-        assert precedes(bottom, atom)
+        assert precedes(atom, top(m))
+        assert precedes(bottom(m), atom)
     # down_sets hold exactly the strict predecessors
     for i, atom in enumerate(lattice.atoms):
         below = {
@@ -132,10 +146,57 @@ def test_lattice_matches_precedes_reference(m):
     assert lattice.down_sets == down_sets
 
 
-def test_lattice_precedes_rejects_foreign_atoms():
+def test_lattice_index_rejects_foreign_atoms():
     lattice = enumerate_antichains(2)
+    assert lattice.index(Atom([(1,), (2,)])) == 0
+    with pytest.raises(ArgumentError, match="not part of the lattice over M=2"):
+        lattice.index(Atom([(3,)]))
     with pytest.raises(ArgumentError, match="not part of the lattice"):
-        lattice.precedes(Atom([(3,)]), Atom([(1,)]))
+        lattice.index(Atom([(1, 2, 3)]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_element_tables_match_sets(m):
+    lattice = enumerate_antichains(m)
+    elements = lattice.elements
+    # every nonempty subset of {1..m}, by size, then lexicographically
+    subsets = {el for atom in lattice.atoms for el in atom.elements}
+    assert len(subsets) == 2**m - 1
+    assert list(elements) == sorted(subsets, key=lambda el: (len(el), el))
+    n = len(elements)
+    assert lattice.member.shape == (len(lattice), n)
+    for a, atom in enumerate(lattice.atoms):
+        for k, el in enumerate(elements):
+            assert lattice.member[a, k] == (el in atom.elements)
+    # each mask maps to the atom whose up-set it is, every other mask to -1
+    upset_of = {
+        sum(1 << k for k, el in enumerate(elements)
+            if any(set(low) <= set(el) for low in atom.elements)): a
+        for a, atom in enumerate(lattice.atoms)
+    }
+    assert len(upset_of) == len(lattice)
+    assert lattice.atom_of_upset.shape == (1 << n,)
+    for mask in range(1 << n):
+        assert lattice.atom_of_upset[mask] == upset_of.get(mask, -1)
+    # per size from 2 up: the elements of that size, and their subsets one
+    # source smaller, one per source dropped in ascending order
+    assert len(lattice.smaller) == m - 1
+    for size, (idx, subs) in zip(range(2, m + 1), lattice.smaller):
+        assert [elements[k] for k in idx] == [el for el in elements if len(el) == size]
+        for k, row in zip(idx, subs):
+            assert [elements[j] for j in row] == [
+                tuple(i for i in elements[k] if i != drop) for drop in elements[k]]
+    for array in (lattice.member, lattice.atom_of_upset,
+                  *(x for pair in lattice.smaller for x in pair)):
+        assert not array.flags.writeable
+
+
+def test_element_tables_stay_out_of_equality():
+    lattice = enumerate_antichains(3)
+    fresh = enumerate_antichains.__wrapped__(3)
+    assert fresh is not lattice
+    assert fresh == lattice and hash(fresh) == hash(lattice)
+    assert "member" not in repr(lattice)
 
 
 def by_atom(lattice, values):
@@ -173,10 +234,10 @@ def test_moebius_constant_redundancy_telescopes(m):
     lattice = enumerate_antichains(m)
     c = 0.8125
     pi = lattice.invert_values(np.full(len(lattice), c))
-    bottom = lattice.index(lattice.bottom)
-    assert pi[bottom] == pytest.approx(c, abs=1e-14)
+    low = lattice.index(bottom(m))
+    assert pi[low] == pytest.approx(c, abs=1e-14)
     for i in range(len(lattice)):
-        if i != bottom:
+        if i != low:
             assert pi[i] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -191,7 +252,7 @@ def test_moebius_reconstruction_random(m):
             resum = pi[i] + pi[list(lattice.down_sets[i])].sum()
             assert abs(resum - values[i]) <= 1e-12 * max(1.0, abs(values[i]))
         # completeness: everything sums to the top redundancy
-        top_idx = lattice.index(lattice.top)
+        top_idx = lattice.index(top(m))
         assert pi.sum() == pytest.approx(values[top_idx], abs=1e-12)
 
 
@@ -241,5 +302,5 @@ def test_coarse_groups_m3_partition():
     all_indices = sorted(i for idx in groups.values() for i in idx)
     assert all_indices == list(range(18))
     # the bottom atom is always redundant, the top synergistic
-    assert lattice.coarse_group(lattice.bottom) == "redundant"
-    assert lattice.coarse_group(lattice.top) == "synergistic"
+    assert lattice.coarse_group(bottom(3)) == "redundant"
+    assert lattice.coarse_group(top(3)) == "synergistic"

@@ -151,6 +151,21 @@ def test_varmodel_validation():
         VarModel(coeffs=np.zeros((0, 2, 2)), sigma=np.eye(2), names=("a",))
 
 
+@pytest.mark.parametrize("fs", [float("nan"), float("inf"), -1.0])
+def test_sampling_rate_must_be_positive_and_finite(fs):
+    with pytest.raises(ArgumentError, match="fs must be positive and finite"):
+        VarModel(coeffs=np.zeros((0, 2, 2)), sigma=np.eye(2), fs=fs)
+    with pytest.raises(ArgumentError, match="fs must be positive and finite"):
+        TimeSeriesMatrix(samples=np.zeros((4, 2)), fs=fs)
+    with pytest.raises(ArgumentError, match="fs must be positive and finite"):
+        FrequencyGrid(fs=fs)
+    # model.json holds what json.dumps writes for a float, NaN and Infinity included
+    doc = json.loads(VarModel(coeffs=np.zeros((1, 2, 2)), sigma=np.eye(2)).to_json())
+    doc["fs"] = fs
+    with pytest.raises(ArgumentError, match="fs must be positive and finite"):
+        VarModel.from_json(json.dumps(doc))
+
+
 #: Channel names that the unquoted CSV outputs cannot hold, or that
 #: ``--sources`` cannot address, each with the rule it breaks.
 BAD_NAMES = [
