@@ -75,6 +75,9 @@ _EXIT_CODES = {
 
 _BENCH_BANDS = "B1:0.04-0.15,B2:0.15-0.4"
 
+#: Most coupling values one ``bench --sweep`` may ask for (the default has 17).
+MAX_SWEEP_POINTS = 1001
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as argument errors (exit 3)."""
@@ -180,7 +183,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     bench.add_argument(
         "--sweep", default="0:0.05:0.8",
-        help="sim1/sim2 coupling grid start:step:stop (default %(default)s)",
+        help=f"sim1/sim2 coupling grid start:step:stop, at most {MAX_SWEEP_POINTS} "
+        "points (default %(default)s)",
     )
     bench.add_argument(
         "--bands", default=_BENCH_BANDS, help="sim3 table bands (default %(default)s)"
@@ -305,6 +309,8 @@ def _retimed(model: VarModel, args: argparse.Namespace) -> VarModel:
 def cmd_decompose(args: argparse.Namespace) -> int:
     model = _retimed(_obtain_model(args)[0], args)
     target, sources = _resolve_channels(model, args)
+    if args.conditioned_te and len(sources) < 2:
+        raise ArgumentError("--conditioned-te applies to the TE PID, which needs two sources")
     bands = parse_bands(args.bands) if args.bands else []
     psd = psd_from_var(model, FrequencyGrid(fs=model.fs, n_points=args.grid))
     if args.diag_load != 0.0:  # a negative or NaN factor is rejected, not skipped
@@ -336,6 +342,9 @@ def _parse_sweep(spec: str) -> np.ndarray:
         raise ArgumentError(f"cannot parse sweep {spec!r} (expected start:step:stop)") from None
     if not np.all(np.isfinite([start, step, stop])) or step <= 0 or stop < start:
         raise ArgumentError(f"invalid sweep {spec!r} (finite start <= stop, step > 0)")
+    # np.arange makes ceil(this) points: count them before it allocates
+    if (stop + step / 2.0 - start) / step > MAX_SWEEP_POINTS:
+        raise ArgumentError(f"sweep {spec!r} has more than {MAX_SWEEP_POINTS} points")
     return np.arange(start, stop + step / 2.0, step)
 
 

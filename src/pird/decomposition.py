@@ -26,13 +26,13 @@ the lattice's numbering, built by one call to
 groups form a prefix trie, and each node adds one source's row of the
 shared Cholesky factor and one target entry, so no element's block is
 factored twice; each row equals :func:`~pird.spectral.spectral_mir` of its
-element bit for bit. The full-axis integrals run ``np.trapezoid``'s own
-operations in one buffer per table. The redundancy is a *masked minimum*:
-from ``+inf``, each element's row is folded, in canonical order, into the
-rows of the atoms holding it, so values compare in the order of a per-atom
-``np.minimum.reduce``. One row integrator,
-:func:`~pird.spectral.integrate_band_rows`, integrates all atoms, and the
-single-source profiles, per band.
+element bit for bit. The redundancy is a *masked minimum*: from ``+inf``,
+each element's row is folded, in canonical order, into the rows of the
+atoms holding it, so values compare in the order of a per-atom
+``np.minimum.reduce``. Every integral is a weighted row sum: one row of
+:func:`~pird.spectral.quadrature_weights` per span, the full axis first,
+and one :func:`~pird.spectral.integrate_rows` call integrates the atoms' PI
+rows, their redundancy rows or the single-source rows over every span.
 
 The inversion is the *sorted element chain*. Spectral MIR never falls when
 a source is added, so at each frequency the E elements sorted by value (a
@@ -67,10 +67,10 @@ from .spectral import (
     SpectralMatrix,
     SpectralProfile,
     integrate_band,
-    integrate_band_rows,
     integrate_full,
+    integrate_rows,
     _check_nyquist,
-    _trapezoid_rows,
+    quadrature_weights,
     spectral_mir,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
     spectral_mir_rows,
 )
@@ -296,23 +296,17 @@ def decompose(
     pi = _chain_pi(table, lattice)
     joint = SpectralProfile(grid=grid, values=table[elements.index(tuple(range(1, m + 1)))])
     marginal = table[[elements.index((j,)) for j in range(1, m + 1)]]
-    pi_time = _trapezoid_rows(pi, grid.omegas) / np.pi
-    joint_mir = integrate_full(joint)
-    pi_bands = {b.label: integrate_band_rows(pi, grid, b) for b in bands}
-    joint_bands = {b.label: integrate_band(joint, b) for b in bands}
+    labels = [FULL_BAND, *(b.label for b in bands)]
+    # One weight row per span, the full axis first.
+    weights = [quadrature_weights(grid, b) for b in (None, *bands)]
+    pi_spans, red_spans = integrate_rows(pi, weights), integrate_rows(red, weights)
+    joint_spans = [integrate_full(joint), *(integrate_band(joint, b) for b in bands)]
     coarse = {}
     if m >= 2:
-        marginal_bands = {b.label: integrate_band_rows(marginal, grid, b) for b in bands}
-        coarse = aggregate_coarse(
-            lattice,
-            {FULL_BAND: pi_time, **pi_bands},
-            {FULL_BAND: joint_mir, **joint_bands},
-            {FULL_BAND: _trapezoid_rows(marginal, grid.omegas) / np.pi, **marginal_bands},
-        )
-    red_bands = {b.label: integrate_band_rows(red, grid, b) for b in bands}
-    red_time = _trapezoid_rows(red, grid.omegas) / np.pi
+        integrals = pi_spans, joint_spans, integrate_rows(marginal, weights)
+        coarse = aggregate_coarse(lattice, *(dict(zip(labels, x)) for x in integrals))
     # Frozen all the way down, so a writer prints what was computed here.
-    for array in (red, pi, marginal, red_time, pi_time, *pi_bands.values(), *red_bands.values()):
+    for array in (red, pi, marginal, pi_spans, red_spans):
         array.setflags(write=False)
     return DecompositionResult(
         lattice=lattice,
@@ -323,13 +317,13 @@ def decompose(
         atom_pi=pi,
         joint_profile=joint,
         marginal_profiles=marginal,
-        atom_redundancy_time=red_time,
-        atom_pi_time=pi_time,
-        joint_mir=joint_mir,
+        atom_redundancy_time=red_spans[0],
+        atom_pi_time=pi_spans[0],
+        joint_mir=joint_spans[0],
         bands=bands,
-        atom_pi_bands=MappingProxyType(pi_bands),
-        atom_redundancy_bands=MappingProxyType(red_bands),
-        joint_mir_bands=MappingProxyType(joint_bands),
+        atom_pi_bands=MappingProxyType(dict(zip(labels[1:], pi_spans[1:]))),
+        atom_redundancy_bands=MappingProxyType(dict(zip(labels[1:], red_spans[1:]))),
+        joint_mir_bands=MappingProxyType(dict(zip(labels[1:], joint_spans[1:]))),
         coarse=MappingProxyType(coarse),
     )
 

@@ -5,7 +5,9 @@ All rates are in nats. Spectra are evaluated one-sidedly on a uniform grid of
 normalized circular frequencies ``omega in [0, pi]``; the evenness of
 real-process spectra makes the normalized one-sided trapezoid integral
 ``(1/pi) * integral_0^pi`` equal to the two-sided ``(1/2pi) *
-integral_{-pi}^{pi}``.
+integral_{-pi}^{pi}``. That rule lives in one place,
+:func:`quadrature_weights`, as one weight per grid point for the whole axis
+or a band; every integral is a profile's values times those weights, summed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     SpectralSingularityError,
     UnstableModelError,
 )
-from .var import VarModel, _check_fs, _check_names, _resolve_sources, is_stable
+from .var import VarModel, _check_csv_text, _check_fs, _check_names, _resolve_sources, is_stable
 
 #: Default number of grid points on [0, pi]. Dense enough that trapezoid
 #: error is far below the working tolerances for pole radii up to ~0.9
@@ -63,13 +65,16 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class Band:
-    """A frequency band ``[lo, hi]`` in Hz with a display label."""
+    """A frequency band ``[lo, hi]`` in Hz with a display label, which
+    follows the channel-name rule of the CSV outputs (non-empty, no comma,
+    double quote, carriage return or newline)."""
 
     lo: float
     hi: float
     label: str
 
     def __post_init__(self):
+        _check_csv_text(self.label, "band label")
         if not 0.0 <= self.lo < self.hi:
             raise ArgumentError(f"band {self.label!r}: need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -323,69 +328,68 @@ def spectral_mir_rows(
     return out
 
 
-def integrate_full(profile: SpectralProfile) -> float:
-    """Normalized full-axis integral ``(1/pi) * trapezoid over [0, pi]``.
-
-    Equals the two-sided integral ``(1/2pi) int_{-pi}^{pi}`` by evenness,
-    so a constant profile integrates to its own value.
-    """
-    return float(np.trapezoid(profile.values, profile.grid.omegas) / np.pi)
-
-
-def integrate_band(profile: SpectralProfile, band: Band) -> float:
-    """Normalized integral of one profile over ``omega in [2pi lo/fs, 2pi
-    hi/fs]``: the one-row case of :func:`integrate_band_rows`, the band
-    integrator the decomposition engine applies to all atom rows at once.
-
-    Raises
-    ------
-    ArgumentError
-        If the band exceeds the Nyquist range of the profile's grid.
-    """
-    return float(integrate_band_rows(profile.values[None, :], profile.grid, band)[0])
-
-
-def integrate_band_rows(rows: np.ndarray, grid: FrequencyGrid, band: Band) -> np.ndarray:
-    """Normalized integral of each row of a ``(rows, n_points)`` array over
-    ``omega in [2pi lo/fs, 2pi hi/fs]``: a trapezoid over the band edges and
-    the grid points between them, so a partition of ``[0, fs/2]`` sums to
-    :func:`integrate_full`. Edge values use ``np.interp``'s own formula and
-    the sums run along one C-contiguous array, so each row's result equals
-    ``np.trapezoid`` of ``np.interp`` on that row alone, bit for bit.
+def quadrature_weights(grid: FrequencyGrid, band: Band | None = None) -> np.ndarray:
+    """The normalized trapezoid rule over ``band`` (``None``: the whole
+    axis) as one weight per grid point: the sum of ``values * w`` is ``1/pi``
+    times the integral of the piecewise-linear profile through the grid
+    values, a band edge between grid points taking its interpolated value.
+    Each grid cell is clipped to the band, and its part ``[a, b]`` adds
+    ``(b - a) / 2pi`` times the interpolation weights of ``a`` and ``b`` to
+    the cell's two ends.
 
     Raises
     ------
     ArgumentError
         If the band exceeds the Nyquist range of the grid.
     """
-    fs = grid.fs
-    _check_nyquist(band, fs)
-    w_lo = 2.0 * np.pi * band.lo / fs
-    w_hi = min(2.0 * np.pi * band.hi / fs, np.pi)
+    lo, hi = 0.0, np.pi
+    if band is not None:
+        _check_nyquist(band, grid.fs)
+        lo, hi = 2.0 * np.pi * band.lo / grid.fs, min(2.0 * np.pi * band.hi / grid.fs, np.pi)
     omegas = grid.omegas
-    start = int(np.searchsorted(omegas, w_lo, side="right"))
-    stop = int(np.searchsorted(omegas, w_hi, side="left"))
-    xs = np.concatenate([[w_lo], omegas[start:stop], [w_hi]])
-    ys = np.empty((len(rows), len(xs)))
-    ys[:, 1:-1] = rows[:, start:stop]
-    for col, w in ((0, w_lo), (-1, w_hi)):
-        j = int(np.searchsorted(omegas, w, side="right")) - 1
-        if j == len(omegas) - 1 or omegas[j] == w:
-            ys[:, col] = rows[:, j]
-        else:
-            slope = (rows[:, j + 1] - rows[:, j]) / (omegas[j + 1] - omegas[j])
-            ys[:, col] = slope * (w - omegas[j]) + rows[:, j]
-    return _trapezoid_rows(ys, xs) / np.pi
+    left, right = omegas[:-1], omegas[1:]
+    a, b = (np.minimum(np.maximum(left, edge), right) for edge in (lo, hi))
+    # The right end's interpolation weights at a and at b, summed.
+    t = ((a - left) + (b - left)) / (right - left)
+    half = (b - a) / (2.0 * np.pi)
+    w = np.zeros(grid.n_points)
+    w[:-1] = half * (2.0 - t)
+    w[1:] += half * t
+    return w
 
 
-def _trapezoid_rows(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """``np.trapezoid(rows, xs, axis=1)`` of a C-contiguous ``rows`` array,
-    bit for bit: the same operations in the same order, run in one buffer
-    instead of three temporaries of the array's size."""
-    buf = np.add(rows[:, 1:], rows[:, :-1])
-    np.multiply(buf, np.diff(xs), out=buf)
-    np.divide(buf, 2.0, out=buf)
-    return np.add.reduce(buf, axis=1)
+def integrate_rows(rows: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
+    """The ``(len(weights), len(rows))`` integrals of each row of ``rows``
+    under each weight vector of :func:`quadrature_weights` in ``weights``.
+    Each product row is summed pairwise on its own in a C-contiguous buffer,
+    so an integral does not depend on the input's layout or on the rows and
+    spans integrated with it."""
+    rows = np.ascontiguousarray(rows)
+    buf = np.empty_like(rows)
+    return np.stack([np.add.reduce(np.multiply(rows, w, out=buf), axis=1) for w in weights])
+
+
+def integrate_full(profile: SpectralProfile) -> float:
+    """Normalized full-axis integral ``(1/pi) * trapezoid over [0, pi]``.
+
+    Equals the two-sided integral ``(1/2pi) int_{-pi}^{pi}`` by evenness,
+    so a constant profile integrates to its own value.
+    """
+    return float(integrate_rows(profile.values[None, :], [quadrature_weights(profile.grid)])[0, 0])
+
+
+def integrate_band(profile: SpectralProfile, band: Band) -> float:
+    """Normalized integral of one profile over ``omega in [2pi lo/fs, 2pi
+    hi/fs]``; a partition of ``[0, fs/2]`` into bands sums to
+    :func:`integrate_full`.
+
+    Raises
+    ------
+    ArgumentError
+        If the band exceeds the Nyquist range of the profile's grid.
+    """
+    weights = [quadrature_weights(profile.grid, band)]
+    return float(integrate_rows(profile.values[None, :], weights)[0, 0])
 
 
 def _check_nyquist(band: Band, fs: float) -> None:

@@ -62,22 +62,28 @@ def _resolve_sources(dim: int, target: int, sources: Sequence[int] | None) -> tu
 def _check_names(names: Sequence[str], default: tuple[str, ...]) -> tuple[str, ...]:
     """The channel names as a tuple, ``default`` if none are given;
     ArgumentError unless there are as many as in ``default`` and they are
-    distinct, non-empty strings that the unquoted CSV outputs can hold (no
-    comma, double quote, carriage return or newline)."""
+    distinct and pass :func:`_check_csv_text`."""
     names, count = tuple(names) or default, len(default)
     if len(names) != count:
         raise ArgumentError(f"expected {count} channel names, got {len(names)}")
     for name in names:
-        if not isinstance(name, str) or not name:
-            raise ArgumentError(f"channel names must be non-empty strings, got {name!r}")
-        if any(c in name for c in ',"\r\n'):
-            raise ArgumentError(
-                f"channel name {name!r} holds a comma, double quote, carriage "
-                "return or newline, which the CSV outputs cannot hold"
-            )
+        _check_csv_text(name, "channel name")
     if len(set(names)) != count:
         raise ArgumentError(f"channel names must be distinct, got {list(names)}")
     return names
+
+
+def _check_csv_text(text: str, what: str) -> None:
+    """ArgumentError unless ``text`` (a ``what``, such as a channel name or
+    band label) is a non-empty string that the unquoted CSV outputs can
+    hold: no comma, double quote, carriage return or newline."""
+    if not isinstance(text, str) or not text:
+        raise ArgumentError(f"{what}s must be non-empty strings, got {text!r}")
+    if any(c in text for c in ',"\r\n'):
+        raise ArgumentError(
+            f"{what} {text!r} holds a comma, double quote, carriage "
+            "return or newline, which the CSV outputs cannot hold"
+        )
 
 
 def _check_fs(fs: float) -> None:

@@ -319,6 +319,18 @@ SIM1 = ["decompose", "--scenario", "sim1", "--c", "0"]
         (["decompose", "--input", "x.csv", "--c", "0.2"], None, 3, "--c applies"),
         (["bench", "--scenario", "sim1", "--conditioned-te"], None, 3, "--conditioned-te"),
         (["bench", "--scenario", "sim3", "--conditioned-te"], None, 3, "--conditioned-te"),
+        (["decompose", "--scenario", "sim3", "--sources", "X1", "--conditioned-te"], None, 3,
+         "--conditioned-te"),
+        # a sweep is counted before np.arange allocates it
+        (["bench", "--scenario", "sim1", "--sweep", "0:1e-300:0.8"], None, 3, "more than 1001 points"),
+        (["bench", "--scenario", "sim2", "--sweep", "0:0.000799:0.8"], None, 3, "more than 1001 points"),
+        # a band label follows the channel-name rule of the unquoted CSV outputs
+        (["decompose", "--scenario", "sim3", "--bands", '"q:0.1-0.2'], None, 3, "cannot hold"),
+        (["decompose", "--scenario", "sim3", "--bands", "a\rb:0.1-0.2"], None, 3, "cannot hold"),
+        (["decompose", "--scenario", "sim3", "--bands", "a\nb:0.1-0.2"], None, 3, "cannot hold"),
+        (["decompose", "--scenario", "sim3", "--bands", ":0.1-0.2"], None, 3, "non-empty"),
+        (["bench", "--scenario", "sim3", "--bands", '"q:0.1-0.2'], None, 3, "cannot hold"),
+        (["bench", "--scenario", "sim3", "--bands", ":0.1-0.2"], None, 3, "non-empty"),
     ],
 )
 def test_options_behave_as_declared(argv, config, code, message, tmp_path, capsys):

@@ -653,9 +653,9 @@ def engine_arrays(result):
     return out
 
 
-def _from_pi(key):
-    """Keys of :func:`engine_arrays` derived from the atoms' PI rates."""
-    return key in ("atom_pi", "atom_pi_time") or key.startswith(("atom_pi_bands:", "coarse:"))
+#: The keys of :func:`engine_arrays` that equal the reference bit for bit:
+#: the profiles the engine takes from the MIR table by a masked minimum.
+EXACT_KEYS = ("atom_redundancy", "joint_profile", "marginal_profiles")
 
 
 def _engine_case(case):
@@ -683,10 +683,11 @@ def _engine_case(case):
      "var6 seed=1", "var6 seed=2", "var6 seed=3"],
 )
 def test_decompose_equals_per_atom_reference_engine(case):
-    # Redundancy, joint and marginal outputs bit for bit, signs of zero
-    # included: the array engine compares and sums in the same order as the
-    # per-atom loops (sim1 at c = 0 has exact ties between elements). The PI
-    # outputs come from the sorted element chain instead of the recursion,
+    # Redundancy, joint and marginal profiles bit for bit, signs of zero
+    # included: the array engine compares in the same order as the per-atom
+    # loops (sim1 at c = 0 has exact ties between elements). The PI outputs
+    # come from the sorted element chain instead of the recursion, and the
+    # integrals from quadrature weights instead of np.interp + np.trapezoid,
     # so they agree to roundoff of the joint rate.
     psd, sources, bands = _engine_case(case)
     result = decompose(psd, 0, sources, bands)
@@ -695,11 +696,11 @@ def test_decompose_equals_per_atom_reference_engine(case):
     assert sorted(got) == sorted(want)
     bound = 1e-15 * result.joint_profile.values.max()
     for key, value in want.items():
-        if _from_pi(key):
-            assert np.max(np.abs(got[key] - value)) <= bound, key
-        else:
+        if key in EXACT_KEYS:
             assert np.array_equal(got[key], value), key
             assert np.array_equal(np.signbit(got[key]), np.signbit(value)), key
+        else:
+            assert np.max(np.abs(got[key] - value)) <= bound, key
 
 
 def test_decompose_leaves_no_reference_cycles():

@@ -28,7 +28,7 @@ from pird import (
     zero_lag_covariance,
 )
 
-from pird.spectral import integrate_band_rows, spectral_mir_rows
+from pird.spectral import integrate_rows, quadrature_weights, spectral_mir_rows
 
 from conftest import make_model_set, reference_band_integral
 
@@ -381,9 +381,13 @@ def _random_band(rng, grid, kind):
     return Band(float(lo), float(hi), kind)
 
 
-def test_integrate_band_rows_equals_per_row_interp_reference():
-    # The row integrator must reproduce np.interp + 1-D np.trapezoid bit
-    # for bit on every row, with edges on, between and beyond grid points.
+EPS = np.finfo(float).eps
+
+
+def test_quadrature_weights_match_the_per_row_interp_reference():
+    # The band weights reproduce np.interp + 1-D np.trapezoid on every row
+    # to roundoff, with edges on, between and beyond grid points, and
+    # integrate_band is the engine's row integral bit for bit.
     rng = np.random.default_rng(2049)
     kinds = ("on-grid", "one-cell", "nyquist", "anywhere")
     exact_edges = 0
@@ -396,16 +400,83 @@ def test_integrate_band_rows_equals_per_row_interp_reference():
         rows[:, rng.random(n) < 0.1] = 0.0
         if case % 3 == 0:  # the layout of the input must not matter
             rows = np.asfortranarray(rows)
-        got = integrate_band_rows(rows, grid, band)
+        got = integrate_rows(rows, [quadrature_weights(grid, band)])[0]
         want = np.array([reference_band_integral(row, grid, band) for row in rows])
-        assert np.array_equal(got, want), (n, fs, band)
-        assert np.array_equal(np.signbit(got), np.signbit(want)), (n, fs, band)
-        profile = SpectralProfile(grid=grid, values=rows[0])
-        assert integrate_band(profile, band) == want[0]
+        assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(rows).max(axis=1)), (n, fs, band)
+        for row, value in zip(rows, got):
+            one = integrate_band(SpectralProfile(grid=grid, values=row), band)
+            assert one == value and np.signbit(one) == np.signbit(value), (n, fs, band)
         w_lo = 2.0 * np.pi * band.lo / fs
         exact_edges += bool(np.any(grid.omegas == w_lo)) and band.lo > 0.0
     # A fair share of the lower edges fall exactly on interior grid points.
     assert exact_edges > 100
+
+
+#: A random grid (n = 2..4097 points at one of several sampling rates) and
+#: three cuts ``lo < mid < hi`` of its Nyquist range, as fractions.
+WEIGHT_CASES = st.tuples(
+    st.integers(2, 4097),
+    st.sampled_from([1.0, 2.0, 2.7, 0.3, 250.0]),
+    st.lists(
+        st.floats(0.0, 1.0, allow_subnormal=False), min_size=3, max_size=3, unique=True
+    ).map(sorted),
+)
+#: A coefficient of a linear profile, far from underflow.
+COEFFS = st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+WEIGHT_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _grid_and_bands(case):
+    """The grid of a :data:`WEIGHT_CASES` draw and its bands [lo, mid],
+    [mid, hi] and their union [lo, hi]."""
+    n, fs, cuts = case
+    lo, mid, hi = (c * fs / 2.0 for c in cuts)
+    return FrequencyGrid(fs=fs, n_points=n), Band(lo, mid, "A"), Band(mid, hi, "B"), Band(lo, hi, "AB")
+
+
+@WEIGHT_PROPERTY
+@given(WEIGHT_CASES)
+def test_full_axis_weights_are_nonnegative_and_sum_to_one(case):
+    grid = _grid_and_bands(case)[0]
+    w = quadrature_weights(grid)
+    assert np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= grid.n_points * EPS
+
+
+@WEIGHT_PROPERTY
+@given(WEIGHT_CASES)
+def test_weights_of_adjacent_bands_add_up_to_their_union(case):
+    grid, first, second, union = _grid_and_bands(case)
+    w = [quadrature_weights(grid, band) for band in (first, second, union)]
+    assert np.all(np.abs(w[0] + w[1] - w[2]) <= EPS)
+
+
+@WEIGHT_PROPERTY
+@given(WEIGHT_CASES, COEFFS, COEFFS)
+def test_a_linear_profile_integrates_exactly(case, alpha, beta):
+    # The trapezoid over the band is exact on f(omega) = alpha + beta * omega.
+    grid, _, _, band = _grid_and_bands(case)
+    a = 2.0 * np.pi * band.lo / grid.fs
+    b = min(2.0 * np.pi * band.hi / grid.fs, np.pi)
+    profile = SpectralProfile(grid=grid, values=alpha + beta * grid.omegas)
+    want = (b - a) * ((alpha + beta * a) + (alpha + beta * b)) / (2.0 * np.pi)
+    scale = max(abs(alpha), abs(alpha + beta * np.pi))
+    assert abs(integrate_band(profile, band) - want) <= 4 * EPS * scale
+
+
+@WEIGHT_PROPERTY
+@given(WEIGHT_CASES, st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_a_row_integrates_alike_alone_and_among_rows(case, n_rows, seed):
+    grid, first, second, _ = _grid_and_bands(case)
+    rows = np.random.default_rng(seed).standard_normal((n_rows, grid.n_points))
+    weights = [quadrature_weights(grid, band) for band in (None, first, second)]
+    together = integrate_rows(rows, weights)
+    for k, row in enumerate(rows):
+        alone = integrate_rows(row[None, :], weights)[:, 0]
+        assert np.array_equal(alone, together[:, k])
+        profile = SpectralProfile(grid=grid, values=row)
+        assert integrate_full(profile) == together[0, k]
+        assert [integrate_band(profile, b) for b in (first, second)] == together[1:, k].tolist()
 
 
 def test_sim3_band_concentration(sim3_model, grid):
@@ -415,6 +486,17 @@ def test_sim3_band_concentration(sim3_model, grid):
     full = integrate_full(profile)
     b2 = integrate_band(profile, Band(0.15, 0.4, "B2"))
     assert b2 >= 0.8 * full
+
+
+@pytest.mark.parametrize(
+    "label, match",
+    [("a,b", "cannot hold"), ('a"b', "cannot hold"), ("a\rb", "cannot hold"),
+     ("a\nb", "cannot hold"), ("", "non-empty"), (None, "strings")],
+    ids=["comma", "double-quote", "carriage-return", "newline", "empty", "not-a-string"],
+)
+def test_band_labels_follow_the_channel_name_rule(label, match):
+    with pytest.raises(ArgumentError, match=match):
+        Band(0.1, 0.2, label)
 
 
 def test_parse_bands():
