@@ -26,13 +26,7 @@ the lattice's numbering, built by one call to
 groups form a prefix trie, and each node adds one source's row of the
 shared Cholesky factor and one target entry, so no element's block is
 factored twice; each row equals :func:`~pird.spectral.spectral_mir` of its
-element bit for bit. The redundancy is a *masked minimum*: from ``+inf``,
-each element's row is folded, in canonical order, into the rows of the
-atoms holding it, so values compare in the order of a per-atom
-``np.minimum.reduce``. Every integral is a weighted row sum: one row of
-:func:`~pird.spectral.quadrature_weights` per span, the full axis first,
-and one :func:`~pird.spectral.integrate_rows` call integrates the atoms' PI
-rows, their redundancy rows or the single-source rows over every span.
+element bit for bit.
 
 The inversion is the *sorted element chain*. Spectral MIR never falls when
 a source is added, so at each frequency the E elements sorted by value (a
@@ -44,6 +38,22 @@ nonzero atoms per frequency, all on one chain of the lattice order. The
 sort runs on the monotone envelope g~(B) = max over A within B of g(A),
 equal to g unless roundoff broke monotonicity, so every U_k is an up-set.
 
+Every integral is a weighted sum with one row of
+:func:`~pird.spectral.quadrature_weights` per span, the full axis first.
+The PI integrals come from the chain's E rows, not from the dense atom
+rows: the grid splits into runs over which the chain's atoms do not
+change, each rank's increments times the weights are summed pairwise
+within a run, and each run sum goes to its atom. The redundancy integrals
+are the zeta sum of the PI integrals over the lattice order (each atom's
+PI plus its predecessors'), since integration commutes with the inversion.
+The joint and single-source rows are integrated by
+one :func:`~pird.spectral.integrate_rows` call. The dense PI profiles are
+the chain scattered into the atoms' rows; the dense redundancy profiles
+are built only when read, as a *masked minimum*: from ``+inf``, each
+element's row is folded, in canonical order, into the rows of the atoms
+holding it, so values compare in the order of a per-atom
+``np.minimum.reduce``.
+
 Atom element indices are 1-based positions into the sorted tuple of source
 channels: with ``sources = (2, 5, 7)``, the atom ``{1}{23}`` pairs channel 2
 against the group ``(5, 7)``.
@@ -53,7 +63,8 @@ from __future__ import annotations
 
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -66,8 +77,8 @@ from .spectral import (
     Band,
     SpectralMatrix,
     SpectralProfile,
-    integrate_band,
-    integrate_full,
+    integrate_band,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
+    integrate_full,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
     integrate_rows,
     _check_nyquist,
     quadrature_weights,
@@ -146,14 +157,16 @@ class DecompositionResult:
     names : tuple of str
         The channel names of the spectral matrix.
     atom_redundancy, atom_pi : ndarray, shape (n_atoms, n_freq)
-        Redundancy and partial information rate profiles.
+        Redundancy and partial information rate profiles; the redundancy
+        is built from the element table on first read.
     joint_profile : SpectralProfile
         Spectral MIR between the target and all sources.
     marginal_profiles : ndarray, shape (M, n_freq)
         Spectral MIR between the target and each source; their integrals
         are the ``marginals`` of every band's coarse terms.
     atom_redundancy_time, atom_pi_time : ndarray, shape (n_atoms,)
-        Full-axis integrals of the redundancy and PI profiles.
+        Full-axis integrals of the redundancy and PI profiles, the PI from
+        the element chain and the redundancy as its zeta sum.
     joint_mir : float
         Full-axis integral of the joint profile.
     bands : tuple of Band
@@ -174,7 +187,6 @@ class DecompositionResult:
     target: int
     sources: tuple[int, ...]
     names: tuple[str, ...]
-    atom_redundancy: np.ndarray
     atom_pi: np.ndarray
     joint_profile: SpectralProfile
     marginal_profiles: np.ndarray
@@ -186,6 +198,18 @@ class DecompositionResult:
     atom_redundancy_bands: Mapping[str, np.ndarray]
     joint_mir_bands: Mapping[str, float]
     coarse: Mapping[str, CoarseTerms]
+    _table: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def atom_redundancy(self) -> np.ndarray:
+        """The masked minimum of the element table (see the module
+        docstring), built on first read."""
+        elements, member = self.lattice.elements, self.lattice.member
+        red = np.full((len(self.lattice), self._table.shape[1]), np.inf)
+        for k in sorted(range(len(elements)), key=elements.__getitem__):  # canonical order
+            np.minimum(red, self._table[k], out=red, where=member[:, k, None])
+        red.setflags(write=False)
+        return red
 
     @property
     def grid(self):
@@ -196,10 +220,12 @@ class DecompositionResult:
         return tuple(self.names[s] for s in self.sources)
 
 
-def _chain_pi(table: np.ndarray, lattice: RedundancyLattice) -> np.ndarray:
-    """Every atom's PI profile from the ``(elements, n_freq)`` MIR table, in
-    ``lattice.elements`` order, by the sorted element chain (see the module
-    docstring)."""
+def _chain_pi(table: np.ndarray, lattice: RedundancyLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted element chain of the ``(elements, n_freq)`` MIR table, in
+    ``lattice.elements`` order (see the module docstring): ``(at, delta)``,
+    each ``(elements, n_freq)``, where rank ``k`` puts the PI ``delta[k, j]``
+    on atom ``at[k, j]`` at frequency ``j``, and every other atom gets 0.
+    A column of ``at`` holds distinct atoms."""
     # + 0.0 turns the -0.0 MIR of an exactly independent source into +0.0,
     # so each difference below is +0.0 or positive.
     env = table + 0.0
@@ -211,9 +237,22 @@ def _chain_pi(table: np.ndarray, lattice: RedundancyLattice) -> np.ndarray:
     bits = (1 << np.arange(len(lattice.elements)))[order]
     at = lattice.atom_of_upset[np.bitwise_or.accumulate(bits[::-1], axis=0)[::-1]]
     assert np.all(at >= 0), "a sorted envelope gave a non-up-set"
-    pi = np.zeros((len(lattice), table.shape[1]))
-    pi[at, np.arange(table.shape[1])] = delta
-    return pi
+    return at, delta
+
+
+def _chain_integrals(
+    at: np.ndarray, delta: np.ndarray, weights: Sequence[np.ndarray], n_atoms: int
+) -> np.ndarray:
+    """The ``(len(weights), n_atoms)`` integrals of the PI chain ``(at,
+    delta)`` under each weight row: per run of frequencies where the column
+    ``at[:, j]`` does not change, each rank's ``delta * w`` summed pairwise,
+    and each run sum added to its atom."""
+    starts = np.flatnonzero(np.concatenate(([True], np.any(at[:, 1:] != at[:, :-1], axis=0))))
+    owners = at[:, starts].ravel()
+    return np.stack([
+        np.bincount(owners, np.add.reduceat(delta * w, starts, axis=1).ravel(), n_atoms)
+        for w in weights
+    ])
 
 
 def _check_bands(bands: tuple[Band, ...], fs: float) -> None:
@@ -224,12 +263,6 @@ def _check_bands(bands: tuple[Band, ...], fs: float) -> None:
         raise ArgumentError(f"band label {FULL_BAND!r} is reserved for the full axis")
     if len(set(labels)) != len(labels):
         raise ArgumentError(f"duplicate band labels in {labels}")
-
-
-def _group_indices(lattice: RedundancyLattice) -> tuple[list[tuple[int, ...]], tuple[int, ...], tuple[int, ...]]:
-    groups = lattice.coarse_groups()
-    unique = [groups.get(f"unique:{m}", ()) for m in range(1, lattice.m + 1)]
-    return unique, groups.get("redundant", ()), groups.get("synergistic", ())
 
 
 def aggregate_coarse(
@@ -248,7 +281,7 @@ def aggregate_coarse(
     source whose information is entirely inherited gets a vanishing unique
     term).
     """
-    unique_idx, red_idx, syn_idx = _group_indices(lattice)
+    *unique_idx, red_idx, syn_idx = lattice.coarse_members
     return {
         label: CoarseTerms(
             unique=tuple(float(sum(values[i] for i in idx)) for idx in unique_idx),
@@ -272,8 +305,9 @@ def decompose(
     over each band.
 
     The per-frequency reconstruction identity (atom PI profiles summing to
-    the joint spectral MIR) holds by construction at every grid point.
-    Integration and lattice inversion commute, so the integrated PI equals
+    the joint spectral MIR) holds by construction at every grid point. The
+    PI integrals are taken on the element chain and the redundancy
+    integrals are their zeta sum, so the integrated PI equals
     ``lattice.invert_values(atom_redundancy_time)`` up to roundoff.
 
     Raises
@@ -290,30 +324,36 @@ def decompose(
     lattice = enumerate_antichains(m)
     elements = lattice.elements
     table = spectral_mir_rows(psd, target, [[srcs[i - 1] for i in el] for el in elements])
-    red = np.full((len(lattice), grid.n_points), np.inf)
-    for k in sorted(range(len(elements)), key=elements.__getitem__):  # canonical order
-        np.minimum(red, table[k], out=red, where=lattice.member[:, k, None])
-    pi = _chain_pi(table, lattice)
-    joint = SpectralProfile(grid=grid, values=table[elements.index(tuple(range(1, m + 1)))])
-    marginal = table[[elements.index((j,)) for j in range(1, m + 1)]]
+    table.setflags(write=False)
+    at, delta = _chain_pi(table, lattice)
+    pi = np.zeros((len(lattice), grid.n_points))
+    pi[at, np.arange(grid.n_points)] = delta
+    joint_k = elements.index(tuple(range(1, m + 1)))
+    marginal_k = [elements.index((j,)) for j in range(1, m + 1)]
+    joint, marginal = SpectralProfile(grid=grid, values=table[joint_k]), table[marginal_k]
     labels = [FULL_BAND, *(b.label for b in bands)]
     # One weight row per span, the full axis first.
     weights = [quadrature_weights(grid, b) for b in (None, *bands)]
-    pi_spans, red_spans = integrate_rows(pi, weights), integrate_rows(red, weights)
-    joint_spans = [integrate_full(joint), *(integrate_band(joint, b) for b in bands)]
+    pi_spans = _chain_integrals(at, delta, weights, len(lattice))
+    # Each atom's redundancy integral: its PI integral plus its predecessors'.
+    red_spans = np.stack([
+        np.add.reduce(np.where(lattice.weakly_below, row, 0.0), axis=1) for row in pi_spans
+    ])
+    # The joint row first, then one row per source.
+    spans = integrate_rows(table[[joint_k, *marginal_k]], weights)
+    joint_spans = spans[:, 0].tolist()
     coarse = {}
     if m >= 2:
-        integrals = pi_spans, joint_spans, integrate_rows(marginal, weights)
+        integrals = pi_spans, joint_spans, spans[:, 1:]
         coarse = aggregate_coarse(lattice, *(dict(zip(labels, x)) for x in integrals))
     # Frozen all the way down, so a writer prints what was computed here.
-    for array in (red, pi, marginal, pi_spans, red_spans):
+    for array in (pi, marginal, pi_spans, red_spans):
         array.setflags(write=False)
     return DecompositionResult(
         lattice=lattice,
         target=target,
         sources=srcs,
         names=psd.names,
-        atom_redundancy=red,
         atom_pi=pi,
         joint_profile=joint,
         marginal_profiles=marginal,
@@ -325,6 +365,7 @@ def decompose(
         atom_redundancy_bands=MappingProxyType(dict(zip(labels[1:], red_spans[1:]))),
         joint_mir_bands=MappingProxyType(dict(zip(labels[1:], joint_spans[1:]))),
         coarse=MappingProxyType(coarse),
+        _table=table,
     )
 
 
@@ -433,8 +474,7 @@ def write_profiles_csv(
     for name, row in zip(result.source_names, result.marginal_profiles):
         blocks.append((f"I_{name}", row))
     if len(result.sources) >= 2:
-        unique_idx, red_idx, syn_idx = _group_indices(result.lattice)
-        groups = zip(coarse_names(result.source_names)[:-2], [*unique_idx, red_idx, syn_idx])
+        groups = zip(coarse_names(result.source_names)[:-2], result.lattice.coarse_members)
         blocks += [(key, _row_sum(result.atom_pi, idx)) for key, idx in groups]
     blocks.append(("JointMIR", result.joint_profile.values))
     atomic_write_text(path, _profile_chunks(blocks, result.grid.hz, scale))

@@ -8,9 +8,10 @@ inversion over that order.
 
 The lattice is also where the *elements*, the ``2**m - 1`` nonempty source
 subsets, are numbered: size-major, by size and then lexicographically. The
-decomposition engine reads its element tables (membership, subsets one
-source smaller, the atom of each up-set) from :class:`RedundancyLattice` in
-that numbering; no other module renumbers them.
+decomposition engine reads its tables (membership, subsets one source
+smaller, the atom of each up-set, the order as a matrix, the coarse groups)
+from :class:`RedundancyLattice` in that numbering; no other module
+renumbers them.
 
 Source indices are 1-based (``1..M``) everywhere in this module; the mapping
 from atom indices to actual data channels is the caller's concern.
@@ -87,8 +88,8 @@ class RedundancyLattice:
     single forward pass suffices for the Moebius recursion. ``down_sets``
     holds, for each atom, the indices of its strict predecessors.
 
-    The element tables of the decomposition engine, all read-only and left
-    out of equality and hashing (they follow from ``m``):
+    The tables of the decomposition engine, all read-only and left out of
+    equality and hashing (they follow from ``m``):
 
     * ``elements``: the nonempty source subsets, numbered size-major;
     * ``member[a, k]``: atom ``a`` holds element ``k``;
@@ -97,7 +98,11 @@ class RedundancyLattice:
       smaller (dropping its sources in ascending order);
     * ``atom_of_upset``: per element bitmask (bit ``k`` for element ``k``),
       the index of the atom of its minimal elements if the mask is an
-      up-set, else -1.
+      up-set, else -1;
+    * ``weakly_below[a, b]``: atom ``b`` precedes or equals atom ``a``;
+    * ``coarse_members``: the atom indices of each coarse group, in the
+      order ``unique:1 .. unique:m``, ``redundant``, ``synergistic`` (see
+      :meth:`coarse_group`); a group may be empty.
 
     Instances are immutable and safe to share across threads.
     """
@@ -109,6 +114,8 @@ class RedundancyLattice:
     member: np.ndarray = field(repr=False, compare=False)
     smaller: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
     atom_of_upset: np.ndarray = field(repr=False, compare=False)
+    weakly_below: np.ndarray = field(repr=False, compare=False)
+    coarse_members: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     _index: dict[Atom, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -181,19 +188,27 @@ class RedundancyLattice:
         four individual atoms.
         """
         self.index(atom)
-        singles = [el[0] for el in atom.elements if len(el) == 1]
-        if len(singles) >= 2:
-            return "redundant"
-        if len(singles) == 1:
-            return f"unique:{singles[0]}"
-        return "synergistic"
+        return _coarse_label(atom)
 
     def coarse_groups(self) -> dict[str, tuple[int, ...]]:
-        """Atom indices per coarse group, keyed by :meth:`coarse_group` labels."""
-        groups: dict[str, list[int]] = {}
-        for i, atom in enumerate(self.atoms):
-            groups.setdefault(self.coarse_group(atom), []).append(i)
-        return {k: tuple(v) for k, v in groups.items()}
+        """Atom indices per nonempty coarse group, keyed by
+        :meth:`coarse_group` labels, from :attr:`coarse_members`."""
+        labels = _coarse_labels(self.m)
+        return {k: v for k, v in zip(labels, self.coarse_members) if v}
+
+
+def _coarse_labels(m: int) -> list[str]:
+    """The coarse group labels in the order of ``coarse_members``."""
+    return [*(f"unique:{j}" for j in range(1, m + 1)), "redundant", "synergistic"]
+
+
+def _coarse_label(atom: Atom) -> str:
+    singles = [el[0] for el in atom.elements if len(el) == 1]
+    if len(singles) >= 2:
+        return "redundant"
+    if len(singles) == 1:
+        return f"unique:{singles[0]}"
+    return "synergistic"
 
 
 @lru_cache(maxsize=None)
@@ -240,9 +255,15 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
     # Linear extension: strict-down-set size is monotone along the order.
     n_below = below.sum(axis=1) - 1
     order = sorted(range(len(atoms)), key=lambda i: (n_below[i], atoms[i].elements))
-    below = below[np.ix_(order, order)]
-    np.fill_diagonal(below, False)
-    down_sets = tuple(tuple(np.flatnonzero(row).tolist()) for row in below)
+    atoms = [atoms[i] for i in order]
+    below = below[np.ix_(order, order)]  # each atom precedes itself
+    down_sets = tuple(
+        tuple(b for b in np.flatnonzero(row).tolist() if b != a) for a, row in enumerate(below)
+    )
+    labels = [_coarse_label(atom) for atom in atoms]
+    coarse_members = tuple(
+        tuple(i for i, have in enumerate(labels) if have == label) for label in _coarse_labels(m)
+    )
 
     member = (masks[order, None] >> np.arange(n)) & 1 == 1
     atom_of_upset = np.full(1 << n, -1, dtype=np.int16)
@@ -255,14 +276,16 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
                    for b in bits[sizes == s].tolist()]))
         for s in range(2, m + 1)
     )
-    for array in (member, atom_of_upset, *(x for pair in smaller for x in pair)):
+    for array in (member, atom_of_upset, below, *(x for pair in smaller for x in pair)):
         array.setflags(write=False)
     return RedundancyLattice(
         m=m,
-        atoms=tuple(atoms[i] for i in order),
+        atoms=tuple(atoms),
         down_sets=down_sets,
         elements=tuple(subsets),
         member=member,
         smaller=smaller,
         atom_of_upset=atom_of_upset,
+        weakly_below=below,
+        coarse_members=coarse_members,
     )

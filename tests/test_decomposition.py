@@ -38,6 +38,7 @@ from pird.decomposition import (
 )
 
 from pird.lattice import enumerate_antichains
+from pird.spectral import integrate_rows, quadrature_weights
 
 from conftest import make_model_set, reference_band_integral
 
@@ -131,11 +132,22 @@ def test_sim3_redundancy_follows_the_weaker_source(sim3_psd, sim3_result, grid):
 
 
 def test_single_source_trivial_decomposition(sim3_psd):
-    res = decompose(sim3_psd, 0, [1])
+    bands = [Band(0.04, 0.15, "B1"), Band(0.3, 0.3001, "NARROW")]
+    res = decompose(sim3_psd, 0, [1], bands)
     assert len(res.lattice) == 1
     assert np.array_equal(res.atom_pi[0], res.joint_profile.values)
+    assert np.array_equal(res.atom_redundancy[0], res.joint_profile.values)
     assert res.atom_pi_time[0] == pytest.approx(res.joint_mir, abs=1e-15)
     assert res.coarse == {}
+    # The one atom's chain integrals are the joint's, per span, and its
+    # redundancy integrals are its PI integrals.
+    bound = 1e-15 * res.joint_profile.values.max()
+    spans = [(res.atom_pi_time, res.atom_redundancy_time, res.joint_mir)]
+    spans += [(res.atom_pi_bands[b.label], res.atom_redundancy_bands[b.label],
+               res.joint_mir_bands[b.label]) for b in bands]
+    for pi, red, joint in spans:
+        assert abs(pi[0] - joint) <= bound
+        assert red[0] == pi[0]
 
 
 def test_sim1_c0_flat_atoms(sim1_c0_psd):
@@ -331,6 +343,15 @@ def test_atoms_are_nonnegative_without_clipping(grid):
 
 def test_result_is_frozen_all_the_way_down(sim1_c0_psd):
     res = decompose(sim1_c0_psd, 0, bands=[Band(0.1, 0.2, "A")])
+    # The dense redundancy is built on first read, as the masked minimum:
+    # bit for bit the per-atom minimum, signs of zero included (sim1 at
+    # c = 0 has exact ties between elements).
+    assert "atom_redundancy" not in vars(res)
+    red = res.atom_redundancy
+    assert red is res.atom_redundancy
+    want = reference_engine(sim1_c0_psd, 0, res.sources, [])["atom_redundancy"]
+    assert np.array_equal(red, want)
+    assert np.array_equal(np.signbit(red), np.signbit(want))
     with pytest.raises(ValueError, match="read-only"):
         res.atom_pi[0, 0] = 5.0
     with pytest.raises(TypeError):
@@ -703,6 +724,22 @@ def test_decompose_equals_per_atom_reference_engine(case):
             assert np.max(np.abs(got[key] - value)) <= bound, key
 
 
+def test_decompose_memory_peak():
+    # M = 4 on 2049 points with two bands: the engine holds the E = 15
+    # chain rows and the dense PI, not a dense redundancy (built on read).
+    psd = psd_from_var(random_stable_var(5, 3, seed=31, radius=0.9), FrequencyGrid(n_points=2049))
+    bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
+    decompose(psd, 0, bands=bands)  # fill the per-M caches
+    tracemalloc.start()
+    try:
+        res = decompose(psd, 0, bands=bands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.lattice) == 166
+    assert peak < 5_000_000, peak
+
+
 def test_decompose_leaves_no_reference_cycles():
     # The engine's arrays go when the last reference does, not when the
     # garbage collector next runs: a cycle through the element-table walk
@@ -780,9 +817,18 @@ def test_chain_envelope_absorbs_monotonicity_roundoff():
     assert np.array_equal(table[low], table[high])
     broken = table.copy()
     broken[high] = np.nextafter(table[high], -np.inf)
-    pi = _chain_pi(broken, lattice)
-    assert np.array_equal(pi, _chain_pi(table, lattice))
+    pi = chain_profiles(broken, lattice)
+    assert np.array_equal(pi, chain_profiles(table, lattice))
     assert np.array_equal(pi, scalar_chain(broken, list(elements), lattice))
+
+
+def chain_profiles(table, lattice):
+    """The dense PI profiles of :func:`_chain_pi`'s chain, scattered as
+    ``decompose`` scatters them."""
+    at, delta = _chain_pi(table, lattice)
+    pi = np.zeros((len(lattice), table.shape[1]))
+    pi[at, np.arange(table.shape[1])] = delta
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -940,14 +986,6 @@ CHAIN_MODELS = st.one_of(
 )
 
 
-def _weakly_below(lattice):
-    """``leq[a, b]``: atom ``b`` precedes or equals atom ``a``."""
-    leq = np.eye(len(lattice), dtype=bool)
-    for a, below in enumerate(lattice.down_sets):
-        leq[a, list(below)] = True
-    return leq
-
-
 @PROPERTY
 @given(model=CHAIN_MODELS)
 @example(model=SIM3)
@@ -957,7 +995,7 @@ def test_atom_pi_lies_on_a_chain_of_the_lattice(model):
     res = decompose(psd_from_var(model, GRID_513), 0, sources)
     pi, n_elements = res.atom_pi, 2 ** len(sources) - 1
     assert not np.any(np.signbit(pi))  # every value >= +0.0
-    leq = _weakly_below(res.lattice)
+    leq = res.lattice.weakly_below
     for j in range(pi.shape[1]):
         on = np.flatnonzero(pi[:, j])
         assert len(on) <= n_elements
@@ -965,3 +1003,53 @@ def test_atom_pi_lies_on_a_chain_of_the_lattice(model):
         assert np.all(sub | sub.T), j  # pairwise comparable: a chain
     oracle = res.lattice.invert_values(res.atom_redundancy)
     assert np.max(np.abs(pi - oracle)) <= 1e-15 * res.joint_profile.values.max()
+
+
+#: Random stable VARs with M = 2..4 sources (the channels after the
+#: target), grids down to two points, and bands down to a small part of
+#: one grid cell.
+CHAIN_CASES = st.tuples(
+    st.integers(2, 4),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.3, 0.95),
+    st.integers(2, 1025),
+    st.lists(
+        st.tuples(st.floats(0.0, 0.5, exclude_max=True), st.booleans(), st.floats(1e-6, 1.0)),
+        max_size=3,
+    ),
+)
+
+
+@PROPERTY
+@given(case=CHAIN_CASES)
+@example(case=(2, 1, 7, 0.9, 2, [(0.1, True, 0.01), (0.0, False, 1.0)]))
+@example(case=(4, 3, 31, 0.9, 2049, [(0.04, False, 0.11 / 0.46), (0.3, True, 0.5)]))
+def test_chain_integrals_equal_the_dense_row_integrals(case):
+    # The engine integrates the E-rank chain and takes the redundancy
+    # integrals as the zeta sum of the PI integrals; both must agree with
+    # the weighted row sums of the dense profiles, and the PI with the joint.
+    m, order, seed, radius, n, drawn = case
+    grid = FrequencyGrid(n_points=n)
+    cell = 0.5 / (n - 1)
+    bands = []
+    for k, (lo, narrow, share) in enumerate(drawn):
+        hi = min(lo + share * (cell if narrow else 0.5 - lo), 0.5)
+        assume(hi > lo)
+        bands.append(Band(lo, hi, f"b{k}"))
+    model = random_stable_var(m + 1, order, seed=seed, radius=radius)
+    res = decompose(psd_from_var(model, grid), 0, range(1, m + 1), bands)
+    weights = [quadrature_weights(grid, b) for b in (None, *bands)]
+    labels = [b.label for b in bands]
+    pi = np.stack([res.atom_pi_time, *(res.atom_pi_bands[x] for x in labels)])
+    red = np.stack([res.atom_redundancy_time, *(res.atom_redundancy_bands[x] for x in labels)])
+    bound = 1e-15 * res.joint_profile.values.max()
+    assert np.max(np.abs(pi - integrate_rows(res.atom_pi, weights))) <= bound
+    assert np.max(np.abs(red - integrate_rows(res.atom_redundancy, weights))) <= bound
+    joints = [res.joint_mir, *(res.joint_mir_bands[x] for x in labels)]
+    for row, joint in zip(pi, joints, strict=True):
+        assert abs(row.sum() - joint) <= 1e-13
+    # The joint row is integrated with the single-source rows, each summed
+    # on its own: the public integrators give the same bits.
+    assert joints == [integrate_full(res.joint_profile),
+                      *(integrate_band(res.joint_profile, b) for b in bands)]

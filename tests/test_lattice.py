@@ -186,7 +186,17 @@ def test_element_tables_match_sets(m):
         for k, row in zip(idx, subs):
             assert [elements[j] for j in row] == [
                 tuple(i for i in elements[k] if i != drop) for drop in elements[k]]
-    for array in (lattice.member, lattice.atom_of_upset,
+    # the order as a matrix: each atom's strict down-set and itself
+    assert lattice.weakly_below.shape == (len(lattice), len(lattice))
+    for a, below in enumerate(lattice.down_sets):
+        assert set(np.flatnonzero(lattice.weakly_below[a]).tolist()) == {a, *below}
+    # the atoms of each coarse group, unique:1..m, redundant, synergistic
+    labels = [f"unique:{j}" for j in range(1, m + 1)] + ["redundant", "synergistic"]
+    assert len(lattice.coarse_members) == m + 2
+    for label, idx in zip(labels, lattice.coarse_members):
+        assert idx == tuple(i for i, atom in enumerate(lattice.atoms)
+                            if lattice.coarse_group(atom) == label)
+    for array in (lattice.member, lattice.atom_of_upset, lattice.weakly_below,
                   *(x for pair in lattice.smaller for x in pair)):
         assert not array.flags.writeable
 
