@@ -8,6 +8,13 @@ real-process spectra makes the normalized one-sided trapezoid integral
 integral_{-pi}^{pi}``. That rule lives in one place,
 :func:`quadrature_weights`, as one weight per grid point for the whole axis
 or a band; every integral is a profile's values times those weights, summed.
+
+A model's spectrum is built frequency-last: :func:`transfer_function` solves
+``I - A(omega)`` at every grid frequency at once, by one Gaussian
+elimination with partial pivoting over ``(Q, ., n_points)`` arrays, and
+:func:`psd_from_var` forms ``B B*`` from the solution's rows with an exact
+Hermitian mirror. Each quantity is then read from those buffers as
+contiguous rows over frequency.
 """
 
 from __future__ import annotations
@@ -87,6 +94,11 @@ class SpectralMatrix:
     entries, Hermitian within 1e-10 relative, strictly positive real
     diagonal, and smallest eigenvalue >= -1e-10 * trace, checked as a
     successful Cholesky factorisation of ``mats[i] + 1e-10 * trace * I``.
+    A spectrum that :func:`psd_from_var` builds from a model is a Gram
+    matrix ``B B*`` with an exact Hermitian mirror, so it skips the last
+    two checks and is checked only for its shape, finite entries and a
+    positive diagonal. Its ``mats`` is the ``(n_points, Q, Q)`` view of a
+    frequency-last ``(Q, Q, n_points)`` buffer.
     """
 
     grid: FrequencyGrid
@@ -95,29 +107,38 @@ class SpectralMatrix:
 
     def __post_init__(self):
         mats = np.asarray(self.mats, dtype=complex)
-        n, q = self.grid.n_points, mats.shape[-1]
-        if mats.shape != (n, q, q):
-            raise ArgumentError(
-                f"expected {n} matrices of shape ({q}, {q}), got {mats.shape}"
-            )
-        scale = np.max(np.abs(mats))
-        if not np.isfinite(scale):
-            raise NumericalError("spectral matrix has a non-finite entry")
-        scale = max(scale, np.finfo(float).tiny)
+        q = _check_entries(self.grid, mats)
+        scale = max(np.max(np.abs(mats)), np.finfo(float).tiny)
         herm_resid = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)))
         if herm_resid > 1e-10 * scale:
             raise NumericalError(
                 f"spectral matrix not Hermitian (residual {herm_resid / scale:.2e} relative)"
             )
-        diags = np.diagonal(mats, axis1=1, axis2=2)
-        if np.any(diags.real <= 0.0):
-            raise NumericalError("spectral matrix has a nonpositive diagonal entry")
-        shift = 1e-10 * diags.real.sum(axis=1)
+        diags = np.diagonal(mats, axis1=1, axis2=2).real
+        _check_diagonal(self.grid, diags.T)
+        shift = 1e-10 * diags.sum(axis=1)
         try:
             np.linalg.cholesky(mats + shift[:, None, None] * np.eye(q))
         except np.linalg.LinAlgError:
             raise NumericalError("spectral matrix is not positive semi-definite") from None
-        names = _check_names(self.names, tuple(f"ch{i}" for i in range(q)))
+        self._freeze(mats, self.names)
+
+    @classmethod
+    def _of_gram(
+        cls, grid: FrequencyGrid, mats: np.ndarray, names: Sequence[str]
+    ) -> "SpectralMatrix":
+        """The spectrum of the Gram matrices ``mats`` (``B B*`` with an
+        exact Hermitian mirror, as :func:`psd_from_var` forms them),
+        checked only for shape, finite entries and a positive diagonal."""
+        idx = np.arange(_check_entries(grid, mats))
+        _check_diagonal(grid, mats.transpose(1, 2, 0)[idx, idx].real)
+        psd = object.__new__(cls)
+        object.__setattr__(psd, "grid", grid)
+        psd._freeze(mats, names)
+        return psd
+
+    def _freeze(self, mats: np.ndarray, names: Sequence[str]) -> None:
+        names = _check_names(names, tuple(f"ch{i}" for i in range(mats.shape[-1])))
         mats.setflags(write=False)
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "names", names)
@@ -137,6 +158,32 @@ class SpectralMatrix:
         traces = np.trace(self.mats, axis1=1, axis2=2).real / self.dim
         mats = self.mats + delta * traces[:, None, None] * np.eye(self.dim)
         return SpectralMatrix(grid=self.grid, mats=mats, names=self.names)
+
+
+def _check_entries(grid: FrequencyGrid, mats: np.ndarray) -> int:
+    """The channel count ``Q`` of ``n_points`` matrices ``mats`` of shape
+    ``(Q, Q)``: ArgumentError on another shape, NumericalError naming the
+    first frequency with a non-finite entry."""
+    n, q = grid.n_points, mats.shape[-1]
+    if mats.shape != (n, q, q):
+        raise ArgumentError(f"expected {n} matrices of shape ({q}, {q}), got {mats.shape}")
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(
+            f"spectral matrix has a non-finite entry at f = {grid.hz[np.argmin(finite)]:.6g} Hz"
+        )
+    return q
+
+
+def _check_diagonal(grid: FrequencyGrid, diags: np.ndarray) -> None:
+    """NumericalError naming the first frequency where a real diagonal
+    entry of ``diags`` (``(Q, n_points)``) is not positive."""
+    positive = (diags > 0.0).all(axis=0)
+    if not positive.all():
+        raise NumericalError(
+            f"spectral matrix has a nonpositive diagonal entry at "
+            f"f = {grid.hz[np.argmin(positive)]:.6g} Hz"
+        )
 
 
 @dataclass(frozen=True)
@@ -165,13 +212,25 @@ def transfer_function(
 
     Returns a complex array of shape ``(n_points, Q, Q)``; with a ``(Q, K)``
     matrix ``right``, the products ``H(omega) @ right`` of shape
-    ``(n_points, Q, K)`` instead, from one batched solve.
+    ``(n_points, Q, K)`` instead.
+
+    ``I - A(omega)`` is built frequency-last, as one ``(Q, Q, n_points)``
+    array, and solved against ``right`` (or ``I``) by Gaussian elimination
+    with partial pivoting run for every frequency at once: at each step the
+    pivot is the entry of largest ``|a|^2`` down the column, and every
+    multiplier and update is one ``(Q - k - 1, ., n_points)`` block. The
+    result is the ``(n_points, Q, K)`` view of the ``(Q, K, n_points)``
+    solution buffer, so ``result.transpose(1, 2, 0)`` reads its rows back
+    contiguous over frequency without a copy.
 
     Raises
     ------
+    ArgumentError
+        If ``right`` is not a ``(Q, K)`` matrix.
     NumericalError
-        If ``I - A(omega)`` is singular at some grid frequency (the message
-        names it).
+        If the solution is not finite at some grid frequency, because
+        ``I - A(omega)`` is singular there or its inverse overflows (the
+        message names the first such frequency).
     UnstableModelError
         If the model is unstable.
     """
@@ -180,30 +239,87 @@ def transfer_function(
             f"transfer_function requires a stable model "
             f"(companion spectral radius {model.spectral_radius():.6f})"
         )
-    p, q = model.order, model.dim
-    omegas = grid.omegas
-    mats = np.broadcast_to(np.eye(q, dtype=complex), (grid.n_points, q, q)).copy()
-    if p > 0:
-        phases = np.exp(-1j * np.outer(omegas, np.arange(1, p + 1)))
-        mats -= (phases @ model.coeffs.reshape(p, q * q)).reshape(-1, q, q)
-    try:
-        return np.linalg.inv(mats) if right is None else np.linalg.solve(mats, right)
-    except np.linalg.LinAlgError:
-        absdet = np.abs(np.linalg.det(mats))
-        idx = int(np.argmin(absdet))
+    p, q, n = model.order, model.dim, grid.n_points
+    right = np.eye(q) if right is None else np.asarray(right)
+    if right.ndim != 2 or right.shape[0] != q:
+        raise ArgumentError(f"right must have shape ({q}, K), got {right.shape}")
+    kcols = right.shape[1]
+    # e^{-j omega k} as cos + j sin of -omega k: the values of np.exp, faster.
+    angles = np.outer(-np.arange(1, p + 1), grid.omegas)
+    phases = np.empty((p, n), dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
+    a = np.tensordot(-model.coeffs, phases, axes=(0, 0))
+    a[np.arange(q), np.arange(q)] += 1.0
+    b = np.empty((q, kcols, n), dtype=complex)
+    b[...] = right[:, :, None]
+    # The reciprocals of the pivots, which back substitution reuses, and
+    # one buffer for every step's products, viewed in each step's shape.
+    inv = np.empty((q, n), dtype=complex)
+    scratch = np.empty(q * max(q, kcols) * n, dtype=complex)
+    with np.errstate(all="ignore"):
+        for k in range(q - 1):
+            piv = k + np.argmax(_abs2(a[k:, k]), axis=0)
+            swap = np.flatnonzero(piv != k)
+            if swap.size:
+                piv = piv[swap]
+                for buf in (a[:, k:], b):
+                    row = buf[piv, :, swap]
+                    buf[piv, :, swap] = buf[k][:, swap].T
+                    buf[k][:, swap] = row.T
+            np.divide(1.0, a[k, k], out=inv[k])
+            r = q - k - 1
+            mult = np.multiply(a[k + 1:, k], inv[k], out=a[k + 1:, k])[:, None]
+            a[k + 1:, k + 1:] -= np.multiply(
+                mult, a[k, k + 1:], out=scratch[: r * r * n].reshape(r, r, n)
+            )
+            b[k + 1:] -= np.multiply(mult, b[k], out=scratch[: r * kcols * n].reshape(r, kcols, n))
+        np.divide(1.0, a[-1, -1], out=inv[-1])
+        prod = scratch[: kcols * n].reshape(kcols, n)
+        for k in reversed(range(q)):
+            for j in range(k + 1, q):
+                b[k] -= np.multiply(a[k, j], b[j], out=prod)
+            b[k] *= inv[k]
+        finite = np.isfinite(b).all(axis=(0, 1))
+    if not finite.all():
         raise NumericalError(
-            f"transfer function singular at f = {grid.hz[idx]:.6g} Hz "
-            f"(unit root on the grid)"
-        ) from None
+            f"transfer function not finite at f = {grid.hz[np.argmin(finite)]:.6g} Hz "
+            f"(I - A(omega) singular there, or its inverse overflows)"
+        )
+    return b.transpose(2, 0, 1)
 
 
 def psd_from_var(model: VarModel, grid: FrequencyGrid) -> SpectralMatrix:
     """PSD matrix ``P(omega) = H(omega) Sigma H*(omega)`` of a stable model,
-    formed as ``B B*`` with ``B = H L`` and ``Sigma = L L^T`` (Cholesky), so
-    every ``P(omega)`` is Hermitian by construction."""
-    b = transfer_function(model, grid, np.linalg.cholesky(model.sigma))
-    mats = b @ b.conj().transpose(0, 2, 1)
-    return SpectralMatrix(grid=grid, mats=mats, names=model.names)
+    formed frequency-last as ``B B*`` with ``B = H L`` and ``Sigma = L L^T``
+    (Cholesky): each entry below the diagonal is ``sum_k B_ik conj(B_jk)``,
+    the diagonal is ``sum_k |B_ik|^2`` with an exact zero imaginary part,
+    and the upper triangle is the exact conjugate of the lower one. Such a
+    Gram matrix is Hermitian and positive semi-definite by construction,
+    so the result is checked only for finite entries and a positive
+    diagonal (see :class:`SpectralMatrix`).
+
+    Raises
+    ------
+    NumericalError
+        If the transfer function or an entry of ``P`` is not finite at some
+        grid frequency, or a diagonal entry underflows to zero (the message
+        names the first such frequency).
+    UnstableModelError
+        If the model is unstable.
+    """
+    b = transfer_function(model, grid, np.linalg.cholesky(model.sigma)).transpose(1, 2, 0)
+    q = model.dim
+    mats = np.empty((q, q, grid.n_points), dtype=complex)
+    prod = np.empty_like(b[0])
+    with np.errstate(all="ignore"):
+        for j in range(q):
+            mats[j, j] = _abs2(b[j]).sum(axis=0)
+            conj = b[j].conj()
+            for i in range(j + 1, q):
+                np.add.reduce(np.multiply(b[i], conj, out=prod), axis=0, out=mats[i, j])
+            np.conjugate(mats[j + 1:, j], out=mats[j, j + 1:])
+    return SpectralMatrix._of_gram(grid, mats.transpose(2, 0, 1), model.names)
 
 
 class _TrieNode(NamedTuple):
@@ -289,8 +405,10 @@ def spectral_mir_rows(
     ))
     at = {pair: i for i, pair in enumerate(pairs)}
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
-    root = np.sqrt(np.diagonal(psd.mats, axis1=1, axis2=2).real.T)
-    coh = np.ascontiguousarray(psd.mats[:, rows, cols].T)
+    mats = psd.mats.transpose(1, 2, 0)
+    idx = np.arange(psd.dim)
+    root = np.sqrt(mats[idx, idx].real)
+    coh = mats[rows, cols]
     coh /= root[rows] * root[cols]
     one = np.ones(psd.grid.n_points)
     # The empty prefix: r = 1 and an empty product of pivots.

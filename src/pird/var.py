@@ -101,10 +101,11 @@ class VarModel:
     ----------
     coeffs : ndarray, shape (p, Q, Q)
         Lag coefficient matrices; ``coeffs[k-1][i, j]`` weighs the effect
-        of channel ``j`` at lag ``k`` on channel ``i``. May be empty
+        of channel ``j`` at lag ``k`` on channel ``i``; finite. May be empty
         (``p == 0``) for a white process.
     sigma : ndarray, shape (Q, Q)
-        Innovation covariance; must be symmetric positive definite.
+        Innovation covariance; must be finite, symmetric and positive
+        definite.
     fs : float
         Sampling frequency in Hz.
     names : tuple of str
@@ -128,6 +129,9 @@ class VarModel:
             raise ArgumentError(
                 f"coeffs must have shape (p, {q}, {q}), got {coeffs.shape}"
             )
+        for what, values in (("coeffs", coeffs), ("sigma", sigma)):
+            if not np.all(np.isfinite(values)):
+                raise ArgumentError(f"{what} must be finite, got a NaN or infinite entry")
         if np.max(np.abs(sigma - sigma.T)) > _SYMMETRY_TOL * np.max(np.abs(sigma)):
             raise ArgumentError("sigma must be symmetric")
         sigma = (sigma + sigma.T) / 2.0
@@ -190,7 +194,7 @@ class VarModel:
                 fs=float(doc["fs"]),
                 names=tuple(doc["names"]),
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError included
             raise FormatError(f"invalid model JSON: {exc}") from exc
 
 

@@ -188,6 +188,21 @@ def test_decompose_argument_errors(tmp_path):
     assert main(["decompose", "--model", str(dup), "--sources", "X", "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("field", ["coeffs", "sigma"])
+def test_decompose_rejects_a_model_with_a_non_finite_entry(tmp_path, field):
+    doc = json.loads(VarModel(coeffs=np.full((1, 2, 2), 0.1), sigma=np.eye(2)).to_json())
+    matrix = doc[field][0] if field == "coeffs" else doc[field]
+    matrix[0][0] = float("nan")  # json writes it as NaN
+    model = tmp_path / "nan.json"
+    model.write_text(json.dumps(doc))
+    assert main(["decompose", "--model", str(model), "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
+    # a ragged coefficient list is a malformed file
+    doc[field] = [[[0.1, 0.0], [0.0]]] if field == "coeffs" else [[1.0, 0.0], [0.0]]
+    model.write_text(json.dumps(doc))
+    assert main(["decompose", "--model", str(model), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_decompose_explicit_fs_retimes_a_stored_model(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(VarModel(coeffs=np.zeros((1, 2, 2)), sigma=np.eye(2), fs=2.0).to_json())

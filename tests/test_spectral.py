@@ -76,6 +76,93 @@ def test_transfer_function_refuses_unstable(grid):
         transfer_function(scalar_ar([1.05]), grid)
 
 
+def test_transfer_function_right_factor(grid):
+    right = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0], [2.0, 0.0, 1.0]])[:, :2]
+    want = transfer_function(WHITE_080, grid) @ right
+    assert np.array_equal(transfer_function(WHITE_080, grid, right), want)
+    for bad in (np.eye(2), np.ones(3), np.ones((3, 2, 1))):
+        with pytest.raises(ArgumentError, match=r"right must have shape \(3, K\)"):
+            transfer_function(WHITE_080, grid, bad)
+
+
+def lapack_system(model, grid):
+    """``I - A(omega)`` as ``(n_points, Q, Q)`` matrices, built per
+    frequency by a matmul of the lag phases with the coefficients."""
+    p, q = model.order, model.dim
+    mats = np.broadcast_to(np.eye(q, dtype=complex), (grid.n_points, q, q)).copy()
+    if p > 0:
+        phases = np.exp(-1j * np.outer(grid.omegas, np.arange(1, p + 1)))
+        mats -= (phases @ model.coeffs.reshape(p, q * q)).reshape(-1, q, q)
+    return mats
+
+
+def lapack_psd(model, grid):
+    """``B B*`` with ``B`` from one LAPACK solve per frequency against the
+    Cholesky factor of sigma, and the condition number of each system."""
+    mats = lapack_system(model, grid)
+    b = np.linalg.solve(mats, np.linalg.cholesky(model.sigma))
+    return b @ b.conj().transpose(0, 2, 1), np.linalg.cond(mats)
+
+
+#: A stable 2-channel VAR(1) (companion radius 0.5, a double root) whose
+#: ``I - A(0)`` has an exact zero in its leading entry: elimination without
+#: row exchanges divides by zero at the first grid point.
+PIVOT_MODEL = VarModel(coeffs=[[[1.0, -1.0], [0.25, 0.0]]], sigma=np.eye(2))
+
+
+def test_transfer_function_pivots_past_a_zero_leading_entry(grid):
+    assert PIVOT_MODEL.spectral_radius() == pytest.approx(0.5)
+    mats = lapack_system(PIVOT_MODEL, grid)
+    assert mats[0, 0, 0] == 0.0
+    h = transfer_function(PIVOT_MODEL, grid)
+    # I - A(0) = [[0, 1], [-1/4, 1]]: one row exchange leaves it triangular.
+    assert np.array_equal(h[0], [[4.0, -4.0], [1.0, 0.0]])
+    want = np.linalg.inv(mats)
+    rows = np.linalg.norm(want, axis=2)[:, :, None]
+    assert np.max(np.abs(h - want) / rows) <= 16 * EPS * np.max(np.linalg.cond(mats))
+
+
+def _oracle_models():
+    models = make_model_set(count=20, seed=2024)
+    models += [build_scenario(Scenario(sim, {"c": c})) for sim in ("sim1", "sim2")
+               for c in (0.0, 0.2, 0.4, 0.6, 0.8)]
+    models += [build_scenario(Scenario("sim3")), WHITE_080, PIVOT_MODEL]
+    models += [random_stable_var(q, p, seed=q, radius=0.999) for q, p in ((2, 1), (3, 2), (5, 2))]
+    models += [random_stable_var(8, 5, seed=8, radius=0.9)]
+    return models
+
+
+def test_spectrum_matches_the_lapack_reference(grid):
+    # Both are backward-stable Gaussian eliminations with partial pivoting,
+    # so each one's forward error is a small multiple of eps times the
+    # condition number kappa of I - A(omega). In coherence scale (each P_ij
+    # over sqrt(P_ii P_jj), each row of H over its norm) they agree within
+    # 16 eps kappa at every frequency; the largest seen is 5 eps kappa.
+    for model in _oracle_models():
+        want, kappa = lapack_psd(model, grid)
+        bound = 16 * EPS * kappa[:, None, None]
+        psd = psd_from_var(model, grid)
+        root = np.sqrt(np.diagonal(want, axis1=1, axis2=2).real)
+        assert np.all(np.abs(psd.mats - want) <= bound * root[:, :, None] * root[:, None, :])
+        h, h_want = transfer_function(model, grid), np.linalg.inv(lapack_system(model, grid))
+        assert np.all(np.abs(h - h_want) <= bound * np.linalg.norm(h_want, axis=2)[:, :, None])
+        # The Gram construction is exactly Hermitian with a real diagonal,
+        # and passes the full validation that it skips.
+        assert np.array_equal(psd.mats, psd.mats.conj().transpose(0, 2, 1))
+        SpectralMatrix(psd.grid, psd.mats, psd.names)
+
+
+@pytest.mark.parametrize("coupling, layer", [(1e308, "transfer function"), (1e154, "spectral matrix")])
+def test_psd_from_var_overflow_raises_naming_a_frequency(coupling, layer):
+    # Stable (both eigenvalues 0.5), but H(0) holds 4 * coupling: with 1e308
+    # the solve overflows, with 1e154 only the products |H_01|^2 do.
+    model = VarModel(coeffs=[[[0.5, coupling], [0.0, 0.5]]], sigma=np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning escapes
+        with pytest.raises(NumericalError, match=rf"^{layer} .* at f = 0 Hz"):
+            psd_from_var(model, FrequencyGrid(n_points=257))
+
+
 def test_psd_white_identity(grid):
     m = VarModel(coeffs=np.zeros((0, 2, 2)), sigma=np.eye(2))
     psd = psd_from_var(m, grid)
@@ -90,7 +177,7 @@ def test_psd_ar1_values(grid):
 
 def test_psd_invariants_on_random_models(grid):
     for m in make_model_set(count=8, seed=77):
-        psd = psd_from_var(m, grid)  # construction validates the invariants
+        psd = psd_from_var(m, grid)  # checks finiteness and a positive diagonal
         diags = np.diagonal(psd.mats, axis1=1, axis2=2)
         assert np.all(diags.real > 0)
         assert np.max(np.abs(diags.imag)) < 1e-12 * np.max(diags.real)
@@ -119,8 +206,20 @@ def test_spectral_matrix_rejects_non_finite_entries(grid, bad):
     mats[3, 1, 1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before any arithmetic on it
-        with pytest.raises(NumericalError, match="non-finite"):
+        with pytest.raises(NumericalError, match=f"non-finite entry at f = {grid.hz[3]:.6g} Hz"):
             SpectralMatrix(grid=grid, mats=mats)
+
+
+def test_spectral_matrix_rejects_a_nonpositive_diagonal_naming_its_frequency(grid):
+    mats = np.tile(np.eye(2, dtype=complex), (grid.n_points, 1, 1))
+    mats[7, 1, 1] = 0.0
+    with pytest.raises(NumericalError, match=f"nonpositive diagonal entry at f = {grid.hz[7]:.6g} Hz"):
+        SpectralMatrix(grid=grid, mats=mats)
+    # A model whose innovation variance is the smallest subnormal: its
+    # spectrum 5e-324 / |1 + 0.5 e^{-j omega}|^2 underflows to 0 at f = 0.
+    tiny = VarModel(coeffs=[[[-0.5]]], sigma=[[5e-324]])
+    with pytest.raises(NumericalError, match="nonpositive diagonal entry at f = 0 Hz"):
+        psd_from_var(tiny, FrequencyGrid(n_points=5))
 
 
 def test_spectral_mir_independent_blocks(grid):

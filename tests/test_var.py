@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,23 @@ def test_varmodel_accepts_symmetric_sigma_at_extreme_scales(scale):
     sigma = scale * np.array([[1.0, 0.5], [0.5, 1.0]])
     m = VarModel(coeffs=np.zeros((0, 2, 2)), sigma=sigma)
     assert np.array_equal(m.sigma, sigma)
+
+
+@pytest.mark.parametrize("field", ["coeffs", "sigma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_varmodel_rejects_non_finite_entries(field, bad):
+    # Rejected before any arithmetic on them: no eigvals or Cholesky
+    # error and no RuntimeWarning escapes.
+    parts = {"coeffs": np.full((1, 2, 2), 0.1), "sigma": np.eye(2)}
+    parts[field][..., 1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match=f"{field} must be finite"):
+            VarModel(**parts)
+        doc = json.loads(VarModel(coeffs=np.full((1, 2, 2), 0.1), sigma=np.eye(2)).to_json())
+        doc[field] = parts[field].tolist()
+        with pytest.raises(ArgumentError, match=f"{field} must be finite"):
+            VarModel.from_json(json.dumps(doc))
 
 
 def test_is_stable():
