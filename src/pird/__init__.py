@@ -54,7 +54,6 @@ from .var import (
     Scenario,
     TimeSeriesMatrix,
     VarModel,
-    autocovariance_sequence,
     build_scenario,
     fit_ols,
     is_stable,
@@ -88,7 +87,6 @@ __all__ = [
     "PirdError",
     "SpectralSingularityError",
     "UnstableModelError",
-    "autocovariance_sequence",
     "build_scenario",
     "decompose",
     "enumerate_antichains",

@@ -15,8 +15,8 @@ Three verbs:
     Reproduce the benchmark sweeps: coupling sweeps with the matching
     baseline for ``sim1``/``sim2``, the band table for ``sim3``.
 
-Exit codes: 0 success, 2 format error, 3 argument error, 4 numerical
-error, 5 capability error.
+Exit codes: 0 success, 2 format error, 3 argument error (an ``--out``
+that cannot be written among them), 4 numerical error, 5 capability error.
 
 Each verb's options are declared once, in its subparser; ``pird VERB
 --help`` lists them with their defaults. ``--config FILE`` reads a flat
@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -272,10 +274,17 @@ def _unit_scale(args: argparse.Namespace) -> tuple[float, str]:
     return 1.0, "nats"
 
 
-def _outdir(args: argparse.Namespace) -> Path:
+@contextmanager
+def _outdir(args: argparse.Namespace) -> Iterator[Path]:
+    """The ``--out`` directory, created if missing, for the writes of the
+    block. An OSError from creating it or writing into it (a regular file
+    in its place, a directory where an output goes) is an argument error."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as exc:
+        raise ArgumentError(f"cannot write the output to --out {out}: {exc}") from exc
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -284,14 +293,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if not is_stable(model):
         raise NumericalError(
             f"fitted model is unstable (companion spectral radius "
-            f"{model.spectral_radius():.6f}); try a different order"
+            f"{model.spectral_radius:.6f}); try a different order"
         )
-    out = _outdir(args)
-    atomic_write_text(out / "model.json", (model.to_json(), "\n"))
-    if curve is not None:
-        lines = ["p,aic"] + [f"{p},{_fmt(a)}" for p, a in enumerate(curve, start=1)]
-        atomic_write_text(out / "aic.csv", (line + "\n" for line in lines))
-    margin = 1.0 - model.spectral_radius()
+    with _outdir(args) as out:
+        atomic_write_text(out / "model.json", (model.to_json(), "\n"))
+        if curve is not None:
+            lines = ["p,aic"] + [f"{p},{_fmt(a)}" for p, a in enumerate(curve, start=1)]
+            atomic_write_text(out / "aic.csv", (line + "\n" for line in lines))
+    margin = 1.0 - model.spectral_radius
     print(f"selected order: {model.order}")
     print(f"stability margin: {_fmt(margin)}")
     print(f"wrote {out / 'model.json'}" + ("" if curve is None else f", {out / 'aic.csv'}"))
@@ -322,10 +331,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if len(sources) >= 2:
         baselines["staticPID"] = bl.static_pid(model, target, sources)
         baselines["tePID"] = bl.te_pid(model, target, sources, conditioned=args.conditioned_te)
-    out = _outdir(args)
-    write_atoms_csv(result, out / "atoms.csv", scale, unit)
-    write_coarse_csv(result, out / "coarse.csv", scale, unit, baselines)
-    write_profiles_csv(result, out / "profiles.csv", scale)
+    with _outdir(args) as out:
+        write_atoms_csv(result, out / "atoms.csv", scale, unit)
+        write_coarse_csv(result, out / "coarse.csv", scale, unit, baselines)
+        write_profiles_csv(result, out / "profiles.csv", scale)
     print(
         f"target {model.names[target]}, sources "
         f"{', '.join(model.names[s] for s in sources)}; joint MIR = "
@@ -365,8 +374,9 @@ def _coupling_sweep(args: argparse.Namespace, scenario: str) -> int:
         rows.append(",".join([_fmt(c)] + [_fmt(v, scale) for v in values]))
     names = coarse_names(result.source_names)
     header = ",".join(["c"] + [f"pird_{t}" for t in names] + [f"{prefix}_{t}" for t in names])
-    path = _outdir(args) / f"bench_{scenario}.csv"
-    atomic_write_text(path, (line + "\n" for line in [header, *rows]))
+    with _outdir(args) as out:
+        path = out / f"bench_{scenario}.csv"
+        atomic_write_text(path, (line + "\n" for line in [header, *rows]))
     print(f"swept c over {len(cs)} points ({unit}); wrote {path}")
     return 0
 
@@ -383,8 +393,9 @@ def _band_table(args: argparse.Namespace) -> int:
     for label, terms in result.coarse.items():
         values = [*terms.marginals, terms.joint_mir, *coarse_values(terms)[:-1]]
         lines.append(",".join([label] + [_fmt(v, scale) for v in values]))
-    path = _outdir(args) / "bench_sim3.csv"
-    atomic_write_text(path, (line + "\n" for line in lines))
+    with _outdir(args) as out:
+        path = out / "bench_sim3.csv"
+        atomic_write_text(path, (line + "\n" for line in lines))
     print(f"band table in {unit}; wrote {path}")
     return 0
 

@@ -273,7 +273,7 @@ def aggregate_coarse(
 ) -> dict[str, CoarseTerms]:
     """Coarse terms per band label: the atoms' PI rates of that band summed
     over the unique / redundant / synergistic groups of the lattice (see
-    :meth:`pird.lattice.RedundancyLattice.coarse_group`), with the band's
+    :attr:`pird.lattice.RedundancyLattice.coarse_members`), with the band's
     joint and single-source rates.
 
     For two sources the groups are single atoms. For three or more sources

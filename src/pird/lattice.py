@@ -85,8 +85,7 @@ class RedundancyLattice:
 
     ``atoms`` is stored in a fixed linear extension of the order (atoms
     sorted by strict-down-set size, ties broken by element tuples), so a
-    single forward pass suffices for the Moebius recursion. ``down_sets``
-    holds, for each atom, the indices of its strict predecessors.
+    single forward pass suffices for the Moebius recursion.
 
     The tables of the decomposition engine, all read-only and left out of
     equality and hashing (they follow from ``m``):
@@ -100,16 +99,18 @@ class RedundancyLattice:
       the index of the atom of its minimal elements if the mask is an
       up-set, else -1;
     * ``weakly_below[a, b]``: atom ``b`` precedes or equals atom ``a``;
+      the strict predecessors of ``a`` all come before it;
     * ``coarse_members``: the atom indices of each coarse group, in the
-      order ``unique:1 .. unique:m``, ``redundant``, ``synergistic`` (see
-      :meth:`coarse_group`); a group may be empty.
+      order ``unique:1 .. unique:m``, ``redundant``, ``synergistic``; a
+      group may be empty. An atom holding at least two singleton elements
+      is redundant, one whose only singleton element is ``{j}`` is unique
+      to ``j``, and one with no singleton element is synergistic.
 
     Instances are immutable and safe to share across threads.
     """
 
     m: int
     atoms: tuple[Atom, ...]
-    down_sets: tuple[tuple[int, ...], ...]
     elements: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     member: np.ndarray = field(repr=False, compare=False)
     smaller: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
@@ -143,7 +144,8 @@ class RedundancyLattice:
         """Moebius-invert an array of redundancy values into PI values.
 
         The general inversion, valid for any redundancy values: each atom's
-        value minus the PI of its strict predecessors, in one forward pass.
+        value minus the PI of its strict predecessors (its row of
+        :attr:`weakly_below` before it), in one forward pass.
         The decomposition engine does not call it, because a pointwise
         minimum of monotone element rates inverts in closed form (the sorted
         element chain of :mod:`pird.decomposition`); it is the oracle that
@@ -169,30 +171,14 @@ class RedundancyLattice:
         if not np.all(np.isfinite(red)):
             raise ArgumentError("redundancy values must be finite")
         pi = np.empty_like(red)
-        for i, below in enumerate(self.down_sets):
-            if below:
-                pi[i] = red[i] - pi[list(below)].sum(axis=0)
-            else:
-                pi[i] = red[i]
+        for i in range(len(red)):
+            pi[i] = red[i] - pi[np.flatnonzero(self.weakly_below[i, :i])].sum(axis=0)
         return pi
 
-    def coarse_group(self, atom: Atom) -> str:
-        """Label of an atom in the unique/redundant/synergistic coarse
-        graining: ``"redundant"`` for atoms holding at least two singleton
-        elements, ``"unique:m"`` for atoms whose only singleton element is
-        ``{m}`` (every other element a larger group), ``"synergistic"``
-        for atoms with no singleton element.
-
-        Summing partial information over these groups yields the
-        coarse-grained decomposition; for two sources the groups are the
-        four individual atoms.
-        """
-        self.index(atom)
-        return _coarse_label(atom)
-
     def coarse_groups(self) -> dict[str, tuple[int, ...]]:
-        """Atom indices per nonempty coarse group, keyed by
-        :meth:`coarse_group` labels, from :attr:`coarse_members`."""
+        """Atom indices per nonempty coarse group, keyed by its label
+        (``unique:j``, ``redundant``, ``synergistic``), from
+        :attr:`coarse_members`."""
         labels = _coarse_labels(self.m)
         return {k: v for k, v in zip(labels, self.coarse_members) if v}
 
@@ -257,9 +243,6 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
     order = sorted(range(len(atoms)), key=lambda i: (n_below[i], atoms[i].elements))
     atoms = [atoms[i] for i in order]
     below = below[np.ix_(order, order)]  # each atom precedes itself
-    down_sets = tuple(
-        tuple(b for b in np.flatnonzero(row).tolist() if b != a) for a, row in enumerate(below)
-    )
     labels = [_coarse_label(atom) for atom in atoms]
     coarse_members = tuple(
         tuple(i for i, have in enumerate(labels) if have == label) for label in _coarse_labels(m)
@@ -281,7 +264,6 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
     return RedundancyLattice(
         m=m,
         atoms=tuple(atoms),
-        down_sets=down_sets,
         elements=tuple(subsets),
         member=member,
         smaller=smaller,

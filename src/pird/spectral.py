@@ -19,18 +19,21 @@ contiguous rows over frequency.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    NumericalError,
-    SpectralSingularityError,
-    UnstableModelError,
+from .errors import ArgumentError, NumericalError, SpectralSingularityError
+from .var import (
+    VarModel,
+    _check_csv_text,
+    _check_fs,
+    _check_names,
+    _require_stable,
+    _resolve_sources,
 )
-from .var import VarModel, _check_csv_text, _check_fs, _check_names, _resolve_sources, is_stable
 
 #: Default number of grid points on [0, pi]. Dense enough that trapezoid
 #: error is far below the working tolerances for pole radii up to ~0.9
@@ -48,9 +51,9 @@ DET_FLOOR = 1e-300
 class FrequencyGrid:
     """Uniform one-sided frequency grid.
 
-    ``omegas`` spans ``[0, pi]`` inclusive with ``n_points`` points;
-    ``hz`` holds the corresponding physical frequencies ``omega * fs / 2pi``
-    in ``[0, fs/2]``.
+    ``omegas`` spans ``[0, pi]`` inclusive with ``n_points`` points, an
+    integer of at least 2; ``hz`` holds the corresponding physical
+    frequencies ``omega * fs / 2pi`` in ``[0, fs/2]``.
     """
 
     fs: float = 1.0
@@ -58,7 +61,11 @@ class FrequencyGrid:
 
     def __post_init__(self):
         _check_fs(self.fs)
-        if self.n_points < 2:
+        try:
+            n_points = operator.index(self.n_points)
+        except TypeError:
+            raise ArgumentError(f"n_points must be an integer, got {self.n_points!r}") from None
+        if n_points < 2:
             raise ArgumentError("a frequency grid needs at least 2 points")
 
     @property
@@ -234,11 +241,7 @@ def transfer_function(
     UnstableModelError
         If the model is unstable.
     """
-    if not is_stable(model):
-        raise UnstableModelError(
-            f"transfer_function requires a stable model "
-            f"(companion spectral radius {model.spectral_radius():.6f})"
-        )
+    _require_stable(model, "transfer_function")
     p, q, n = model.order, model.dim, grid.n_points
     right = np.eye(q) if right is None else np.asarray(right)
     if right.ndim != 2 or right.shape[0] != q:

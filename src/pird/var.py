@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +29,7 @@ from .errors import (
     UnstableModelError,
 )
 
-#: Default stability margin: models whose companion spectral radius exceeds
+#: Stability margin: models whose companion spectral radius exceeds
 #: ``1 - STABILITY_EPS`` are treated as unstable (borderline unit roots break
 #: both the Lyapunov solve and the spectral integrals).
 STABILITY_EPS = 1e-6
@@ -164,7 +165,10 @@ class VarModel:
         lower = np.hstack([np.eye((p - 1) * q), np.zeros(((p - 1) * q, q))])
         return np.vstack([top, lower])
 
+    @cached_property
     def spectral_radius(self) -> float:
+        """Largest eigenvalue modulus of the companion matrix (0 for a white
+        model), computed on first read and kept: the model is immutable."""
         if self.order == 0:
             return 0.0
         return float(np.max(np.abs(np.linalg.eigvals(self.companion()))))
@@ -183,11 +187,25 @@ class VarModel:
 
     @classmethod
     def from_json(cls, text: str) -> "VarModel":
+        """Read the schema :meth:`to_json` writes.
+
+        Raises
+        ------
+        FormatError
+            If the text is not that schema, or its ``dim`` or ``order``
+            disagrees with the shapes of ``sigma`` and ``coeffs``.
+        """
         try:
             doc = json.loads(text)
+            dim, order = doc["dim"], doc["order"]
+            if dim != len(doc["sigma"]) or order != len(doc["coeffs"]):
+                raise FormatError(
+                    f"invalid model JSON: dim {dim!r} and order {order!r} disagree with "
+                    f"{len(doc['sigma'])} sigma rows and {len(doc['coeffs'])} lag matrices"
+                )
             coeffs = np.array(doc["coeffs"], dtype=float)
             if coeffs.size == 0:
-                coeffs = np.zeros((0, doc["dim"], doc["dim"]))
+                coeffs = np.zeros((0, dim, dim))
             return cls(
                 coeffs=coeffs,
                 sigma=np.array(doc["sigma"], dtype=float),
@@ -419,18 +437,18 @@ def build_scenario(scenario: Scenario) -> VarModel:
 # Stability, simulation, identification
 
 
-def is_stable(model: VarModel, eps: float = STABILITY_EPS) -> bool:
-    """True iff the companion spectral radius is below ``1 - eps``."""
-    if model.order == 0:
-        return True
-    return model.spectral_radius() < 1.0 - eps
+def is_stable(model: VarModel) -> bool:
+    """True iff the companion spectral radius is below ``1 - STABILITY_EPS``."""
+    return model.spectral_radius < 1.0 - STABILITY_EPS
 
 
 def _require_stable(model: VarModel, context: str) -> None:
+    """UnstableModelError, naming ``context`` and the radius, unless the
+    model is stable: the one stability guard of the library."""
     if not is_stable(model):
         raise UnstableModelError(
             f"{context} requires a stable model "
-            f"(companion spectral radius {model.spectral_radius():.6f})"
+            f"(companion spectral radius {model.spectral_radius:.6f})"
         )
 
 
@@ -644,29 +662,6 @@ def _companion_covariance(model: VarModel) -> np.ndarray:
     )
 
 
-def autocovariance_sequence(model: VarModel, k_max: int) -> list[np.ndarray]:
-    """Autocovariances ``Gamma_0 .. Gamma_{k_max}``, ``Gamma_k = E[z_t z_{t-k}.T]``.
-
-    ``Gamma_0 .. Gamma_{p-1}`` are read off the companion-form Lyapunov
-    solution; later lags follow the recursion
-    ``Gamma_k = sum_j A_j Gamma_{k-j}``.
-    """
-    if k_max < 0:
-        raise ArgumentError("k_max must be >= 0")
-    _require_stable(model, "autocovariance_sequence")
-    p, q = model.order, model.dim
-    if p == 0:
-        return [model.sigma.copy()] + [np.zeros((q, q)) for _ in range(k_max)]
-    gamma_bar = _companion_covariance(model)
-    gammas = [gamma_bar[:q, j * q : (j + 1) * q].copy() for j in range(min(p, k_max + 1))]
-    for k in range(len(gammas), k_max + 1):
-        acc = np.zeros((q, q))
-        for j in range(1, p + 1):
-            acc += model.coeffs[j - 1] @ gammas[k - j]
-        gammas.append(acc)
-    return gammas
-
-
 # ---------------------------------------------------------------------------
 # Random test models
 
@@ -695,7 +690,7 @@ def random_stable_var(
         return VarModel(coeffs=np.zeros((0, dim, dim)), sigma=sigma)
     coeffs = rng.standard_normal((order, dim, dim)) / np.sqrt(order * dim)
     model = VarModel(coeffs=coeffs, sigma=sigma)
-    rho = model.spectral_radius()
+    rho = model.spectral_radius
     if rho > 0.0:
         scale = radius / rho
         coeffs = np.stack(

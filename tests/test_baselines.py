@@ -12,7 +12,6 @@ from pird import (
     Scenario,
     UnstableModelError,
     VarModel,
-    autocovariance_sequence,
     build_scenario,
     decompose,
     gaussian_mi,
@@ -32,6 +31,7 @@ from pird.decomposition import write_coarse_csv
 from pird.cli import main
 
 from conftest import make_model_set
+from oracles import autocovariance_sequence
 
 COR08 = np.eye(3) * 0.2 + 0.8
 

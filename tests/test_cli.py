@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import pird
-from pird import VarModel, simulate
-from pird.cli import _build_parser, _parse_args, main
+from pird import Scenario, VarModel, build_scenario, simulate
+from pird.cli import _build_parser, _parse_args, _parse_sweep, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -203,6 +203,17 @@ def test_decompose_rejects_a_model_with_a_non_finite_entry(tmp_path, field):
     assert main(["decompose", "--model", str(model), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("changes", [{"dim": 5, "order": 3}, {"dim": 3}, {"order": 2}])
+def test_decompose_rejects_a_model_whose_dim_or_order_disagrees(tmp_path, capsys, changes):
+    doc = json.loads(VarModel(coeffs=np.full((1, 2, 2), 0.1), sigma=np.eye(2)).to_json())
+    doc.update(changes)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main(["decompose", "--model", str(model), "--out", str(tmp_path / "o")]) == 2
+    assert "disagree with 2 sigma rows and 1 lag matrices" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_decompose_explicit_fs_retimes_a_stored_model(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(VarModel(coeffs=np.zeros((1, 2, 2)), sigma=np.eye(2), fs=2.0).to_json())
@@ -247,6 +258,33 @@ def test_outputs_get_the_umask_mode(tmp_path):
     for name in ("atoms.csv", "coarse.csv", "profiles.csv"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
     assert sorted(p.name for p in tmp_path.iterdir()) == ["atoms.csv", "coarse.csv", "profiles.csv"]
+
+
+def test_an_out_that_cannot_be_written_is_an_argument_error(tmp_path, capsys):
+    series = tmp_path / "white.csv"
+    simulate(VarModel(coeffs=np.zeros((0, 2, 2)), sigma=np.eye(2)), 200, seed=1).save_csv(series)
+    # a regular file where the output directory goes
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    for argv in (
+        ["fit", "--input", str(series), "--order", "1"],
+        ["decompose", "--scenario", "sim1", "--c", "0.4", "--grid", "65"],
+        ["bench", "--scenario", "sim2", "--sweep", "0:0.4:0.4", "--grid", "65"],
+        ["bench", "--scenario", "sim3", "--grid", "65"],
+    ):
+        assert main(argv + ["--out", str(blocker)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write the output to --out {blocker}: ")
+        assert "File exists" in err
+    assert blocker.read_text() == "kept\n"
+    # a directory where an output file goes
+    out = tmp_path / "out"
+    (out / "atoms.csv").mkdir(parents=True)
+    argv = ["decompose", "--scenario", "sim1", "--c", "0.4", "--grid", "65", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"--out {out}: " in err and str(out / "atoms.csv") in err
+    assert sorted(p.name for p in out.iterdir()) == ["atoms.csv"]  # no temp file left behind
 
 
 def test_bad_config_file(tmp_path):
@@ -501,6 +539,34 @@ def test_decompose_repeated_source_is_one_source(tmp_path):
     assert main(args + ["--sources", "X1,X1", "--out", str(tmp_path / "twice")]) == 0
     for name in ("atoms.csv", "coarse.csv", "profiles.csv"):
         assert (tmp_path / "twice" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv,models", [
+    (["bench", "--scenario", "sim2", "--sweep", "0:0.4:0.8"],
+     [build_scenario(Scenario("sim2", {"c": float(c)})) for c in _parse_sweep("0:0.4:0.8")]),
+    (["decompose", "--scenario", "sim3"], [build_scenario(Scenario("sim3"))]),
+])
+def test_one_companion_eigen_solve_per_model(monkeypatch, tmp_path, argv, models):
+    # Every stability check of a model reads its one cached spectral
+    # radius: the spectrum, the Lyapunov solve and each Riccati solve of
+    # the reference PIDs. The Riccati solver's closed-loop checks are not
+    # counted; a closed loop can equal a companion matrix, so they are told
+    # apart by their caller.
+    solved, closed_loop = [], []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        from_dare = sys._getframe(1).f_code is pird.baselines._dare.__code__
+        (closed_loop if from_dare else solved).append(np.array(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    assert main(argv + ["--grid", "65", "--out", str(tmp_path)]) == 0
+    companions = [m.companion() for m in models]
+    counts = [sum(a.shape == c.shape and np.array_equal(a, c) for a in solved) for c in companions]
+    assert counts == [1] * len(models)
+    assert len(solved) == len(models)  # every other solve is a closed loop
+    assert closed_loop  # and those ran
 
 
 def test_bench_unknown_scenario(tmp_path):

@@ -41,6 +41,7 @@ from pird.lattice import enumerate_antichains
 from pird.spectral import integrate_rows, quadrature_weights
 
 from conftest import make_model_set, reference_band_integral
+from oracles import down_sets
 
 R_FLAT = -0.5 * np.log(1.0 - 0.8**2)  # white correlation-0.8 pair
 J_FLAT = 0.5 * np.log(0.36 / 0.104)  # target vs both correlated sources
@@ -169,8 +170,8 @@ def test_pointwise_reconstruction(sim3_result):
     resum = res.atom_pi.sum(axis=0)
     assert np.max(np.abs(resum - res.joint_profile.values)) < 1e-9
     # redundancy equals the accumulated PI over each down-set, per frequency
-    for i, atom in enumerate(res.lattice.atoms):
-        acc = res.atom_pi[i] + res.atom_pi[list(res.lattice.down_sets[i])].sum(axis=0)
+    for i, below in enumerate(down_sets(res.lattice)):
+        acc = res.atom_pi[i] + res.atom_pi[list(below)].sum(axis=0)
         assert np.max(np.abs(acc - res.atom_redundancy[i])) < 1e-9
 
 

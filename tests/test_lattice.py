@@ -10,6 +10,8 @@ from pird import (
     enumerate_antichains,
 )
 
+from oracles import coarse_group, down_sets
+
 
 def precedes(a, b):
     """Williams-Beer order, from sets: ``a`` precedes ``b`` iff every
@@ -118,15 +120,16 @@ def test_top_bottom_and_downsets(m):
     for atom in lattice.atoms:
         assert precedes(atom, top(m))
         assert precedes(bottom(m), atom)
-    # down_sets hold exactly the strict predecessors
+    # the down-sets hold exactly the strict predecessors
+    strict = down_sets(lattice)
     for i, atom in enumerate(lattice.atoms):
         below = {
             j
             for j, b in enumerate(lattice.atoms)
             if b != atom and precedes(b, atom)
         }
-        assert set(lattice.down_sets[i]) == below
-        assert all(j < i for j in lattice.down_sets[i])  # topological order
+        assert set(strict[i]) == below
+        assert all(j < i for j in strict[i])  # topological order
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -137,13 +140,13 @@ def test_lattice_matches_precedes_reference(m):
     n_below = [sum(precedes(b, a) for b in atoms) - 1 for a in atoms]
     order = sorted(range(len(atoms)), key=lambda i: (n_below[i], atoms[i].elements))
     atoms = [atoms[i] for i in order]
-    down_sets = tuple(
+    strict = tuple(
         tuple(j for j, b in enumerate(atoms) if j != i and precedes(b, a))
         for i, a in enumerate(atoms)
     )
     lattice = enumerate_antichains(m)
     assert [str(a) for a in lattice.atoms] == [str(a) for a in atoms]
-    assert lattice.down_sets == down_sets
+    assert down_sets(lattice) == strict
 
 
 def test_lattice_index_rejects_foreign_atoms():
@@ -188,14 +191,15 @@ def test_element_tables_match_sets(m):
                 tuple(i for i in elements[k] if i != drop) for drop in elements[k]]
     # the order as a matrix: each atom's strict down-set and itself
     assert lattice.weakly_below.shape == (len(lattice), len(lattice))
-    for a, below in enumerate(lattice.down_sets):
+    for a, atom in enumerate(lattice.atoms):
+        below = {b for b, other in enumerate(lattice.atoms) if b != a and precedes(other, atom)}
         assert set(np.flatnonzero(lattice.weakly_below[a]).tolist()) == {a, *below}
     # the atoms of each coarse group, unique:1..m, redundant, synergistic
     labels = [f"unique:{j}" for j in range(1, m + 1)] + ["redundant", "synergistic"]
     assert len(lattice.coarse_members) == m + 2
     for label, idx in zip(labels, lattice.coarse_members):
         assert idx == tuple(i for i, atom in enumerate(lattice.atoms)
-                            if lattice.coarse_group(atom) == label)
+                            if coarse_group(atom) == label)
     for array in (lattice.member, lattice.atom_of_upset, lattice.weakly_below,
                   *(x for pair in lattice.smaller for x in pair)):
         assert not array.flags.writeable
@@ -234,8 +238,8 @@ def test_moebius_hand_worked_m2_case():
     assert pi[Atom([(2,)])] == pytest.approx(0.3, abs=1e-15)
     assert pi[Atom([(1, 2)])] == pytest.approx(-0.1, abs=1e-15)
     # re-summing over down-sets recovers the input
-    for i, atom in enumerate(lattice.atoms):
-        total = pi[atom] + sum(pi[lattice.atoms[j]] for j in lattice.down_sets[i])
+    for atom, below in zip(lattice.atoms, down_sets(lattice)):
+        total = pi[atom] + sum(pi[lattice.atoms[j]] for j in below)
         assert total == pytest.approx(red[atom], abs=1e-15)
 
 
@@ -255,11 +259,12 @@ def test_moebius_constant_redundancy_telescopes(m):
 def test_moebius_reconstruction_random(m):
     lattice = enumerate_antichains(m)
     rng = np.random.default_rng(100 + m)
+    strict = down_sets(lattice)
     for _ in range(25):
         values = rng.uniform(-1.0, 2.0, size=len(lattice))
         pi = lattice.invert_values(values)
         for i in range(len(lattice)):
-            resum = pi[i] + pi[list(lattice.down_sets[i])].sum()
+            resum = pi[i] + pi[list(strict[i])].sum()
             assert abs(resum - values[i]) <= 1e-12 * max(1.0, abs(values[i]))
         # completeness: everything sums to the top redundancy
         top_idx = lattice.index(top(m))
@@ -292,10 +297,10 @@ def test_moebius_nonfinite_raises():
 
 def test_coarse_groups_m2():
     lattice = enumerate_antichains(2)
-    assert lattice.coarse_group(Atom([(1,), (2,)])) == "redundant"
-    assert lattice.coarse_group(Atom([(1,)])) == "unique:1"
-    assert lattice.coarse_group(Atom([(2,)])) == "unique:2"
-    assert lattice.coarse_group(Atom([(1, 2)])) == "synergistic"
+    assert coarse_group(Atom([(1,), (2,)])) == "redundant"
+    assert coarse_group(Atom([(1,)])) == "unique:1"
+    assert coarse_group(Atom([(2,)])) == "unique:2"
+    assert coarse_group(Atom([(1, 2)])) == "synergistic"
 
 
 def test_coarse_groups_m3_partition():
@@ -312,5 +317,5 @@ def test_coarse_groups_m3_partition():
     all_indices = sorted(i for idx in groups.values() for i in idx)
     assert all_indices == list(range(18))
     # the bottom atom is always redundant, the top synergistic
-    assert lattice.coarse_group(bottom(3)) == "redundant"
-    assert lattice.coarse_group(top(3)) == "synergistic"
+    assert coarse_group(bottom(3)) == "redundant"
+    assert coarse_group(top(3)) == "synergistic"

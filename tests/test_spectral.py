@@ -57,6 +57,18 @@ def test_grid_endpoints_and_mapping():
         FrequencyGrid(fs=-1.0)
 
 
+@pytest.mark.parametrize("n_points", [2.5, 65.0, np.float64(65.0), "65", None])
+def test_grid_rejects_a_non_integer_point_count(n_points):
+    # rejected when built, not at the first read of ``omegas``
+    with pytest.raises(ArgumentError, match="n_points must be an integer"):
+        FrequencyGrid(n_points=n_points)
+
+
+def test_grid_takes_a_numpy_integer_point_count():
+    assert FrequencyGrid(n_points=np.int64(65)).omegas.shape == (65,)
+    assert np.array_equal(FrequencyGrid(n_points=np.int32(65)).omegas, FrequencyGrid(n_points=65).omegas)
+
+
 def test_transfer_function_identity_for_white_model(grid):
     h = transfer_function(WHITE_080, grid)
     assert np.allclose(h, np.eye(3), atol=0)
@@ -72,8 +84,12 @@ def test_transfer_function_ar1_gain(grid):
 
 
 def test_transfer_function_refuses_unstable(grid):
-    with pytest.raises(UnstableModelError):
+    # the message of the one stability guard, naming the caller and the radius
+    with pytest.raises(UnstableModelError) as raised:
         transfer_function(scalar_ar([1.05]), grid)
+    assert str(raised.value) == (
+        "transfer_function requires a stable model (companion spectral radius 1.050000)"
+    )
 
 
 def test_transfer_function_right_factor(grid):
@@ -111,7 +127,7 @@ PIVOT_MODEL = VarModel(coeffs=[[[1.0, -1.0], [0.25, 0.0]]], sigma=np.eye(2))
 
 
 def test_transfer_function_pivots_past_a_zero_leading_entry(grid):
-    assert PIVOT_MODEL.spectral_radius() == pytest.approx(0.5)
+    assert PIVOT_MODEL.spectral_radius == pytest.approx(0.5)
     mats = lapack_system(PIVOT_MODEL, grid)
     assert mats[0, 0, 0] == 0.0
     h = transfer_function(PIVOT_MODEL, grid)

@@ -15,7 +15,6 @@ from pird import (
     TimeSeriesMatrix,
     UnstableModelError,
     VarModel,
-    autocovariance_sequence,
     build_scenario,
     fit_ols,
     is_stable,
@@ -28,9 +27,10 @@ from pird import (
     zero_lag_covariance,
 )
 from pird import var as var_module
-from pird.var import ar_coeffs_from_poles
+from pird.var import STABILITY_EPS, ar_coeffs_from_poles
 
 from conftest import make_model_set
+from oracles import autocovariance_sequence
 
 
 def scalar_ar(coeffs, var=1.0):
@@ -238,9 +238,25 @@ def test_varmodel_rejects_non_finite_entries(field, bad):
 
 def test_is_stable():
     assert is_stable(VarModel(coeffs=np.zeros((0, 2, 2)), sigma=np.eye(2)))
-    assert is_stable(scalar_ar([0.99]), eps=0.005)
-    assert not is_stable(scalar_ar([0.999]), eps=0.005)
+    # the one threshold: radius below 1 - STABILITY_EPS
+    assert is_stable(scalar_ar([1.0 - 2.0 * STABILITY_EPS]))
+    assert not is_stable(scalar_ar([1.0 - STABILITY_EPS / 2.0]))
+    assert not is_stable(scalar_ar([1.0]))
     assert is_stable(build_scenario(Scenario("sim3")))
+
+
+def test_spectral_radius_is_computed_once_per_model(monkeypatch):
+    m = scalar_ar(list(poles_to_coeffs(0.8, 0.3)))
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+    assert m.spectral_radius == pytest.approx(0.8, abs=1e-12)
+    assert is_stable(m) and m.spectral_radius == pytest.approx(0.8, abs=1e-12)
+    zero_lag_covariance(m)
+    assert len(calls) == 1
+    # a model with other coefficients is another model: its own solve
+    assert scalar_ar([0.5]).spectral_radius == pytest.approx(0.5, abs=1e-15)
+    assert len(calls) == 2
 
 
 def test_companion_matrix_eigenvalues_match_poles():
@@ -252,7 +268,7 @@ def test_companion_matrix_eigenvalues_match_poles():
 def test_random_stable_var_hits_requested_radius():
     for seed in range(5):
         m = random_stable_var(3, 3, seed=seed, radius=0.7)
-        assert m.spectral_radius() == pytest.approx(0.7, abs=1e-8)
+        assert m.spectral_radius == pytest.approx(0.7, abs=1e-8)
         assert np.allclose(np.diag(m.sigma), 1.0)
         assert is_stable(m)
     white = random_stable_var(4, 0, seed=1)
@@ -697,6 +713,19 @@ def test_model_json_round_trip():
     assert np.allclose(back.coeffs, m.coeffs, atol=0)
     assert np.allclose(back.sigma, m.sigma, atol=0)
     assert back.names == m.names and back.fs == m.fs
+
+
+@pytest.mark.parametrize("changes", [
+    {"dim": 5, "order": 3}, {"dim": 5}, {"dim": 1}, {"order": 3}, {"order": 0}, {"dim": "2"},
+])
+def test_model_json_dim_and_order_must_match_the_arrays(changes):
+    doc = json.loads(VarModel(coeffs=np.full((1, 2, 2), 0.1), sigma=np.eye(2)).to_json())
+    doc.update(changes)
+    with pytest.raises(FormatError, match="disagree with 2 sigma rows and 1 lag matrices"):
+        VarModel.from_json(json.dumps(doc))
+    # a white model states order 0 and an empty lag list
+    white = VarModel.from_json(VarModel(coeffs=np.zeros((0, 3, 3)), sigma=np.eye(3)).to_json())
+    assert (white.dim, white.order) == (3, 0)
 
 
 def test_model_json_error():
