@@ -42,7 +42,6 @@ from .spectral import (
     Band,
     FrequencyGrid,
     SpectralMatrix,
-    SpectralProfile,
     integrate_band,
     integrate_full,
     parse_bands,
@@ -76,7 +75,6 @@ __all__ = [
     "RedundancyLattice",
     "Scenario",
     "SpectralMatrix",
-    "SpectralProfile",
     "TimeSeriesMatrix",
     "VarModel",
     "ArgumentError",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .decomposition import CoarseTerms
 from .errors import ArgumentError, EstimationError, NumericalError
-from .var import _MAX_DOUBLINGS, VarModel, _require_stable, _resolve_sources
+from .var import _MAX_DOUBLINGS, VarModel, _channel_set, _require_stable, _resolve_sources
 
 
 def _logdet_spd(mat: np.ndarray, what: str, err=NumericalError) -> float:
@@ -38,11 +38,13 @@ def gaussian_mi(cov: np.ndarray, target: int, sources: Sequence[int]) -> float:
     Raises
     ------
     ArgumentError
-        If the covariance is not symmetric positive definite, or the
-        channel indices are invalid.
+        If the covariance is not finite, symmetric and positive definite,
+        or the channel indices are invalid.
     """
     cov = np.asarray(cov, dtype=float)
-    q = cov.shape[0]
+    if not np.isfinite(cov).all():
+        raise ArgumentError("covariance must be finite, got a NaN or infinite entry")
+    q = cov.shape[-1] if cov.ndim else 0
     if cov.shape != (q, q) or np.max(np.abs(cov - cov.T)) > 1e-8 * max(
         1.0, np.max(np.abs(cov))
     ):
@@ -98,11 +100,7 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
         If the Riccati equation has no stabilising solution (numerical
         conditioning).
     """
-    chans = list(dict.fromkeys(int(c) for c in channels))
-    if not chans:
-        raise ArgumentError("need at least one channel")
-    if any(not 0 <= c < model.dim for c in chans):
-        raise ArgumentError(f"channels {chans} out of range 0..{model.dim - 1}")
+    chans = list(_channel_set(model.dim, channels, "channel"))
     _require_stable(model, "submodel_innovation")
     if model.order == 0:
         return model.sigma[np.ix_(chans, chans)].copy()
@@ -191,25 +189,25 @@ def transfer_entropy(
     used.
     """
     return _transfer_entropy(
-        lambda chans: submodel_innovation(model, chans), sources, target, conditioning
+        lambda chans: submodel_innovation(model, chans), model.dim, sources, target, conditioning
     )
 
 
 def _transfer_entropy(
     innovation: Callable[[tuple[int, ...]], np.ndarray],
+    dim: int,
     sources: Sequence[int],
     target: int | Sequence[int],
     conditioning: Sequence[int],
 ) -> float:
     """:func:`transfer_entropy` with the sub-model innovation covariances
-    taken from ``innovation(channels)`` (sorted channel tuples)."""
-    targets = (target,) if isinstance(target, (int, np.integer)) else tuple(target)
-    if not targets:
-        raise ArgumentError("need at least one target channel")
-    srcs = tuple(dict.fromkeys(int(s) for s in sources))
-    cond = tuple(dict.fromkeys(int(c) for c in conditioning))
-    if not srcs:
-        raise ArgumentError("need at least one source channel")
+    taken from ``innovation(channels)`` (sorted channel tuples) of a
+    ``dim``-channel model."""
+    targets = (target,) if isinstance(target, (int, np.integer)) else target
+    targets = _channel_set(dim, targets, "target channel")
+    srcs = _channel_set(dim, sources, "source channel")
+    # No conditioning is the common case; any other set follows the channel rule.
+    cond = _channel_set(dim, conditioning, "conditioning channel") if np.size(conditioning) else ()
     overlap = set(srcs) & set(targets)
     if overlap:
         raise ArgumentError(f"channels {sorted(overlap)} are both target and source")
@@ -268,11 +266,11 @@ def te_pid(
             solved[chans] = submodel_innovation(model, chans)
         return solved[chans]
 
-    joint = _transfer_entropy(innovation, srcs, target, ())
+    joint = _transfer_entropy(innovation, model.dim, srcs, target, ())
     marginals = []
     for s in srcs:
         cond = tuple(o for o in srcs if o != s) if conditioned else ()
-        marginals.append(_transfer_entropy(innovation, (s,), target, cond))
+        marginals.append(_transfer_entropy(innovation, model.dim, (s,), target, cond))
     return CoarseTerms.min_mi(joint, marginals)
 
 

@@ -45,6 +45,7 @@ from .decomposition import (
     coarse_names,
     coarse_values,
     decompose,
+    unit_scale,
     write_atoms_csv,
     write_coarse_csv,
     write_profiles_csv,
@@ -90,7 +91,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise FormatError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, str] = {}
@@ -241,7 +242,7 @@ def _obtain_model(args: argparse.Namespace) -> tuple[VarModel, list[float] | Non
         raise ArgumentError(f"--c applies to --scenario sim1/sim2, not to {given[0]}")
     if args.model:
         try:
-            text = Path(args.model).read_text(encoding="utf-8")
+            text = Path(args.model).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise FormatError(f"cannot read {args.model}: {exc}") from exc
         return VarModel.from_json(text), None
@@ -261,17 +262,10 @@ def _resolve_channels(model: VarModel, args: argparse.Namespace) -> tuple[int, t
         return names.index(name)
 
     target = lookup(args.target) if args.target else 0
+    sources = None
     if args.sources:
         sources = [lookup(n.strip()) for n in args.sources.split(",") if n.strip()]
-    else:
-        sources = [i for i in range(model.dim) if i != target]
     return target, _resolve_sources(model.dim, target, sources)
-
-
-def _unit_scale(args: argparse.Namespace) -> tuple[float, str]:
-    if args.units == "bits":
-        return float(np.log(2.0)), "bits"
-    return 1.0, "nats"
 
 
 @contextmanager
@@ -325,20 +319,19 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.diag_load != 0.0:  # a negative or NaN factor is rejected, not skipped
         psd = psd.with_diagonal_loading(args.diag_load)
     result = decompose(psd, target, sources, bands)
-    scale, unit = _unit_scale(args)
 
     baselines = {}
     if len(sources) >= 2:
         baselines["staticPID"] = bl.static_pid(model, target, sources)
         baselines["tePID"] = bl.te_pid(model, target, sources, conditioned=args.conditioned_te)
     with _outdir(args) as out:
-        write_atoms_csv(result, out / "atoms.csv", scale, unit)
-        write_coarse_csv(result, out / "coarse.csv", scale, unit, baselines)
-        write_profiles_csv(result, out / "profiles.csv", scale)
+        write_atoms_csv(result, out / "atoms.csv", args.units)
+        write_coarse_csv(result, out / "coarse.csv", args.units, baselines)
+        write_profiles_csv(result, out / "profiles.csv", args.units)
     print(
         f"target {model.names[target]}, sources "
         f"{', '.join(model.names[s] for s in sources)}; joint MIR = "
-        f"{_fmt(result.joint_mir, scale)} {unit}"
+        f"{_fmt(result.joint_mir, unit_scale(args.units))} {args.units}"
     )
     print(f"wrote {out / 'atoms.csv'}, {out / 'coarse.csv'}, {out / 'profiles.csv'}")
     return 0
@@ -359,7 +352,7 @@ def _parse_sweep(spec: str) -> np.ndarray:
 
 def _coupling_sweep(args: argparse.Namespace, scenario: str) -> int:
     cs = _parse_sweep(args.sweep)
-    scale, unit = _unit_scale(args)
+    scale = unit_scale(args.units)
     prefix = "staticPID" if scenario == "sim1" else "tePID"
     rows = []
     for c in cs:
@@ -377,7 +370,7 @@ def _coupling_sweep(args: argparse.Namespace, scenario: str) -> int:
     with _outdir(args) as out:
         path = out / f"bench_{scenario}.csv"
         atomic_write_text(path, (line + "\n" for line in [header, *rows]))
-    print(f"swept c over {len(cs)} points ({unit}); wrote {path}")
+    print(f"swept c over {len(cs)} points ({args.units}); wrote {path}")
     return 0
 
 
@@ -385,7 +378,7 @@ def _band_table(args: argparse.Namespace) -> int:
     model = _retimed(build_scenario(Scenario("sim3")), args)
     psd = psd_from_var(model, FrequencyGrid(fs=model.fs, n_points=args.grid))
     result = decompose(psd, 0, bands=parse_bands(args.bands))
-    scale, unit = _unit_scale(args)
+    scale = unit_scale(args.units)
     src = result.source_names
     # coarse_values without the JointMIR, which sits after the marginals
     header = ["band", *(f"I_{n}" for n in src), "JointMIR", *coarse_names(src)[:-1]]
@@ -396,7 +389,7 @@ def _band_table(args: argparse.Namespace) -> int:
     with _outdir(args) as out:
         path = out / "bench_sim3.csv"
         atomic_write_text(path, (line + "\n" for line in lines))
-    print(f"band table in {unit}; wrote {path}")
+    print(f"band table in {args.units}; wrote {path}")
     return 0
 
 

@@ -75,8 +75,8 @@ from .errors import ArgumentError
 from .lattice import RedundancyLattice, enumerate_antichains
 from .spectral import (
     Band,
+    FrequencyGrid,
     SpectralMatrix,
-    SpectralProfile,
     integrate_band,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
     integrate_full,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
     integrate_rows,
@@ -89,6 +89,9 @@ from .var import _resolve_sources
 
 #: Band label reserved for the full frequency axis.
 FULL_BAND = "FULL"
+
+#: The output units of the writers, each with the divisor of a rate in nats.
+UNIT_SCALES = MappingProxyType({"nats": 1.0, "bits": float(np.log(2.0))})
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,12 @@ class DecompositionResult:
         The sorted, distinct source channels.
     names : tuple of str
         The channel names of the spectral matrix.
+    grid : FrequencyGrid
+        The grid of every profile.
     atom_redundancy, atom_pi : ndarray, shape (n_atoms, n_freq)
         Redundancy and partial information rate profiles; the redundancy
         is built from the element table on first read.
-    joint_profile : SpectralProfile
+    joint_profile : ndarray, shape (n_freq,)
         Spectral MIR between the target and all sources.
     marginal_profiles : ndarray, shape (M, n_freq)
         Spectral MIR between the target and each source; their integrals
@@ -187,8 +192,9 @@ class DecompositionResult:
     target: int
     sources: tuple[int, ...]
     names: tuple[str, ...]
+    grid: FrequencyGrid
     atom_pi: np.ndarray
-    joint_profile: SpectralProfile
+    joint_profile: np.ndarray
     marginal_profiles: np.ndarray
     atom_redundancy_time: np.ndarray
     atom_pi_time: np.ndarray
@@ -210,10 +216,6 @@ class DecompositionResult:
             np.minimum(red, self._table[k], out=red, where=member[:, k, None])
         red.setflags(write=False)
         return red
-
-    @property
-    def grid(self):
-        return self.joint_profile.grid
 
     @property
     def source_names(self) -> tuple[str, ...]:
@@ -330,7 +332,7 @@ def decompose(
     pi[at, np.arange(grid.n_points)] = delta
     joint_k = elements.index(tuple(range(1, m + 1)))
     marginal_k = [elements.index((j,)) for j in range(1, m + 1)]
-    joint, marginal = SpectralProfile(grid=grid, values=table[joint_k]), table[marginal_k]
+    joint, marginal = table[joint_k], table[marginal_k]
     labels = [FULL_BAND, *(b.label for b in bands)]
     # One weight row per span, the full axis first.
     weights = [quadrature_weights(grid, b) for b in (None, *bands)]
@@ -354,6 +356,7 @@ def decompose(
         target=target,
         sources=srcs,
         names=psd.names,
+        grid=grid,
         atom_pi=pi,
         joint_profile=joint,
         marginal_profiles=marginal,
@@ -401,12 +404,19 @@ def _fmt(value: float, scale: float = 1.0) -> str:
     return f"{value / scale:.12g}"
 
 
-def write_atoms_csv(
-    result: DecompositionResult, path: str | Path, scale: float = 1.0, unit: str = "nats"
-) -> None:
-    """Per-atom table: ``(atom, band, pi_<unit>, redundancy_<unit>)`` rows
+def unit_scale(units: str) -> float:
+    """The :data:`UNIT_SCALES` divisor of ``units``; ArgumentError if none."""
+    try:
+        return UNIT_SCALES[units]
+    except (KeyError, TypeError):
+        raise ArgumentError(f"units must be one of {list(UNIT_SCALES)}, got {units!r}") from None
+
+
+def write_atoms_csv(result: DecompositionResult, path: str | Path, units: str = "nats") -> None:
+    """Per-atom table: ``(atom, band, pi_<units>, redundancy_<units>)`` rows
     for the full axis and every band of the result."""
-    lines = [f"atom,band,pi_{unit},redundancy_{unit}\n"]
+    scale = unit_scale(units)
+    lines = [f"atom,band,pi_{units},redundancy_{units}\n"]
     for i, atom in enumerate(result.lattice.atoms):
         lines.append(
             f"{atom},{FULL_BAND},{_fmt(result.atom_pi_time[i], scale)},"
@@ -424,11 +434,10 @@ def write_atoms_csv(
 def write_coarse_csv(
     result: DecompositionResult,
     path: str | Path,
-    scale: float = 1.0,
-    unit: str = "nats",
+    units: str = "nats",
     baselines: Mapping[str, CoarseTerms] = MappingProxyType({}),
 ) -> None:
-    """Coarse-term table ``(term, band, value_<unit>)``.
+    """Coarse-term table ``(term, band, value_<units>)``.
 
     Per band, ``FULL`` first: the rows ``U_<name>`` per source, ``R``,
     ``S``, ``Delta`` and ``JointMIR`` of the result's coarse terms, or
@@ -436,8 +445,9 @@ def write_coarse_csv(
     (e.g. ``{"staticPID": ..., "tePID": ...}``) writes the same terms on
     ``FULL`` with its key as a ``prefix:`` on every term.
     """
+    scale = unit_scale(units)
     names = coarse_names(result.source_names)
-    lines = [f"term,band,value_{unit}\n"]
+    lines = [f"term,band,value_{units}\n"]
     joints = {FULL_BAND: result.joint_mir, **result.joint_mir_bands}
     for label, joint in joints.items():
         terms = result.coarse.get(label)
@@ -452,10 +462,8 @@ def write_coarse_csv(
     atomic_write_text(path, lines)
 
 
-def write_profiles_csv(
-    result: DecompositionResult, path: str | Path, scale: float = 1.0
-) -> None:
-    """Long-form spectral profiles ``(f_hz, atom_or_term, value)``.
+def write_profiles_csv(result: DecompositionResult, path: str | Path, units: str = "nats") -> None:
+    """Long-form spectral profiles ``(f_hz, atom_or_term, value)`` in ``units``.
 
     The rows come in blocks of one key each, one row per grid frequency in
     ascending order. The blocks are the atoms in lattice order (keyed by the
@@ -468,6 +476,7 @@ def write_profiles_csv(
     The file is streamed in chunks while it is written, so peak memory does
     not grow with the file's size. Every value prints as ``%.12g``.
     """
+    scale = unit_scale(units)
     blocks: list[tuple[str, np.ndarray]] = []
     for i, atom in enumerate(result.lattice.atoms):
         blocks.append((str(atom), result.atom_pi[i]))
@@ -476,7 +485,7 @@ def write_profiles_csv(
     if len(result.sources) >= 2:
         groups = zip(coarse_names(result.source_names)[:-2], result.lattice.coarse_members)
         blocks += [(key, _row_sum(result.atom_pi, idx)) for key, idx in groups]
-    blocks.append(("JointMIR", result.joint_profile.values))
+    blocks.append(("JointMIR", result.joint_profile))
     atomic_write_text(path, _profile_chunks(blocks, result.grid.hz, scale))
 
 

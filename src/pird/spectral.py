@@ -193,25 +193,6 @@ def _check_diagonal(grid: FrequencyGrid, diags: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SpectralProfile:
-    """A real-valued function of frequency on a grid (nats per sample)."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_points,):
-            raise ArgumentError(
-                f"expected {self.grid.n_points} values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ArgumentError("profile values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 def transfer_function(
     model: VarModel, grid: FrequencyGrid, right: np.ndarray | None = None
 ) -> np.ndarray:
@@ -342,10 +323,9 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def spectral_mir(
-    psd: SpectralMatrix, target: int, sources: Sequence[int]
-) -> SpectralProfile:
-    """Spectral mutual information rate between ``target`` and a source group.
+def spectral_mir(psd: SpectralMatrix, target: int, sources: Sequence[int]) -> np.ndarray:
+    """Spectral mutual information rate between ``target`` and a source group,
+    one ``(n_points,)`` row.
 
     At each frequency,
 
@@ -365,12 +345,14 @@ def spectral_mir(
 
     Raises
     ------
+    ArgumentError
+        On an invalid target or source group.
     SpectralSingularityError
         If the normalised joint block is not positive definite or its
         determinant falls below :data:`DET_FLOOR` at some grid frequency
         (the message names the first one).
     """
-    return SpectralProfile(grid=psd.grid, values=spectral_mir_rows(psd, target, [sources])[0])
+    return spectral_mir_rows(psd, target, [sources])[0]
 
 
 def spectral_mir_rows(
@@ -490,27 +472,30 @@ def integrate_rows(rows: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarra
     return np.stack([np.add.reduce(np.multiply(rows, w, out=buf), axis=1) for w in weights])
 
 
-def integrate_full(profile: SpectralProfile) -> float:
-    """Normalized full-axis integral ``(1/pi) * trapezoid over [0, pi]``.
+def integrate_full(values: np.ndarray) -> float:
+    """Normalized full-axis integral ``(1/pi) * trapezoid over [0, pi]`` of
+    one profile row on a uniform grid. Equals the two-sided integral
+    ``(1/2pi) int_{-pi}^{pi}`` by evenness, so a constant profile
+    integrates to its own value."""
+    return _integral(values, 1.0, None)
 
-    Equals the two-sided integral ``(1/2pi) int_{-pi}^{pi}`` by evenness,
-    so a constant profile integrates to its own value.
-    """
-    return float(integrate_rows(profile.values[None, :], [quadrature_weights(profile.grid)])[0, 0])
+
+def integrate_band(values: np.ndarray, band: Band, fs: float) -> float:
+    """Normalized integral of one profile row on a uniform grid of ``[0,
+    fs/2]`` Hz over ``omega in [2pi lo/fs, 2pi hi/fs]``; a partition of
+    ``[0, fs/2]`` into bands sums to :func:`integrate_full`. ArgumentError
+    if the band exceeds the Nyquist frequency."""
+    return _integral(values, fs, band)
 
 
-def integrate_band(profile: SpectralProfile, band: Band) -> float:
-    """Normalized integral of one profile over ``omega in [2pi lo/fs, 2pi
-    hi/fs]``; a partition of ``[0, fs/2]`` into bands sums to
-    :func:`integrate_full`.
-
-    Raises
-    ------
-    ArgumentError
-        If the band exceeds the Nyquist range of the profile's grid.
-    """
-    weights = [quadrature_weights(profile.grid, band)]
-    return float(integrate_rows(profile.values[None, :], weights)[0, 0])
+def _integral(values: np.ndarray, fs: float, band: Band | None) -> float:
+    """One row's integral under :func:`quadrature_weights`; ArgumentError
+    unless ``values`` is a finite 1-D row of at least 2 points."""
+    row = np.asarray(values, dtype=float)
+    if row.ndim != 1 or row.size < 2 or not np.isfinite(row).all():
+        raise ArgumentError(f"a profile must be a finite 1-D row of 2+ points, got {row.shape}")
+    weights = [quadrature_weights(FrequencyGrid(fs, row.size), band)]
+    return float(integrate_rows(row[None, :], weights)[0, 0])
 
 
 def _check_nyquist(band: Band, fs: float) -> None:

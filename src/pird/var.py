@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -43,18 +44,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _channel_set(dim: int, channels: Sequence[int], what: str) -> tuple[int, ...]:
+    """The distinct ``channels``, in first-seen order: ArgumentError naming
+    ``what`` unless there is one at least and each is an integer index
+    (``operator.index``: not ``1.7`` or ``"1"``) in ``0..dim-1``."""
+    try:
+        chans = tuple(dict.fromkeys(map(operator.index, channels)))
+    except TypeError:
+        raise ArgumentError(f"{what}s must be integer indices, got {channels!r}") from None
+    if not chans:
+        raise ArgumentError(f"need at least one {what}")
+    if min(chans) < 0 or max(chans) >= dim:
+        raise ArgumentError(f"{what}s {list(chans)} out of range 0..{dim - 1}")
+    return chans
+
+
 def _resolve_sources(dim: int, target: int, sources: Sequence[int] | None) -> tuple[int, ...]:
     """The sorted, distinct sources of a (target, sources) pair, all other
     channels for ``None``; ArgumentError on any invalid channel choice."""
-    if not 0 <= target < dim:
-        raise ArgumentError(f"target channel {target} out of range 0..{dim - 1}")
+    (target,) = _channel_set(dim, (target,), "target channel")
     if sources is None:
-        return tuple(c for c in range(dim) if c != target)
-    srcs = tuple(sorted(set(int(s) for s in sources)))
-    if not srcs:
-        raise ArgumentError("need at least one source channel")
-    if any(not 0 <= s < dim for s in srcs):
-        raise ArgumentError(f"source channels {srcs} out of range 0..{dim - 1}")
+        sources = [c for c in range(dim) if c != target]
+    srcs = tuple(sorted(_channel_set(dim, sources, "source channel")))
     if target in srcs:
         raise ArgumentError(f"target channel {target} cannot be one of the sources")
     return srcs
@@ -261,7 +272,7 @@ class TimeSeriesMatrix:
             On a missing/numeric header, ragged rows or non-numeric cells.
         """
         try:
-            with open(path, "r", newline="", encoding="utf-8") as fh:
+            with open(path, "r", newline="", encoding="utf-8-sig") as fh:
                 reader = csv.reader(fh)
                 try:
                     header = next(reader)

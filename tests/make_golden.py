@@ -77,7 +77,7 @@ def case_values(case: str) -> dict[str, list[float]]:
         tep = te_pid(model, 0, res.sources)
         out["tePID"] = [*tep.unique, tep.redundancy, tep.synergy, tep.joint_mir]
     profiles = np.vstack([res.atom_pi, res.atom_redundancy, res.marginal_profiles,
-                          res.joint_profile.values])
+                          res.joint_profile])
     rows, cols = sample_positions(profiles.shape)
     out["profiles"] = profiles[rows, cols]
     return {key: [float(v) for v in np.ravel(val)] for key, val in out.items()}

@@ -123,7 +123,7 @@ def test_criterion_3_redundancy_axioms(grid, property_models):
             for j in range(1, m + 1):
                 red = redundancy(Atom([(j,)]))
                 direct = spectral_mir(psd, 0, [j])
-                assert np.array_equal(red, direct.values)
+                assert np.array_equal(red, direct)
                 assert red.min() >= -1e-10
             if m < 2:
                 continue
@@ -135,7 +135,7 @@ def test_criterion_3_redundancy_axioms(grid, property_models):
             single = redundancy(Atom([(1,)]))
             assert np.all(a <= single + 1e-10)
             # subset equality: a superset element never changes the minimum
-            superset = spectral_mir(psd, 0, [1, 2]).values
+            superset = spectral_mir(psd, 0, [1, 2])
             assert np.max(np.abs(np.minimum(single, superset) - single)) <= 1e-10
             assert a.min() >= -1e-10
 
@@ -214,7 +214,7 @@ def test_criterion_8_reconstruction_identities(grid):
             model = build_scenario(scenario)
             result = decompose(psd_from_var(model, grid), 0, bands=[B1, B2])
             resum = result.atom_pi.sum(axis=0)
-            assert np.max(np.abs(resum - result.joint_profile.values)) < 1e-9
+            assert np.max(np.abs(resum - result.joint_profile)) < 1e-9
             assert abs(result.atom_pi_time.sum() - result.joint_mir) < 1e-6
             for label, terms in result.coarse.items():
                 total = sum(terms.unique) + terms.redundancy + terms.synergy
@@ -257,11 +257,8 @@ def test_criterion_10_numerical_infrastructure(grid, sim3_model):
         # integrated spectrum against the Lyapunov covariance
         psd = psd_from_var(sim3_model, grid)
         gamma0 = zero_lag_covariance(sim3_model)
-        from pird import SpectralProfile
-
         for ch in range(sim3_model.dim):
-            profile = SpectralProfile(grid=grid, values=psd.mats[:, ch, ch].real)
-            assert abs(integrate_full(profile) - gamma0[ch, ch]) < 1e-3 * gamma0[ch, ch]
+            assert abs(integrate_full(psd.mats[:, ch, ch].real) - gamma0[ch, ch]) < 1e-3 * gamma0[ch, ch]
 
         # doubling the grid barely moves the joint rate
         fine = FrequencyGrid(fs=1.0, n_points=4097)

@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 import pird
 
 #: The public API. A name joins or leaves it on purpose, with this list.
@@ -16,7 +19,6 @@ PUBLIC = [
     "RedundancyLattice",
     "Scenario",
     "SpectralMatrix",
-    "SpectralProfile",
     "SpectralSingularityError",
     "TimeSeriesMatrix",
     "UnstableModelError",
@@ -56,3 +58,65 @@ def test_public_api_is_the_listed_names():
     assert len(set(pird.__all__)) == len(pird.__all__)
     for name in PUBLIC:
         assert getattr(pird, name) is not None, name
+
+
+# ---------------------------------------------------------------------------
+# One channel rule for every entry that takes channels
+
+_SIM3 = pird.build_scenario(pird.Scenario("sim3"))  # channels 0..3
+_PSD = pird.psd_from_var(_SIM3, pird.FrequencyGrid(n_points=65))
+
+#: Each public entry taking channels, called as ``entry(target, sources)``;
+#: ``submodel_innovation`` has no target and takes the sources alone.
+CHANNEL_ENTRIES = {
+    "decompose": lambda t, s: pird.decompose(_PSD, t, s),
+    "spectral_mir": lambda t, s: pird.spectral_mir(_PSD, t, s),
+    "gaussian_mi": lambda t, s: pird.gaussian_mi(pird.zero_lag_covariance(_SIM3), t, s),
+    "static_pid": lambda t, s: pird.static_pid(_SIM3, t, s),
+    "te_pid": lambda t, s: pird.te_pid(_SIM3, t, s),
+    "transfer_entropy": lambda t, s: pird.transfer_entropy(_SIM3, s, t),
+    "instantaneous_info": lambda t, s: pird.instantaneous_info(_SIM3, s, t),
+    "mir_decomposition": lambda t, s: pird.mir_decomposition(_SIM3, t, s),
+    "submodel_innovation": lambda t, s: pird.submodel_innovation(_SIM3, s),
+}
+
+#: Bad (target, sources) choices; the ones after the first five name a bad target.
+BAD_CHANNELS = {
+    "float source": (0, [1.7, 2]),
+    "out-of-range source": (0, [1, 4]),
+    "negative source": (0, [-1, 2]),
+    "empty sources": (0, []),
+    "string sources": (0, "12"),
+    "float target": (0.5, [1, 2]),
+    "out-of-range target": (4, [1, 2]),
+    "target is a source": (1, [1, 2]),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        (entry, case)
+        for entry in CHANNEL_ENTRIES
+        for k, case in enumerate(BAD_CHANNELS)
+        if entry != "submodel_innovation" or k < 5
+    ],
+)
+def test_every_channel_entry_rejects_a_bad_channel_choice(entry, case):
+    with pytest.raises(pird.ArgumentError):
+        CHANNEL_ENTRIES[entry](*BAD_CHANNELS[case])
+
+
+def test_every_channel_entry_takes_numpy_integers():
+    target, sources = np.int64(0), np.array([1, 2])
+    for entry, call in CHANNEL_ENTRIES.items():
+        assert call(target, sources) is not None, entry
+    same = pird.decompose(_PSD, 0, [2, 1, 2]).joint_mir
+    assert pird.decompose(_PSD, target, sources).joint_mir == same
+
+
+def test_decompose_of_a_one_channel_spectrum_needs_a_source():
+    model = pird.VarModel(coeffs=[[[0.5]]], sigma=[[1.0]])
+    psd = pird.psd_from_var(model, pird.FrequencyGrid(n_points=65))
+    with pytest.raises(pird.ArgumentError, match="at least one source channel"):
+        pird.decompose(psd, 0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -60,6 +62,19 @@ def test_gaussian_mi_input_validation():
         gaussian_mi(np.array([[1.0, 1.0], [1.0, 1.0]]), 0, [1])
     with pytest.raises(ArgumentError, match="symmetric"):
         gaussian_mi(np.array([[1.0, 0.5], [0.1, 1.0]]), 0, [1])
+    for not_a_matrix in (np.float64(1.0), np.ones(3), np.ones((2, 3))):
+        with pytest.raises(ArgumentError, match="square"):
+            gaussian_mi(not_a_matrix, 0, [1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gaussian_mi_rejects_a_non_finite_covariance_without_a_warning(bad):
+    cov = COR08.copy()
+    cov[1, 2] = cov[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match="finite"):
+            gaussian_mi(cov, 0, [1, 2])
     with pytest.raises(ArgumentError):
         gaussian_mi(np.eye(2), 0, [0])
 
@@ -502,7 +517,7 @@ def test_write_coarse_csv_schema(tmp_path):
     names = ["U_X1", "U_X2", "U_X3", "R", "S", "Delta", "JointMIR"]
     for scale, unit in ((1.0, "nats"), (np.log(2.0), "bits")):
         path = tmp_path / f"coarse_{unit}.csv"
-        write_coarse_csv(res, path, scale, unit, base)
+        write_coarse_csv(res, path, unit, base)
         assert path.read_text().splitlines()[0] == f"term,band,value_{unit}"
         assert read_rows(path) == [
             (prefix + name, label, f"{value / scale:.12g}")

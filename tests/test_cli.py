@@ -137,6 +137,32 @@ def test_decompose_from_model_json(sim3_csv, tmp_path):
     assert rows[("JointMIR", "FULL")] == pytest.approx(0.904134652869, abs=0.02)
 
 
+def test_every_input_file_may_start_with_a_byte_order_mark(sim3_csv, tmp_path):
+    # The time series, model.json and --config are each read as UTF-8 with
+    # an optional byte-order mark, as spreadsheet exports write them.
+    bom = b"\xef\xbb\xbf"
+    series = tmp_path / "bom.csv"
+    series.write_bytes(bom + sim3_csv.read_bytes()[:200_000].rsplit(b"\n", 1)[0] + b"\n")
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--input", str(series), "--order", "2", "--out", str(fit_out)]) == 0
+    model = tmp_path / "bom.json"
+    model.write_bytes(bom + (fit_out / "model.json").read_bytes())
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(bom + b"units = bits\ngrid = 65\n")
+    runs = {
+        "input": ["--input", str(series), "--order", "2"],
+        "model": ["--model", str(model)],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        code = main(["decompose", *argv, "--target", "Y", "--config", str(cfg), "--out", str(out)])
+        assert code == 0, name
+        assert (out / "coarse.csv").read_text().splitlines()[0] == "term,band,value_bits"
+    assert (tmp_path / "input" / "coarse.csv").read_bytes() == (
+        tmp_path / "model" / "coarse.csv"
+    ).read_bytes()
+
+
 def test_decompose_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

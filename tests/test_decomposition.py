@@ -14,7 +14,6 @@ from pird import (
     Band,
     FrequencyGrid,
     Scenario,
-    SpectralProfile,
     build_scenario,
     decompose,
     integrate_band,
@@ -74,15 +73,15 @@ def redundancy_profile(result, atom):
 def test_self_redundancy(sim3_psd, sim3_result):
     red = redundancy_profile(sim3_result, Atom([(1,)]))
     direct = spectral_mir(sim3_psd, 0, [1])
-    assert np.array_equal(red, direct.values)
+    assert np.array_equal(red, direct)
     red2 = redundancy_profile(sim3_result, Atom([(2, 3)]))
-    assert np.array_equal(red2, spectral_mir(sim3_psd, 0, [2, 3]).values)
+    assert np.array_equal(red2, spectral_mir(sim3_psd, 0, [2, 3]))
 
 
 def test_redundancy_is_pointwise_min(sim3_psd, sim3_result):
     red = redundancy_profile(sim3_result, Atom([(1,), (2, 3)]))
-    a = spectral_mir(sim3_psd, 0, [1]).values
-    b = spectral_mir(sim3_psd, 0, [2, 3]).values
+    a = spectral_mir(sim3_psd, 0, [1])
+    b = spectral_mir(sim3_psd, 0, [2, 3])
     assert np.array_equal(red, np.minimum(a, b))
     assert np.all(red <= a) and np.all(red <= b)
 
@@ -103,7 +102,7 @@ def test_monotonicity_and_subset_equality(sim3_psd, sim3_result):
     single = redundancy_profile(sim3_result, Atom([(1,)]))
     widened = redundancy_profile(sim3_result, Atom([(1,), (2,)]))
     assert np.all(widened <= single + 1e-10)
-    superset = spectral_mir(sim3_psd, 0, [1, 2]).values
+    superset = spectral_mir(sim3_psd, 0, [1, 2])
     assert np.all(np.minimum(single, superset) >= single - 1e-10)
     assert np.max(np.abs(np.minimum(single, superset) - single)) <= 1e-10
 
@@ -120,8 +119,8 @@ def test_element_index_out_of_range(sim1_c0_psd):
 
 def test_sim3_redundancy_follows_the_weaker_source(sim3_psd, sim3_result, grid):
     red = redundancy_profile(sim3_result, Atom([(1,), (3,)]))
-    x1 = spectral_mir(sim3_psd, 0, [1]).values
-    x3 = spectral_mir(sim3_psd, 0, [3]).values
+    x1 = spectral_mir(sim3_psd, 0, [1])
+    x3 = spectral_mir(sim3_psd, 0, [3])
     i01 = int(np.argmin(np.abs(grid.hz - 0.1)))
     i03 = int(np.argmin(np.abs(grid.hz - 0.3)))
     assert red[i01] == x1[i01] < x3[i01]  # near 0.1 Hz X1 carries less
@@ -136,13 +135,13 @@ def test_single_source_trivial_decomposition(sim3_psd):
     bands = [Band(0.04, 0.15, "B1"), Band(0.3, 0.3001, "NARROW")]
     res = decompose(sim3_psd, 0, [1], bands)
     assert len(res.lattice) == 1
-    assert np.array_equal(res.atom_pi[0], res.joint_profile.values)
-    assert np.array_equal(res.atom_redundancy[0], res.joint_profile.values)
+    assert np.array_equal(res.atom_pi[0], res.joint_profile)
+    assert np.array_equal(res.atom_redundancy[0], res.joint_profile)
     assert res.atom_pi_time[0] == pytest.approx(res.joint_mir, abs=1e-15)
     assert res.coarse == {}
     # The one atom's chain integrals are the joint's, per span, and its
     # redundancy integrals are its PI integrals.
-    bound = 1e-15 * res.joint_profile.values.max()
+    bound = 1e-15 * res.joint_profile.max()
     spans = [(res.atom_pi_time, res.atom_redundancy_time, res.joint_mir)]
     spans += [(res.atom_pi_bands[b.label], res.atom_redundancy_bands[b.label],
                res.joint_mir_bands[b.label]) for b in bands]
@@ -168,7 +167,7 @@ def test_sim1_c0_flat_atoms(sim1_c0_psd):
 def test_pointwise_reconstruction(sim3_result):
     res = sim3_result
     resum = res.atom_pi.sum(axis=0)
-    assert np.max(np.abs(resum - res.joint_profile.values)) < 1e-9
+    assert np.max(np.abs(resum - res.joint_profile)) < 1e-9
     # redundancy equals the accumulated PI over each down-set, per frequency
     for i, below in enumerate(down_sets(res.lattice)):
         acc = res.atom_pi[i] + res.atom_pi[list(below)].sum(axis=0)
@@ -245,7 +244,7 @@ def test_m2_coarse_equals_lattice_atoms(grid, c):
     # s = joint - r - sum_m u_m; for two sources they are the four atoms
     r = res.marginal_profiles.min(axis=0)
     u = res.marginal_profiles - r
-    s = res.joint_profile.values - r - u.sum(axis=0)
+    s = res.joint_profile - r - u.sum(axis=0)
 
     def integral(row):
         return np.trapezoid(row, grid.omegas) / np.pi
@@ -339,7 +338,7 @@ def test_atoms_are_nonnegative_without_clipping(grid):
         assert np.all(np.count_nonzero(res.atom_pi, axis=0) <= 2 ** len(res.sources) - 1)
         # nothing was clipped: the recursion on the same redundancy agrees
         oracle = res.lattice.invert_values(res.atom_redundancy)
-        assert np.max(np.abs(res.atom_pi - oracle)) <= 1e-15 * res.joint_profile.values.max()
+        assert np.max(np.abs(res.atom_pi - oracle)) <= 1e-15 * res.joint_profile.max()
 
 
 def test_result_is_frozen_all_the_way_down(sim1_c0_psd):
@@ -401,6 +400,31 @@ def test_csv_exports(tmp_path, sim3_psd):
     assert {"{1}{2}{3}", "I_X1", "U_X3", "R", "S", "JointMIR"} <= keys
 
 
+def test_writers_take_one_units_name(tmp_path, sim3_psd):
+    # The scale comes with the units name: bits divide every value by ln 2.
+    res = decompose(sim3_psd, 0)
+    bits = float(np.log(2.0))
+    write_atoms_csv(res, tmp_path / "atoms.csv", "bits")
+    write_coarse_csv(res, tmp_path / "coarse.csv", "bits")
+    write_profiles_csv(res, tmp_path / "profiles.csv", "bits")
+    atoms = (tmp_path / "atoms.csv").read_text().splitlines()
+    assert atoms[0] == "atom,band,pi_bits,redundancy_bits"
+    assert atoms[1].split(",")[2:] == [
+        f"{res.atom_pi_time[0] / bits:.12g}", f"{res.atom_redundancy_time[0] / bits:.12g}"
+    ]
+    coarse = (tmp_path / "coarse.csv").read_text().splitlines()
+    assert coarse[0] == "term,band,value_bits"
+    assert coarse[-1] == f"JointMIR,FULL,{res.joint_mir / bits:.12g}"
+    profiles = (tmp_path / "profiles.csv").read_text().splitlines()
+    assert profiles[-1].split(",")[2] == f"{res.joint_profile[-1] / bits:.12g}"
+    for units in ("a,b", "BITS", "", None, 1.0):
+        for writer in (write_atoms_csv, write_coarse_csv, write_profiles_csv):
+            path = tmp_path / "bad.csv"
+            with pytest.raises(ArgumentError, match="units"):
+                writer(res, path, units)
+            assert not path.exists()
+
+
 def reference_profile_blocks(result):
     """The ``(key, values)`` blocks of ``profiles.csv``, in file order."""
     blocks = [(str(atom), result.atom_pi[i]) for i, atom in enumerate(result.lattice.atoms)]
@@ -410,7 +434,7 @@ def reference_profile_blocks(result):
         keys = [(f"U_{n}", f"unique:{j}") for j, n in enumerate(result.source_names, start=1)]
         keys += [("R", "redundant"), ("S", "synergistic")]
         blocks += [(key, result.atom_pi[list(groups[g])].sum(axis=0)) for key, g in keys]
-    blocks.append(("JointMIR", result.joint_profile.values))
+    blocks.append(("JointMIR", result.joint_profile))
     return blocks
 
 
@@ -503,7 +527,7 @@ def test_profiles_csv_matches_row_at_a_time_writer(tmp_path, grid, case, m, scal
     n = res.grid.n_points
     for feature in PROFILE_FEATURES.get(case, ()):
         assert _has_feature(feature, reference_profile_blocks(res), n), feature
-    write_profiles_csv(res, tmp_path / "profiles.csv", scale)
+    write_profiles_csv(res, tmp_path / "profiles.csv", "nats" if scale == 1.0 else "bits")
     reference_profiles_csv(res, tmp_path / "reference.csv", scale)
     text = (tmp_path / "profiles.csv").read_bytes()
     assert text == (tmp_path / "reference.csv").read_bytes()
@@ -582,10 +606,10 @@ def test_coarse_marginals_are_the_marginal_profile_integrals(fs, seed):
     bands = [Band(0.0, 0.11 * fs, "A"), Band(0.13 * fs, 0.37 * fs, "B"),
              Band(0.4 * fs, 0.5 * fs, "C")]
     res = decompose(psd_from_var(model, grid), 0, None if seed % 2 else (1, 3), bands)
-    profiles = [SpectralProfile(grid=grid, values=row) for row in res.marginal_profiles]
-    assert res.coarse["FULL"].marginals == tuple(integrate_full(p) for p in profiles)
+    rows = res.marginal_profiles
+    assert res.coarse["FULL"].marginals == tuple(integrate_full(p) for p in rows)
     for band in bands:
-        assert res.coarse[band.label].marginals == tuple(integrate_band(p, band) for p in profiles)
+        assert res.coarse[band.label].marginals == tuple(integrate_band(p, band, fs) for p in rows)
 
 
 @pytest.mark.parametrize("case", ["sim1 c=0", "sim1 c=0.5", "sim2", "var6 seed=1", "var6 seed=2"])
@@ -615,7 +639,7 @@ def reference_engine(psd, target, sources, bands):
     def profile(element):
         if element not in cache:
             chans = [srcs[i - 1] for i in element]
-            cache[element] = spectral_mir(psd, target, chans).values
+            cache[element] = spectral_mir(psd, target, chans)
         return cache[element]
 
     red = np.empty((len(lattice), n))
@@ -660,7 +684,7 @@ def engine_arrays(result):
     out = {
         "atom_redundancy": result.atom_redundancy,
         "atom_pi": result.atom_pi,
-        "joint_profile": result.joint_profile.values,
+        "joint_profile": result.joint_profile,
         "marginal_profiles": result.marginal_profiles,
         "atom_pi_time": result.atom_pi_time,
         "atom_redundancy_time": result.atom_redundancy_time,
@@ -716,7 +740,7 @@ def test_decompose_equals_per_atom_reference_engine(case):
     want = reference_engine(psd, 0, result.sources, bands)
     got = engine_arrays(result)
     assert sorted(got) == sorted(want)
-    bound = 1e-15 * result.joint_profile.values.max()
+    bound = 1e-15 * result.joint_profile.max()
     for key, value in want.items():
         if key in EXACT_KEYS:
             assert np.array_equal(got[key], value), key
@@ -799,7 +823,7 @@ def test_atom_pi_equals_scalar_chain_reference(case):
     lattice = result.lattice
     elements = sorted({el for atom in lattice.atoms for el in atom.elements})
     table = np.stack([
-        spectral_mir(psd, 0, [result.sources[i - 1] for i in el]).values for el in elements
+        spectral_mir(psd, 0, [result.sources[i - 1] for i in el]) for el in elements
     ])
     want = scalar_chain(table, elements, lattice)
     assert np.array_equal(result.atom_pi, want)
@@ -813,7 +837,7 @@ def test_chain_envelope_absorbs_monotonicity_roundoff():
     psd = psd_from_var(with_independent_source(SIM3, 1), GRID_513)
     lattice = enumerate_antichains(4)
     elements = lattice.elements
-    table = np.stack([spectral_mir(psd, 0, list(el)).values for el in elements])
+    table = np.stack([spectral_mir(psd, 0, list(el)) for el in elements])
     low, high = elements.index((2,)), elements.index((1, 2))
     assert np.array_equal(table[low], table[high])
     broken = table.copy()
@@ -965,7 +989,7 @@ def test_single_source_atom_is_the_spectral_mir_integral(model, source):
     pairs = [(res.atom_pi_time[0], res.atom_redundancy_time[0], integrate_full(profile))]
     for band in BANDS:
         pairs.append((res.atom_pi_bands[band.label][0], res.atom_redundancy_bands[band.label][0],
-                      integrate_band(profile, band)))
+                      integrate_band(profile, band, psd.grid.fs)))
     for pi, red, want in pairs:
         assert abs(pi - want) <= 1e-12
         assert abs(red - want) <= 1e-12
@@ -1003,7 +1027,7 @@ def test_atom_pi_lies_on_a_chain_of_the_lattice(model):
         sub = leq[np.ix_(on, on)]
         assert np.all(sub | sub.T), j  # pairwise comparable: a chain
     oracle = res.lattice.invert_values(res.atom_redundancy)
-    assert np.max(np.abs(pi - oracle)) <= 1e-15 * res.joint_profile.values.max()
+    assert np.max(np.abs(pi - oracle)) <= 1e-15 * res.joint_profile.max()
 
 
 #: Random stable VARs with M = 2..4 sources (the channels after the
@@ -1044,7 +1068,7 @@ def test_chain_integrals_equal_the_dense_row_integrals(case):
     labels = [b.label for b in bands]
     pi = np.stack([res.atom_pi_time, *(res.atom_pi_bands[x] for x in labels)])
     red = np.stack([res.atom_redundancy_time, *(res.atom_redundancy_bands[x] for x in labels)])
-    bound = 1e-15 * res.joint_profile.values.max()
+    bound = 1e-15 * res.joint_profile.max()
     assert np.max(np.abs(pi - integrate_rows(res.atom_pi, weights))) <= bound
     assert np.max(np.abs(red - integrate_rows(res.atom_redundancy, weights))) <= bound
     joints = [res.joint_mir, *(res.joint_mir_bands[x] for x in labels)]
@@ -1053,4 +1077,4 @@ def test_chain_integrals_equal_the_dense_row_integrals(case):
     # The joint row is integrated with the single-source rows, each summed
     # on its own: the public integrators give the same bits.
     assert joints == [integrate_full(res.joint_profile),
-                      *(integrate_band(res.joint_profile, b) for b in bands)]
+                      *(integrate_band(res.joint_profile, b, res.grid.fs) for b in bands)]

@@ -13,7 +13,6 @@ from pird import (
     NumericalError,
     Scenario,
     SpectralMatrix,
-    SpectralProfile,
     SpectralSingularityError,
     UnstableModelError,
     VarModel,
@@ -204,8 +203,7 @@ def test_wiener_khinchin_consistency(grid):
         gamma0 = zero_lag_covariance(m)
         psd = psd_from_var(m, grid)
         for ch in range(m.dim):
-            profile = SpectralProfile(grid=grid, values=psd.mats[:, ch, ch].real)
-            integral = integrate_full(profile)
+            integral = integrate_full(psd.mats[:, ch, ch].real)
             assert abs(integral - gamma0[ch, ch]) < 1e-3 * gamma0[ch, ch]
 
 
@@ -242,7 +240,7 @@ def test_spectral_mir_independent_blocks(grid):
     sigma = np.diag([1.0, 2.0, 3.0])
     m = VarModel(coeffs=np.zeros((0, 3, 3)), sigma=sigma)
     profile = spectral_mir(psd_from_var(m, grid), 0, [1, 2])
-    assert np.max(np.abs(profile.values)) < 1e-14
+    assert np.max(np.abs(profile)) < 1e-14
 
 
 def test_spectral_mir_flat_correlated_case(grid):
@@ -251,10 +249,10 @@ def test_spectral_mir_flat_correlated_case(grid):
     psd = psd_from_var(WHITE_080, grid)
     single = spectral_mir(psd, 0, [1])
     expected_single = -0.5 * np.log(1.0 - 0.8**2)
-    assert np.allclose(single.values, expected_single, atol=1e-12)
+    assert np.allclose(single, expected_single, atol=1e-12)
     joint = spectral_mir(psd, 0, [1, 2])
     expected_joint = 0.5 * np.log(0.36 / 0.104)
-    assert np.allclose(joint.values, expected_joint, atol=1e-12)
+    assert np.allclose(joint, expected_joint, atol=1e-12)
 
 
 def test_spectral_mir_nonnegative_and_monotone(grid):
@@ -262,8 +260,8 @@ def test_spectral_mir_nonnegative_and_monotone(grid):
         if m.dim < 3:
             continue
         psd = psd_from_var(m, grid)
-        small = spectral_mir(psd, 0, [1]).values
-        big = spectral_mir(psd, 0, [1, 2]).values
+        small = spectral_mir(psd, 0, [1])
+        big = spectral_mir(psd, 0, [1, 2])
         assert small.min() >= -1e-10
         assert big.min() >= -1e-10
         assert np.all(big - small >= -1e-10)
@@ -290,7 +288,7 @@ def test_spectral_mir_determinant_floor():
     # A spectrum that is tiny but far from singular is not refused.
     tiny = np.tile(np.eye(3, dtype=complex) * 1e-101, (4, 1, 1))
     mir = spectral_mir(SpectralMatrix(grid=grid, mats=tiny), 0, [1, 2])
-    assert np.array_equal(mir.values, np.zeros(4))
+    assert np.array_equal(mir, np.zeros(4))
 
 
 def _with_independent_channel(model, coeff=0.5):
@@ -321,7 +319,7 @@ def test_spectral_mir_rows_equal_one_group_calls(groups):
     rows = spectral_mir_rows(MIR_ROWS_PSD, 0, groups)
     assert rows.shape == (len(groups), MIR_ROWS_PSD.grid.n_points)
     for row, group in zip(rows, groups):
-        want = spectral_mir(MIR_ROWS_PSD, 0, group).values
+        want = spectral_mir(MIR_ROWS_PSD, 0, group)
         assert np.array_equal(row, want), group
         assert np.array_equal(np.signbit(row), np.signbit(want)), group
 
@@ -403,8 +401,8 @@ def test_spectral_mir_rows_argument_errors():
 def test_diagonal_loading(grid):
     psd = psd_from_var(WHITE_080, grid)
     loaded = psd.with_diagonal_loading(0.01)
-    base = spectral_mir(psd, 0, [1, 2]).values
-    soft = spectral_mir(loaded, 0, [1, 2]).values
+    base = spectral_mir(psd, 0, [1, 2])
+    soft = spectral_mir(loaded, 0, [1, 2])
     assert np.all(soft < base)  # loading shrinks dependence
     with pytest.raises(ArgumentError):
         psd.with_diagonal_loading(-0.1)
@@ -415,7 +413,7 @@ def test_diagonal_loading(grid):
 
 
 def test_integrate_full_constant(grid):
-    profile = SpectralProfile(grid=grid, values=np.full(grid.n_points, 0.73))
+    profile = np.full(grid.n_points, 0.73)
     assert integrate_full(profile) == pytest.approx(0.73, abs=1e-15)
 
 
@@ -436,41 +434,54 @@ def test_grid_doubling_convergence(sim3_model):
 
 def test_integrate_band_full_range_equals_full(grid):
     rng = np.random.default_rng(5)
-    profile = SpectralProfile(grid=grid, values=rng.uniform(0, 2, grid.n_points))
+    profile = rng.uniform(0, 2, grid.n_points)
     band = Band(0.0, 0.5, "ALL")
-    assert integrate_band(profile, band) == pytest.approx(
+    assert integrate_band(profile, band, grid.fs) == pytest.approx(
         integrate_full(profile), abs=1e-15
     )
 
 
 def test_integrate_band_proportionality(grid):
-    profile = SpectralProfile(grid=grid, values=np.full(grid.n_points, 1.4))
-    assert integrate_band(profile, Band(0.0, 0.25, "half")) == pytest.approx(
+    profile = np.full(grid.n_points, 1.4)
+    assert integrate_band(profile, Band(0.0, 0.25, "half"), grid.fs) == pytest.approx(
         0.7, abs=1e-12
     )
     # narrow band inside a single grid cell
     lo, hi = 0.10001, 0.10002
-    got = integrate_band(profile, Band(lo, hi, "narrow"))
+    got = integrate_band(profile, Band(lo, hi, "narrow"), grid.fs)
     assert got == pytest.approx(1.4 * (hi - lo) / 0.5, rel=1e-9)
 
 
 def test_band_partition_sums_to_full(grid):
     rng = np.random.default_rng(6)
-    profile = SpectralProfile(grid=grid, values=rng.uniform(0, 3, grid.n_points))
+    profile = rng.uniform(0, 3, grid.n_points)
     cuts = [0.0, 0.0371, 0.123456, 0.25, 0.41, 0.5]
     total = sum(
-        integrate_band(profile, Band(a, b, f"b{i}"))
+        integrate_band(profile, Band(a, b, f"b{i}"), grid.fs)
         for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))
     )
     assert abs(total - integrate_full(profile)) < 1e-9
 
 
 def test_band_validation(grid):
-    profile = SpectralProfile(grid=grid, values=np.zeros(grid.n_points))
+    profile = np.zeros(grid.n_points)
     with pytest.raises(ArgumentError):
         Band(0.3, 0.2, "bad")
     with pytest.raises(ArgumentError, match="Nyquist"):
-        integrate_band(profile, Band(0.1, 0.6, "beyond"))
+        integrate_band(profile, Band(0.1, 0.6, "beyond"), grid.fs)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.ones((2, 65)), np.ones((65, 1)), np.ones(1), np.array(0.5),
+     np.r_[0.0, np.nan, 1.0], np.r_[0.0, np.inf, 1.0]],
+    ids=["2-D", "column", "one point", "scalar", "NaN", "inf"],
+)
+def test_integrators_take_one_finite_row_of_two_points_or_more(values):
+    with pytest.raises(ArgumentError, match="finite 1-D row"):
+        integrate_full(values)
+    with pytest.raises(ArgumentError, match="finite 1-D row"):
+        integrate_band(values, Band(0.0, 0.25, "low"), 1.0)
 
 
 def _random_band(rng, grid, kind):
@@ -519,7 +530,7 @@ def test_quadrature_weights_match_the_per_row_interp_reference():
         want = np.array([reference_band_integral(row, grid, band) for row in rows])
         assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(rows).max(axis=1)), (n, fs, band)
         for row, value in zip(rows, got):
-            one = integrate_band(SpectralProfile(grid=grid, values=row), band)
+            one = integrate_band(row, band, fs)
             assert one == value and np.signbit(one) == np.signbit(value), (n, fs, band)
         w_lo = 2.0 * np.pi * band.lo / fs
         exact_edges += bool(np.any(grid.omegas == w_lo)) and band.lo > 0.0
@@ -573,10 +584,10 @@ def test_a_linear_profile_integrates_exactly(case, alpha, beta):
     grid, _, _, band = _grid_and_bands(case)
     a = 2.0 * np.pi * band.lo / grid.fs
     b = min(2.0 * np.pi * band.hi / grid.fs, np.pi)
-    profile = SpectralProfile(grid=grid, values=alpha + beta * grid.omegas)
+    profile = alpha + beta * grid.omegas
     want = (b - a) * ((alpha + beta * a) + (alpha + beta * b)) / (2.0 * np.pi)
     scale = max(abs(alpha), abs(alpha + beta * np.pi))
-    assert abs(integrate_band(profile, band) - want) <= 4 * EPS * scale
+    assert abs(integrate_band(profile, band, grid.fs) - want) <= 4 * EPS * scale
 
 
 @WEIGHT_PROPERTY
@@ -589,9 +600,8 @@ def test_a_row_integrates_alike_alone_and_among_rows(case, n_rows, seed):
     for k, row in enumerate(rows):
         alone = integrate_rows(row[None, :], weights)[:, 0]
         assert np.array_equal(alone, together[:, k])
-        profile = SpectralProfile(grid=grid, values=row)
-        assert integrate_full(profile) == together[0, k]
-        assert [integrate_band(profile, b) for b in (first, second)] == together[1:, k].tolist()
+        assert integrate_full(row) == together[0, k]
+        assert [integrate_band(row, b, grid.fs) for b in (first, second)] == together[1:, k].tolist()
 
 
 def test_sim3_band_concentration(sim3_model, grid):
@@ -599,7 +609,7 @@ def test_sim3_band_concentration(sim3_model, grid):
     psd = psd_from_var(sim3_model, grid)
     profile = spectral_mir(psd, 0, [1])
     full = integrate_full(profile)
-    b2 = integrate_band(profile, Band(0.15, 0.4, "B2"))
+    b2 = integrate_band(profile, Band(0.15, 0.4, "B2"), grid.fs)
     assert b2 >= 0.8 * full
 
 

@@ -611,8 +611,9 @@ def test_timeseries_csv_format_errors(tmp_path):
 
 def reference_load_csv(path):
     """The cell-by-cell reader that the one-call ``np.loadtxt`` path
-    replaced: ``csv`` rows, ``float()`` per cell."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    replaced: ``csv`` rows, ``float()`` per cell, a leading byte-order mark
+    dropped."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -690,6 +691,16 @@ def test_load_csv_matches_cell_by_cell_reader(tmp_path, case):
     path = tmp_path / "series.csv"
     path.write_bytes(CSV_CASES[case].encode("utf-8"))
     assert _outcome(TimeSeriesMatrix.load_csv, path) == _outcome(reference_load_csv, path)
+
+
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark; it is
+    # not part of the first channel's name.
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"\xef\xbb\xbfY,X1\n1.5,2\n-3,4\n")
+    ts = TimeSeriesMatrix.load_csv(path)
+    assert ts.names == ("Y", "X1")
+    assert np.array_equal(ts.samples, [[1.5, 2.0], [-3.0, 4.0]])
 
 
 def test_load_csv_reads_conformant_files_in_one_call(tmp_path, monkeypatch):
