@@ -354,10 +354,11 @@ def _coupling_sweep(args: argparse.Namespace, scenario: str) -> int:
     cs = _parse_sweep(args.sweep)
     scale = unit_scale(args.units)
     prefix = "staticPID" if scenario == "sim1" else "tePID"
-    rows = []
+    rows, grid = [], None
     for c in cs:
         model = _retimed(build_scenario(Scenario(scenario, {"c": float(c)})), args)
-        grid = FrequencyGrid(fs=model.fs, n_points=args.grid)
+        if grid is None:  # one grid for the sweep: its models share their rate
+            grid = FrequencyGrid(fs=model.fs, n_points=args.grid)
         result = decompose(psd_from_var(model, grid), 0)
         if scenario == "sim1":
             base = bl.static_pid(model, 0)

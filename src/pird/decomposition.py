@@ -62,7 +62,6 @@ against the group ``(5, 7)``.
 from __future__ import annotations
 
 import os
-import secrets
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -386,7 +385,7 @@ def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
     ``O_EXCL`` so that an existing file is never reused.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:

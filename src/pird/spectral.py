@@ -8,6 +8,9 @@ real-process spectra makes the normalized one-sided trapezoid integral
 integral_{-pi}^{pi}``. That rule lives in one place,
 :func:`quadrature_weights`, as one weight per grid point for the whole axis
 or a band; every integral is a profile's values times those weights, summed.
+What depends on the grid alone (its frequencies, the lag phases of each VAR
+order and the weights of each band) is computed once per
+:class:`FrequencyGrid`, on first use, and kept on it read-only.
 
 A model's spectrum is built frequency-last: :func:`transfer_function` solves
 ``I - A(omega)`` at every grid frequency at once, by one Gaussian
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -53,7 +57,13 @@ class FrequencyGrid:
 
     ``omegas`` spans ``[0, pi]`` inclusive with ``n_points`` points, an
     integer of at least 2; ``hz`` holds the corresponding physical
-    frequencies ``omega * fs / 2pi`` in ``[0, fs/2]``.
+    frequencies ``omega * fs / 2pi`` in ``[0, fs/2]``. These two, the lag
+    phases of each VAR order (:meth:`lag_phases`) and the weights of each
+    band (:func:`quadrature_weights`) depend on the grid alone, so each is
+    computed on first use, kept on the instance and read-only; a repeated
+    use returns the same array. They are not part of the grid's value:
+    ``==``, ``hash`` and ``repr`` see ``fs`` and ``n_points`` only, and a
+    copy or a pickle of a grid computes its own.
     """
 
     fs: float = 1.0
@@ -68,13 +78,50 @@ class FrequencyGrid:
         if n_points < 2:
             raise ArgumentError("a frequency grid needs at least 2 points")
 
-    @property
-    def omegas(self) -> np.ndarray:
-        return np.linspace(0.0, np.pi, self.n_points)
+    def __getstate__(self) -> dict:
+        # The fields alone: a copy or an unpickled grid computes its own
+        # arrays, read-only again.
+        return {"fs": self.fs, "n_points": self.n_points}
 
-    @property
+    @cached_property
+    def omegas(self) -> np.ndarray:
+        return _read_only(np.linspace(0.0, np.pi, self.n_points))
+
+    @cached_property
     def hz(self) -> np.ndarray:
-        return self.omegas * self.fs / (2.0 * np.pi)
+        return _read_only(self.omegas * self.fs / (2.0 * np.pi))
+
+    def lag_phases(self, order: int) -> np.ndarray:
+        """The ``(order, n_points)`` table of ``e^{-j omega k}``, row ``k - 1``
+        for lag ``k = 1..order``, as ``cos + j sin`` of ``-omega k`` (the
+        values of ``np.exp``, faster)."""
+        return self._derived(_lag_phases, order)
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _derived(self, build, *args) -> np.ndarray:
+        """``build(self, *args)``, computed on the first call with these
+        arguments and returned read-only on every call."""
+        key, memo = (build, *args), self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            return memo.setdefault(key, _read_only(build(self, *args)))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _lag_phases(grid: FrequencyGrid, order: int) -> np.ndarray:
+    angles = np.outer(-np.arange(1, order + 1), grid.omegas)
+    phases = np.empty((order, grid.n_points), dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
+    return phases
 
 
 @dataclass(frozen=True)
@@ -228,12 +275,7 @@ def transfer_function(
     if right.ndim != 2 or right.shape[0] != q:
         raise ArgumentError(f"right must have shape ({q}, K), got {right.shape}")
     kcols = right.shape[1]
-    # e^{-j omega k} as cos + j sin of -omega k: the values of np.exp, faster.
-    angles = np.outer(-np.arange(1, p + 1), grid.omegas)
-    phases = np.empty((p, n), dtype=complex)
-    np.cos(angles, out=phases.real)
-    np.sin(angles, out=phases.imag)
-    a = np.tensordot(-model.coeffs, phases, axes=(0, 0))
+    a = np.tensordot(-model.coeffs, grid.lag_phases(p), axes=(0, 0))
     a[np.arange(q), np.arange(q)] += 1.0
     b = np.empty((q, kcols, n), dtype=complex)
     b[...] = right[:, :, None]
@@ -417,18 +459,20 @@ def spectral_mir_rows(
                 entry = entry - anc.t_entry * x.conj()
             t_entry = entry / pivot
             nodes[p] = _TrieNode(row, pivot, t_entry, parent.r - _abs2(t_entry), parent.det * square)
-    out = np.empty((len(groups), psd.grid.n_points))
+    # The check and the MIR of every group in one pass over the stacked rows.
+    r = np.empty((len(groups), psd.grid.n_points))
+    det = np.empty_like(r)
     for k, g in enumerate(groups):
-        r = nodes[g].r
-        bad = ~(nodes[g].det * r >= DET_FLOOR)
-        if np.any(bad):
-            raise SpectralSingularityError(
-                f"joint spectrum of target {target} and sources {list(g)} singular "
-                f"(normalised determinant below {DET_FLOOR:g}) at "
-                f"f = {psd.grid.hz[np.argmax(bad)]:.6g} Hz (consider the diagonal-loading knob)"
-            )
-        out[k] = -np.log(np.sqrt(r))
-    return out
+        r[k], det[k] = nodes[g].r, nodes[g].det
+    ok = np.multiply(det, r, out=det) >= DET_FLOOR
+    if not ok.all():
+        k = int(np.argmin(ok.all(axis=1)))
+        raise SpectralSingularityError(
+            f"joint spectrum of target {target} and sources {list(groups[k])} singular "
+            f"(normalised determinant below {DET_FLOOR:g}) at "
+            f"f = {psd.grid.hz[np.argmin(ok[k])]:.6g} Hz (consider the diagonal-loading knob)"
+        )
+    return np.negative(np.log(np.sqrt(r, out=r), out=r), out=r)
 
 
 def quadrature_weights(grid: FrequencyGrid, band: Band | None = None) -> np.ndarray:
@@ -438,13 +482,18 @@ def quadrature_weights(grid: FrequencyGrid, band: Band | None = None) -> np.ndar
     values, a band edge between grid points taking its interpolated value.
     Each grid cell is clipped to the band, and its part ``[a, b]`` adds
     ``(b - a) / 2pi`` times the interpolation weights of ``a`` and ``b`` to
-    the cell's two ends.
+    the cell's two ends. Computed once per grid and band, and read-only
+    (see :class:`FrequencyGrid`).
 
     Raises
     ------
     ArgumentError
         If the band exceeds the Nyquist range of the grid.
     """
+    return grid._derived(_trapezoid_weights, band)
+
+
+def _trapezoid_weights(grid: FrequencyGrid, band: Band | None) -> np.ndarray:
     lo, hi = 0.0, np.pi
     if band is not None:
         _check_nyquist(band, grid.fs)

@@ -62,7 +62,12 @@ def _channel_set(dim: int, channels: Sequence[int], what: str) -> tuple[int, ...
 def _resolve_sources(dim: int, target: int, sources: Sequence[int] | None) -> tuple[int, ...]:
     """The sorted, distinct sources of a (target, sources) pair, all other
     channels for ``None``; ArgumentError on any invalid channel choice."""
-    (target,) = _channel_set(dim, (target,), "target channel")
+    try:
+        target = operator.index(target)
+    except TypeError:
+        raise ArgumentError(f"target channel must be an integer index, got {target!r}") from None
+    if not 0 <= target < dim:
+        raise ArgumentError(f"target channel {target} out of range 0..{dim - 1}")
     if sources is None:
         sources = [c for c in range(dim) if c != target]
     srcs = tuple(sorted(_channel_set(dim, sources, "source channel")))

@@ -107,6 +107,24 @@ def test_every_channel_entry_rejects_a_bad_channel_choice(entry, case):
         CHANNEL_ENTRIES[entry](*BAD_CHANNELS[case])
 
 
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (0.5, "target channel must be an integer index, got 0.5"),
+        ("0", "target channel must be an integer index, got '0'"),
+        (4, "target channel 4 out of range 0..3"),
+        (-1, "target channel -1 out of range 0..3"),
+    ],
+)
+def test_a_bad_target_is_named_as_one_channel(target, message):
+    # transfer_entropy takes a set of targets and keeps the set's wording
+    one_target = [e for e in CHANNEL_ENTRIES if e not in ("transfer_entropy", "submodel_innovation")]
+    for entry in one_target:
+        with pytest.raises(pird.ArgumentError) as err:
+            CHANNEL_ENTRIES[entry](target, [1, 2])
+        assert str(err.value) == message, entry
+
+
 def test_every_channel_entry_takes_numpy_integers():
     target, sources = np.int64(0), np.array([1, 2])
     for entry, call in CHANNEL_ENTRIES.items():

@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+import re
 import warnings
 
 import numpy as np
@@ -66,6 +69,81 @@ def test_grid_rejects_a_non_integer_point_count(n_points):
 def test_grid_takes_a_numpy_integer_point_count():
     assert FrequencyGrid(n_points=np.int64(65)).omegas.shape == (65,)
     assert np.array_equal(FrequencyGrid(n_points=np.int32(65)).omegas, FrequencyGrid(n_points=65).omegas)
+
+
+GRID_BANDS = (None, Band(0.04, 0.15, "B1"), Band(0.0, 0.4, "low"), Band(0.3, 1.0, "top"))
+
+
+def _grid_arrays(grid):
+    """Every array a grid keeps, by name, in a fixed order of first use:
+    lag orders 4, then 1, then 2, so a shorter table is asked for after a
+    longer one."""
+    arrays = {"omegas": grid.omegas, "hz": grid.hz}
+    arrays.update({f"lag_phases({p})": grid.lag_phases(p) for p in (4, 1, 2)})
+    arrays.update({f"weights({b})": quadrature_weights(grid, b) for b in GRID_BANDS})
+    return arrays
+
+
+def _trapezoid_weights_formula(grid, band):
+    """The weights of the trapezoid rule over ``band``, written out as in
+    the docstring of ``quadrature_weights``."""
+    omegas = np.linspace(0.0, np.pi, grid.n_points)
+    lo, hi = 0.0, np.pi
+    if band is not None:
+        lo, hi = 2.0 * np.pi * band.lo / grid.fs, min(2.0 * np.pi * band.hi / grid.fs, np.pi)
+    left, right = omegas[:-1], omegas[1:]
+    a, b = (np.minimum(np.maximum(left, edge), right) for edge in (lo, hi))
+    t = ((a - left) + (b - left)) / (right - left)
+    half = (b - a) / (2.0 * np.pi)
+    w = np.zeros(grid.n_points)
+    w[:-1] = half * (2.0 - t)
+    w[1:] += half * t
+    return w
+
+
+def test_grid_arrays_are_read_only_and_computed_once():
+    grid = FrequencyGrid(fs=2.0, n_points=129)
+    first, again = _grid_arrays(grid), _grid_arrays(grid)
+    for name, array in first.items():
+        assert again[name] is array, name
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    with pytest.raises(AttributeError):
+        grid.omegas = np.zeros(129)
+
+
+def test_grid_arrays_equal_their_formulas_bit_for_bit():
+    grid = FrequencyGrid(fs=2.0, n_points=129)
+    arrays = _grid_arrays(grid)
+    omegas = np.linspace(0.0, np.pi, 129)
+    want = {"omegas": omegas, "hz": omegas * 2.0 / (2.0 * np.pi)}
+    for p in (4, 1, 2):
+        angles = np.outer(-np.arange(1, p + 1), omegas)
+        # cos and sin of -omega k as they are, -0.0 imaginary parts included
+        want[f"lag_phases({p})"] = phases = np.empty((p, 129), dtype=complex)
+        phases.real, phases.imag = np.cos(angles), np.sin(angles)
+        assert np.allclose(arrays[f"lag_phases({p})"], np.exp(1j * angles), rtol=0, atol=1e-15)
+    for band in GRID_BANDS:
+        want[f"weights({band})"] = _trapezoid_weights_formula(grid, band)
+    for name, array in arrays.items():
+        assert array.dtype == want[name].dtype and array.shape == want[name].shape, name
+        assert array.tobytes() == want[name].tobytes(), name
+
+
+def test_a_grid_keeps_its_value_after_computing_its_arrays():
+    used, fresh = FrequencyGrid(fs=2.0, n_points=129), FrequencyGrid(fs=2.0, n_points=129)
+    before = repr(used), hash(used)
+    arrays = _grid_arrays(used)
+    assert used == fresh and hash(used) == hash(fresh) == before[1]
+    assert repr(used) == repr(fresh) == before[0] == "FrequencyGrid(fs=2.0, n_points=129)"
+    assert {used: 1}[fresh] == 1
+    # A copy computes its own arrays: equal values, read-only again.
+    for other in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+        assert other == used
+        for name, array in _grid_arrays(other).items():
+            assert array is not arrays[name] and not array.flags.writeable, name
+            assert array.tobytes() == arrays[name].tobytes(), name
 
 
 def test_transfer_function_identity_for_white_model(grid):
@@ -387,6 +465,26 @@ def test_spectral_mir_rows_singular_blocks(kind):
                 spectral_mir_rows(psd, 0, groups)
         with pytest.raises(SpectralSingularityError, match="f = 0.25 Hz"):
             spectral_mir(psd, 0, bad)
+
+
+def test_spectral_mir_rows_names_the_first_singular_group_in_groups_order():
+    # Sources 2 and 3 are equal at 0.125 Hz, and the target equals source 1
+    # at 0.375 and 0.5 Hz: the first singular group asked for is named,
+    # at its own first bad frequency, wherever the others are singular.
+    grid = FrequencyGrid(fs=1.0, n_points=5)
+    mats = np.tile(np.eye(4, dtype=complex), (5, 1, 1))
+    mats[1, 2, 3] = mats[1, 3, 2] = 1.0
+    mats[3:, 0, 1] = mats[3:, 1, 0] = 1.0
+    psd = SpectralMatrix(grid=grid, mats=mats)
+    for groups, named, hz in (
+        ([[3], [1], [2, 3]], "[1]", "0.375"),
+        ([[3], [2, 3], [1]], "[2, 3]", "0.125"),
+        ([[1, 2], [2, 3]], "[1, 2]", "0.375"),
+    ):
+        with pytest.raises(SpectralSingularityError, match=(
+            rf"sources {re.escape(named)} singular .* at f = {hz} Hz"
+        )):
+            spectral_mir_rows(psd, 0, groups)
 
 
 def test_spectral_mir_rows_argument_errors():
