@@ -20,7 +20,8 @@ import numpy as np
 
 from .decomposition import CoarseTerms
 from .errors import ArgumentError, EstimationError, NumericalError
-from .var import _MAX_DOUBLINGS, VarModel, _channel_set, _require_stable, _resolve_sources
+from .var import _MAX_DOUBLINGS, VarModel, _channel_set, _check_symmetric, _require_stable
+from .var import _resolve_sources
 
 
 def _logdet_spd(mat: np.ndarray, what: str, err=NumericalError) -> float:
@@ -45,10 +46,9 @@ def gaussian_mi(cov: np.ndarray, target: int, sources: Sequence[int]) -> float:
     if not np.isfinite(cov).all():
         raise ArgumentError("covariance must be finite, got a NaN or infinite entry")
     q = cov.shape[-1] if cov.ndim else 0
-    if cov.shape != (q, q) or np.max(np.abs(cov - cov.T)) > 1e-8 * max(
-        1.0, np.max(np.abs(cov))
-    ):
-        raise ArgumentError("covariance must be a symmetric square matrix")
+    if cov.shape != (q, q):
+        raise ArgumentError(f"covariance must be a square matrix, got shape {cov.shape}")
+    _check_symmetric(cov, "covariance")
     if np.linalg.eigvalsh(cov)[0] <= 0.0:
         raise ArgumentError("covariance must be positive definite")
     srcs = list(_resolve_sources(q, target, sources))

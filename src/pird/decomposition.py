@@ -47,12 +47,12 @@ within a run, and each run sum goes to its atom. The redundancy integrals
 are the zeta sum of the PI integrals over the lattice order (each atom's
 PI plus its predecessors'), since integration commutes with the inversion.
 The joint and single-source rows are integrated by
-one :func:`~pird.spectral.integrate_rows` call. The dense PI profiles are
-the chain scattered into the atoms' rows; the dense redundancy profiles
-are built only when read, as a *masked minimum*: from ``+inf``, each
-element's row is folded, in canonical order, into the rows of the atoms
-holding it, so values compare in the order of a per-atom
-``np.minimum.reduce``.
+one :func:`~pird.spectral.integrate_rows` call. The result keeps the chain,
+and both dense atom profiles are built only when read: the PI profiles are
+the chain scattered into the atoms' rows, and the redundancy profiles a
+*masked minimum*: from ``+inf``, each element's row is folded, in
+canonical order, into the rows of the atoms holding it, so values compare
+in the order of a per-atom ``np.minimum.reduce``.
 
 Atom element indices are 1-based positions into the sorted tuple of source
 channels: with ``sources = (2, 5, 7)``, the atom ``{1}{23}`` pairs channel 2
@@ -161,8 +161,9 @@ class DecompositionResult:
     grid : FrequencyGrid
         The grid of every profile.
     atom_redundancy, atom_pi : ndarray, shape (n_atoms, n_freq)
-        Redundancy and partial information rate profiles; the redundancy
-        is built from the element table on first read.
+        Redundancy and partial information rate profiles, each built on
+        first read: the redundancy from the element table, the PI from the
+        element chain.
     joint_profile : ndarray, shape (n_freq,)
         Spectral MIR between the target and all sources.
     marginal_profiles : ndarray, shape (M, n_freq)
@@ -192,7 +193,6 @@ class DecompositionResult:
     sources: tuple[int, ...]
     names: tuple[str, ...]
     grid: FrequencyGrid
-    atom_pi: np.ndarray
     joint_profile: np.ndarray
     marginal_profiles: np.ndarray
     atom_redundancy_time: np.ndarray
@@ -204,6 +204,16 @@ class DecompositionResult:
     joint_mir_bands: Mapping[str, float]
     coarse: Mapping[str, CoarseTerms]
     _table: np.ndarray = field(repr=False, compare=False)
+    _chain: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def atom_pi(self) -> np.ndarray:
+        """The element chain scattered into the atoms' rows, on first read."""
+        at, delta = self._chain
+        pi = np.zeros((len(self.lattice), at.shape[1]))
+        pi[at, np.arange(at.shape[1])] = delta
+        pi.setflags(write=False)
+        return pi
 
     @cached_property
     def atom_redundancy(self) -> np.ndarray:
@@ -274,7 +284,7 @@ def aggregate_coarse(
 ) -> dict[str, CoarseTerms]:
     """Coarse terms per band label: the atoms' PI rates of that band summed
     over the unique / redundant / synergistic groups of the lattice (see
-    :attr:`pird.lattice.RedundancyLattice.coarse_members`), with the band's
+    :attr:`pird.lattice.RedundancyLattice.coarse_of`), with the band's
     joint and single-source rates.
 
     For two sources the groups are single atoms. For three or more sources
@@ -282,17 +292,15 @@ def aggregate_coarse(
     source whose information is entirely inherited gets a vanishing unique
     term).
     """
-    *unique_idx, red_idx, syn_idx = lattice.coarse_members
-    return {
-        label: CoarseTerms(
-            unique=tuple(float(sum(values[i] for i in idx)) for idx in unique_idx),
-            redundancy=float(sum(values[i] for i in red_idx)),
-            synergy=float(sum(values[i] for i in syn_idx)),
-            joint_mir=float(joint_mir[label]),
-            marginals=tuple(marginals[label].tolist()),
+    terms = {}
+    for label, values in atom_pi.items():
+        # np.bincount adds each group's rates from 0.0 in atom order.
+        *unique, red, syn = np.bincount(lattice.coarse_of, values, lattice.m + 2).tolist()
+        terms[label] = CoarseTerms(
+            unique=tuple(unique), redundancy=red, synergy=syn,
+            joint_mir=float(joint_mir[label]), marginals=tuple(marginals[label].tolist()),
         )
-        for label, values in atom_pi.items()
-    }
+    return terms
 
 
 def decompose(
@@ -327,8 +335,6 @@ def decompose(
     table = spectral_mir_rows(psd, target, [[srcs[i - 1] for i in el] for el in elements])
     table.setflags(write=False)
     at, delta = _chain_pi(table, lattice)
-    pi = np.zeros((len(lattice), grid.n_points))
-    pi[at, np.arange(grid.n_points)] = delta
     joint_k = elements.index(tuple(range(1, m + 1)))
     marginal_k = [elements.index((j,)) for j in range(1, m + 1)]
     joint, marginal = table[joint_k], table[marginal_k]
@@ -348,7 +354,7 @@ def decompose(
         integrals = pi_spans, joint_spans, spans[:, 1:]
         coarse = aggregate_coarse(lattice, *(dict(zip(labels, x)) for x in integrals))
     # Frozen all the way down, so a writer prints what was computed here.
-    for array in (pi, marginal, pi_spans, red_spans):
+    for array in (at, delta, marginal, pi_spans, red_spans):
         array.setflags(write=False)
     return DecompositionResult(
         lattice=lattice,
@@ -356,7 +362,6 @@ def decompose(
         sources=srcs,
         names=psd.names,
         grid=grid,
-        atom_pi=pi,
         joint_profile=joint,
         marginal_profiles=marginal,
         atom_redundancy_time=red_spans[0],
@@ -368,6 +373,7 @@ def decompose(
         joint_mir_bands=MappingProxyType(dict(zip(labels[1:], joint_spans[1:]))),
         coarse=MappingProxyType(coarse),
         _table=table,
+        _chain=(at, delta),
     )
 
 
@@ -482,20 +488,14 @@ def write_profiles_csv(result: DecompositionResult, path: str | Path, units: str
     for name, row in zip(result.source_names, result.marginal_profiles):
         blocks.append((f"I_{name}", row))
     if len(result.sources) >= 2:
-        groups = zip(coarse_names(result.source_names)[:-2], result.lattice.coarse_members)
-        blocks += [(key, _row_sum(result.atom_pi, idx)) for key, idx in groups]
+        # Rank order is atom order, as in a sum of the dense rows along axis 0.
+        (at, delta), cols = result._chain, np.arange(result.grid.n_points)
+        sums = np.zeros((result.lattice.m + 2, len(cols)))
+        for k in range(len(at)):
+            sums[result.lattice.coarse_of[at[k]], cols] += delta[k]
+        blocks += zip(coarse_names(result.source_names)[:-2], sums)
     blocks.append(("JointMIR", result.joint_profile))
     atomic_write_text(path, _profile_chunks(blocks, result.grid.hz, scale))
-
-
-def _row_sum(rows: np.ndarray, idx: Sequence[int]) -> np.ndarray:
-    """``rows[list(idx)].sum(axis=0)`` bit for bit, signs of zero included,
-    without copying the selected rows: the first row, then the others added
-    in order."""
-    total = rows[idx[0]].copy()
-    for i in idx[1:]:
-        total += rows[i]
-    return total
 
 
 def _profile_chunks(

@@ -27,6 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ArgumentError, CapabilityError
+from .var import _count
 
 #: Largest supported number of sources. The atom count follows the Dedekind
 #: numbers minus two (1, 4, 18, 166, 7579, ...), so anything beyond 4 is both
@@ -50,22 +51,20 @@ class Atom:
     Raises
     ------
     ArgumentError
-        If an element is empty, an index is < 1, or one element is a
-        subset of another (antichain violation).
+        If an element is empty, an index is not an integer or is < 1, or
+        one element is a subset of another (antichain violation).
     """
 
     elements: tuple[tuple[int, ...], ...]
 
     def __init__(self, elements: Iterable[Iterable[int]]):
-        canon = sorted(tuple(sorted(set(el))) for el in elements)
+        canon = sorted(tuple(sorted({_count(i, "source index", 1) for i in el})) for el in elements)
         object.__setattr__(self, "elements", tuple(canon))
         if not self.elements:
             raise ArgumentError("an atom needs at least one element")
         for el in self.elements:
             if not el:
                 raise ArgumentError("atom elements must be nonempty index sets")
-            if el[0] < 1:
-                raise ArgumentError(f"source indices are 1-based, got {el}")
         for a, b in combinations(self.elements, 2):
             if set(a) <= set(b) or set(b) <= set(a):
                 raise ArgumentError(
@@ -100,8 +99,8 @@ class RedundancyLattice:
       up-set, else -1;
     * ``weakly_below[a, b]``: atom ``b`` precedes or equals atom ``a``;
       the strict predecessors of ``a`` all come before it;
-    * ``coarse_members``: the atom indices of each coarse group, in the
-      order ``unique:1 .. unique:m``, ``redundant``, ``synergistic``; a
+    * ``coarse_of[a]``: the coarse group of atom ``a``, numbered
+      ``unique:1 .. unique:m``, ``redundant``, ``synergistic`` from 0; a
       group may be empty. An atom holding at least two singleton elements
       is redundant, one whose only singleton element is ``{j}`` is unique
       to ``j``, and one with no singleton element is synergistic.
@@ -116,7 +115,7 @@ class RedundancyLattice:
     smaller: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
     atom_of_upset: np.ndarray = field(repr=False, compare=False)
     weakly_below: np.ndarray = field(repr=False, compare=False)
-    coarse_members: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    coarse_of: np.ndarray = field(repr=False, compare=False)
     _index: dict[Atom, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -178,23 +177,18 @@ class RedundancyLattice:
     def coarse_groups(self) -> dict[str, tuple[int, ...]]:
         """Atom indices per nonempty coarse group, keyed by its label
         (``unique:j``, ``redundant``, ``synergistic``), from
-        :attr:`coarse_members`."""
-        labels = _coarse_labels(self.m)
-        return {k: v for k, v in zip(labels, self.coarse_members) if v}
+        :attr:`coarse_of`."""
+        labels = [*(f"unique:{j}" for j in range(1, self.m + 1)), "redundant", "synergistic"]
+        return {labels[g]: tuple(np.flatnonzero(self.coarse_of == g).tolist())
+                for g in sorted(set(self.coarse_of.tolist()))}
 
 
-def _coarse_labels(m: int) -> list[str]:
-    """The coarse group labels in the order of ``coarse_members``."""
-    return [*(f"unique:{j}" for j in range(1, m + 1)), "redundant", "synergistic"]
-
-
-def _coarse_label(atom: Atom) -> str:
+def _coarse_index(atom: Atom, m: int) -> int:
+    """The group of ``atom`` in the numbering of ``coarse_of``."""
     singles = [el[0] for el in atom.elements if len(el) == 1]
     if len(singles) >= 2:
-        return "redundant"
-    if len(singles) == 1:
-        return f"unique:{singles[0]}"
-    return "synergistic"
+        return m
+    return singles[0] - 1 if singles else m + 1
 
 
 @lru_cache(maxsize=None)
@@ -211,9 +205,12 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
 
     Raises
     ------
+    ArgumentError
+        If ``m`` is not an integer.
     CapabilityError
         If ``m`` is outside ``1..M_MAX``.
     """
+    m = _count(m, "the source count m")
     if not 1 <= m <= M_MAX:
         raise CapabilityError(
             f"lattice over M={m} sources is unsupported (limit is 1..{M_MAX}; "
@@ -243,10 +240,7 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
     order = sorted(range(len(atoms)), key=lambda i: (n_below[i], atoms[i].elements))
     atoms = [atoms[i] for i in order]
     below = below[np.ix_(order, order)]  # each atom precedes itself
-    labels = [_coarse_label(atom) for atom in atoms]
-    coarse_members = tuple(
-        tuple(i for i, have in enumerate(labels) if have == label) for label in _coarse_labels(m)
-    )
+    coarse_of = np.array([_coarse_index(atom, m) for atom in atoms])
 
     member = (masks[order, None] >> np.arange(n)) & 1 == 1
     atom_of_upset = np.full(1 << n, -1, dtype=np.int16)
@@ -259,7 +253,7 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
                    for b in bits[sizes == s].tolist()]))
         for s in range(2, m + 1)
     )
-    for array in (member, atom_of_upset, below, *(x for pair in smaller for x in pair)):
+    for array in (member, atom_of_upset, below, coarse_of, *(x for p in smaller for x in p)):
         array.setflags(write=False)
     return RedundancyLattice(
         m=m,
@@ -269,5 +263,5 @@ def enumerate_antichains(m: int) -> RedundancyLattice:
         smaller=smaller,
         atom_of_upset=atom_of_upset,
         weakly_below=below,
-        coarse_members=coarse_members,
+        coarse_of=coarse_of,
     )

@@ -22,7 +22,6 @@ contiguous rows over frequency.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -35,6 +34,7 @@ from .var import (
     _check_csv_text,
     _check_fs,
     _check_names,
+    _count,
     _require_stable,
     _resolve_sources,
 )
@@ -71,12 +71,7 @@ class FrequencyGrid:
 
     def __post_init__(self):
         _check_fs(self.fs)
-        try:
-            n_points = operator.index(self.n_points)
-        except TypeError:
-            raise ArgumentError(f"n_points must be an integer, got {self.n_points!r}") from None
-        if n_points < 2:
-            raise ArgumentError("a frequency grid needs at least 2 points")
+        _count(self.n_points, "n_points", 2)
 
     def __getstate__(self) -> dict:
         # The fields alone: a copy or an unpickled grid computes its own

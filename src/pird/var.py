@@ -44,6 +44,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _count(value: int, what: str, least: int | None = None) -> int:
+    """``value`` as an int: ArgumentError naming ``what`` unless it is an
+    integer (``operator.index``: not ``2.5`` or ``"2"``), and at least
+    ``least`` if that is given."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ArgumentError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and count < least:
+        raise ArgumentError(f"{what} must be >= {least}, got {count}")
+    return count
+
+
+def _check_symmetric(matrix: np.ndarray, what: str) -> None:
+    """ArgumentError naming ``what`` unless the finite square ``matrix`` is
+    symmetric within ``_SYMMETRY_TOL`` times its largest entry, at any scale."""
+    if np.max(np.abs(matrix - matrix.T)) > _SYMMETRY_TOL * np.max(np.abs(matrix)):
+        raise ArgumentError(f"{what} must be symmetric")
+
+
 def _channel_set(dim: int, channels: Sequence[int], what: str) -> tuple[int, ...]:
     """The distinct ``channels``, in first-seen order: ArgumentError naming
     ``what`` unless there is one at least and each is an integer index
@@ -149,8 +169,7 @@ class VarModel:
         for what, values in (("coeffs", coeffs), ("sigma", sigma)):
             if not np.all(np.isfinite(values)):
                 raise ArgumentError(f"{what} must be finite, got a NaN or infinite entry")
-        if np.max(np.abs(sigma - sigma.T)) > _SYMMETRY_TOL * np.max(np.abs(sigma)):
-            raise ArgumentError("sigma must be symmetric")
+        _check_symmetric(sigma, "sigma")
         sigma = (sigma + sigma.T) / 2.0
         try:
             np.linalg.cholesky(sigma)
@@ -250,14 +269,6 @@ class TimeSeriesMatrix:
         names = _check_names(self.names, tuple(f"ch{i}" for i in range(samples.shape[1])))
         object.__setattr__(self, "samples", _readonly(samples))
         object.__setattr__(self, "names", names)
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.samples.shape[1]
 
     def save_csv(self, path: str | Path) -> None:
         """Write as CSV: header row of channel names, one row per sample."""
@@ -476,12 +487,12 @@ def simulate_ensemble(
     Innovations are Gaussian with covariance ``model.sigma``, generated via
     its symmetric eigenvalue square root; the recursion is iterated for
     ``burn_in + n`` steps from zero initial conditions and the first
-    ``burn_in`` samples are discarded. Deterministic given ``seed``.
+    ``burn_in`` samples are discarded. Deterministic given ``seed``. Raises
+    ArgumentError unless ``n`` and ``n_series`` are integers >= 1 and
+    ``burn_in`` is one >= 0.
     """
-    if n < 1:
-        raise ArgumentError("n must be >= 1")
-    if burn_in < 0:
-        raise ArgumentError("burn_in must be >= 0")
+    n, burn_in = _count(n, "n", 1), _count(burn_in, "burn_in", 0)
+    n_series = _count(n_series, "n_series", 1)
     _require_stable(model, "simulate")
     p, q = model.order, model.dim
     rng = np.random.default_rng(seed)
@@ -569,10 +580,10 @@ def fit_ols(ts: TimeSeriesMatrix, p: int) -> VarModel:
         If the lagged regressor matrix is rank deficient (the message
         names its condition number).
     ArgumentError
-        If there are too few rows (``L <= p*Q + 1``).
+        If ``p`` is not an integer >= 0, or there are too few rows
+        (``L <= p*Q + 1``).
     """
-    if p < 0:
-        raise ArgumentError("order must be >= 0")
+    p = _count(p, "order", 0)
     z = ts.samples - ts.samples.mean(axis=0)
     n, q = z.shape
     if n <= p * q + 1:
@@ -609,8 +620,7 @@ def select_order_aic(
     OLS exactly. It comes from a blocked QR that never forms the lag
     matrix, so memory beyond the samples does not grow with ``p_max``.
     """
-    if p_max < 1:
-        raise ArgumentError("p_max must be >= 1")
+    p_max = _count(p_max, "p_max", 1)
     z = ts.samples - ts.samples.mean(axis=0)
     n, q = z.shape
     l_eff = n - p_max

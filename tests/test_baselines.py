@@ -67,6 +67,22 @@ def test_gaussian_mi_input_validation():
             gaussian_mi(not_a_matrix, 0, [1])
 
 
+ASYMMETRIC = np.array([[1.0, 0.5, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-10, 1.0, 1e10, 1e20])
+def test_one_symmetry_rule_at_every_scale(scale):
+    # The rule is relative to the largest entry, for a covariance and for
+    # a model's innovation covariance alike.
+    with pytest.raises(ArgumentError, match="covariance must be symmetric"):
+        gaussian_mi(scale * ASYMMETRIC, 0, [1, 2])
+    with pytest.raises(ArgumentError, match="sigma must be symmetric"):
+        VarModel(coeffs=np.zeros((0, 3, 3)), sigma=scale * ASYMMETRIC)
+    symmetric = scale * COR08
+    assert gaussian_mi(symmetric, 0, [1, 2]) == pytest.approx(
+        gaussian_mi(COR08, 0, [1, 2]), rel=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_gaussian_mi_rejects_a_non_finite_covariance_without_a_warning(bad):
     cov = COR08.copy()

@@ -11,6 +11,7 @@ import pytest
 
 import pird
 from pird import Scenario, VarModel, build_scenario, simulate
+from pird import cli
 from pird.cli import _build_parser, _parse_args, _parse_sweep, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -460,6 +461,39 @@ def test_readme_lists_each_verbs_flags():
     for name, verb in verbs.items():
         declared = {s for a in verb._actions for s in a.option_strings} - {"-h", "--help"}
         assert set(re.findall(r"`(--[a-z][a-z-]*)", lists[name])) == declared, name
+
+
+def test_readme_states_each_flags_parser_default_and_choices():
+    # Beyond the flag names: a default, a choice list (`--flag a|b`) or a
+    # cap ("at most N points") that README states for a flag is the one
+    # its subparser declares; choices the parser leaves to the verb are
+    # the ones its help text names.
+    text = README.read_text(encoding="utf-8")
+    lists = dict(re.findall(r"^\* `pird (\w+)`:(.*?)(?=^\* |^$)", text, re.M | re.S))
+    _, verbs = _build_parser()
+    checked = []
+    for name, verb in verbs.items():
+        actions = {s: a for a in verb._actions for s in a.option_strings}
+        parts = re.split(r"`(--[a-z][a-z-]*)", lists[name])
+        for flag, said in zip(parts[1::2], parts[2::2]):
+            action = actions[flag]
+            default = re.search(r"default (?:`([^`]+)`|([^\s,)`]+))", said)
+            if default:
+                assert (default[1] or default[2]) == str(action.default), (name, flag)
+                checked.append((name, flag, "default"))
+            choices = re.match(r" (\w+(?:\|\w+)+)`", said)
+            if choices:
+                listed = choices[1].split("|")
+                if action.choices is not None:
+                    assert listed == list(action.choices), (name, flag)
+                else:
+                    assert all(c in action.help for c in listed), (name, flag)
+                checked.append((name, flag, "choices"))
+            cap = re.search(r"at most (\d+)", said)
+            if cap:
+                assert int(cap[1]) == cli.MAX_SWEEP_POINTS, (name, flag)
+                checked.append((name, flag, "cap"))
+    assert len(checked) >= 7, checked
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from pird import (
     static_pid,
     te_pid,
 )
+from pird import decomposition
 from pird.decomposition import (
     _chain_pi,
-    _row_sum,
     atomic_write_text,
     coarse_names,
     coarse_values,
@@ -537,16 +537,28 @@ def test_profiles_csv_matches_row_at_a_time_writer(tmp_path, grid, case, m, scal
         assert b",-0\n" in text
 
 
-@pytest.mark.parametrize("case", ["var5", "independent-source"])
-def test_profiles_group_sums_equal_the_fancy_index_sum(grid, case):
-    # Bit for bit, signs of zero included: the writer's in-place sums add
-    # the rows in the order of a reduction along axis 0.
+@pytest.mark.parametrize("case", ["sim1", "sim3-two-points", "var5", "independent-source"])
+def test_profiles_group_rows_equal_the_fancy_index_sum(tmp_path, grid, monkeypatch, case):
+    # Bit for bit, signs of zero included: the writer sums the U/R/S rows
+    # from the chain, in rank order, which is the atom order of a reduction
+    # of the dense rows along axis 0.
     res = _profiles_case(case, grid)
-    for idx in res.lattice.coarse_groups().values():
-        want = res.atom_pi[list(idx)].sum(axis=0)
-        got = _row_sum(res.atom_pi, idx)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    written = {}
+    chunks = decomposition._profile_chunks
+
+    def capture(blocks, hz, scale):
+        written.update(blocks)
+        return chunks(blocks, hz, scale)
+
+    monkeypatch.setattr(decomposition, "_profile_chunks", capture)
+    write_profiles_csv(res, tmp_path / "profiles.csv")
+    m = len(res.sources)
+    labels = [f"unique:{j}" for j in range(1, m + 1)] + ["redundant", "synergistic"]
+    groups = res.lattice.coarse_groups()
+    for key, label in zip(coarse_names(res.source_names), labels):
+        want = res.atom_pi[list(groups.get(label, ()))].sum(axis=0)
+        assert np.array_equal(written[key], want), key
+        assert np.array_equal(np.signbit(written[key]), np.signbit(want)), key
 
 
 def test_profiles_csv_memory_does_not_grow_with_the_file(tmp_path, grid):
@@ -751,7 +763,8 @@ def test_decompose_equals_per_atom_reference_engine(case):
 
 def test_decompose_memory_peak():
     # M = 4 on 2049 points with two bands: the engine holds the E = 15
-    # chain rows and the dense PI, not a dense redundancy (built on read).
+    # chain rows, not the dense (166, 2049) PI or redundancy (each 2.7 MB,
+    # built on read).
     psd = psd_from_var(random_stable_var(5, 3, seed=31, radius=0.9), FrequencyGrid(n_points=2049))
     bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
     decompose(psd, 0, bands=bands)  # fill the per-M caches
@@ -762,7 +775,7 @@ def test_decompose_memory_peak():
     finally:
         tracemalloc.stop()
     assert len(res.lattice) == 166
-    assert peak < 5_000_000, peak
+    assert peak < 3_200_000, peak
 
 
 def test_decompose_leaves_no_reference_cycles():
@@ -845,6 +858,23 @@ def test_chain_envelope_absorbs_monotonicity_roundoff():
     pi = chain_profiles(broken, lattice)
     assert np.array_equal(pi, chain_profiles(table, lattice))
     assert np.array_equal(pi, scalar_chain(broken, list(elements), lattice))
+
+
+@pytest.mark.parametrize(
+    "case, m",
+    [("var5-one-source", 1), ("sim1", 2), ("sim3", 3), ("sim3-two-points", 3), ("var5", 4),
+     ("independent-source", 4)],
+)
+def test_atom_pi_is_built_on_first_read_as_the_eager_scatter(grid, case, m):
+    res = _profiles_case(case, grid)
+    assert len(res.sources) == m
+    assert "atom_pi" not in vars(res)
+    pi = res.atom_pi
+    assert pi is res.atom_pi
+    assert not pi.flags.writeable
+    want = chain_profiles(res._table, res.lattice)
+    assert np.array_equal(pi, want)
+    assert np.array_equal(np.signbit(pi), np.signbit(want))
 
 
 def chain_profiles(table, lattice):

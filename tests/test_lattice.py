@@ -70,6 +70,25 @@ def test_capability_limits():
         enumerate_antichains(0)
 
 
+@pytest.mark.parametrize("m", [1.5, "2", None])
+def test_source_count_must_be_an_integer(m):
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        enumerate_antichains(m)
+
+
+def test_source_count_accepts_integer_types_and_stays_a_capability_limit():
+    assert enumerate_antichains(np.int64(3)) == enumerate_antichains(3)
+    for m in (-1, 0, np.int64(5)):
+        with pytest.raises(CapabilityError, match="1..4"):
+            enumerate_antichains(m)
+
+
+@pytest.mark.parametrize("elements", [[[1.5]], [["1"]], [(1,), (2.0,)]])
+def test_atom_indices_must_be_integers(elements):
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        Atom(elements)
+
+
 def test_atom_canonical_form_and_equality():
     a = Atom([(2, 1), (3,)])
     b = Atom([[3], [1, 2]])
@@ -194,13 +213,16 @@ def test_element_tables_match_sets(m):
     for a, atom in enumerate(lattice.atoms):
         below = {b for b, other in enumerate(lattice.atoms) if b != a and precedes(other, atom)}
         assert set(np.flatnonzero(lattice.weakly_below[a]).tolist()) == {a, *below}
-    # the atoms of each coarse group, unique:1..m, redundant, synergistic
+    # each atom's coarse group by the singleton rule, numbered unique:1..m,
+    # redundant, synergistic
     labels = [f"unique:{j}" for j in range(1, m + 1)] + ["redundant", "synergistic"]
-    assert len(lattice.coarse_members) == m + 2
-    for label, idx in zip(labels, lattice.coarse_members):
-        assert idx == tuple(i for i, atom in enumerate(lattice.atoms)
-                            if coarse_group(atom) == label)
-    for array in (lattice.member, lattice.atom_of_upset, lattice.weakly_below,
+    assert lattice.coarse_of.shape == (len(lattice),)
+    assert [labels[g] for g in lattice.coarse_of.tolist()] == [
+        coarse_group(atom) for atom in lattice.atoms]
+    assert lattice.coarse_groups() == {
+        label: tuple(i for i, atom in enumerate(lattice.atoms) if coarse_group(atom) == label)
+        for label in labels if any(coarse_group(atom) == label for atom in lattice.atoms)}
+    for array in (lattice.member, lattice.atom_of_upset, lattice.weakly_below, lattice.coarse_of,
                   *(x for pair in lattice.smaller for x in pair)):
         assert not array.flags.writeable
 

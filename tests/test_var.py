@@ -212,6 +212,40 @@ def test_varmodel_symmetry_check_is_relative(scale):
         VarModel(coeffs=np.zeros((0, 2, 2)), sigma=scale * np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
+#: Each count argument given a non-integer or a value below its bound.
+BAD_COUNTS = {
+    "fit_ols order 1.5": lambda ts, m: fit_ols(ts, 1.5),
+    "fit_ols order '2'": lambda ts, m: fit_ols(ts, "2"),
+    "fit_ols order -1": lambda ts, m: fit_ols(ts, -1),
+    "select_order_aic p_max 2.5": lambda ts, m: select_order_aic(ts, 2.5),
+    "select_order_aic p_max 0": lambda ts, m: select_order_aic(ts, 0),
+    "simulate n 2.5": lambda ts, m: simulate(m, 2.5),
+    "simulate n 0": lambda ts, m: simulate(m, 0),
+    "simulate burn_in 1.5": lambda ts, m: simulate(m, 10, burn_in=1.5),
+    "simulate burn_in -1": lambda ts, m: simulate(m, 10, burn_in=-1),
+    "simulate_ensemble n_series 0": lambda ts, m: simulate_ensemble(m, 10, n_series=0),
+    "simulate_ensemble n_series -1": lambda ts, m: simulate_ensemble(m, 10, n_series=-1),
+    "simulate_ensemble n_series 1.5": lambda ts, m: simulate_ensemble(m, 10, n_series=1.5),
+}
+
+
+@pytest.mark.parametrize("case", BAD_COUNTS)
+def test_counts_must_be_integers_within_bounds(case):
+    m = scalar_ar([0.5])
+    ts = simulate(m, 200, burn_in=10, seed=1)
+    with pytest.raises(ArgumentError, match="must be an integer|must be >="):
+        BAD_COUNTS[case](ts, m)
+
+
+def test_counts_accept_integer_types():
+    m = scalar_ar([0.5])
+    ts = simulate(m, np.int64(200), burn_in=np.int16(10), seed=1)
+    assert np.array_equal(ts.samples, simulate(m, 200, burn_in=10, seed=1).samples)
+    assert np.array_equal(fit_ols(ts, np.int64(2)).coeffs, fit_ols(ts, 2).coeffs)
+    assert select_order_aic(ts, np.int32(3)) == select_order_aic(ts, 3)
+    assert simulate_ensemble(m, 10, n_series=np.int64(2)).shape == (2, 10, 1)
+
+
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
 def test_varmodel_accepts_symmetric_sigma_at_extreme_scales(scale):
     sigma = scale * np.array([[1.0, 0.5], [0.5, 1.0]])
