@@ -20,7 +20,8 @@ that cannot be written among them), 4 numerical error, 5 capability error.
 
 Each verb's options are declared once, in its subparser; ``pird VERB
 --help`` lists them with their defaults. ``--config FILE`` reads a flat
-``key = value`` file (``#`` comments) whose keys are the verb's own flags
+``key = value`` file (a ``#`` at the start of a line or after whitespace
+starts a comment) whose keys are the verb's own flags
 without the leading dashes (``max_order`` or ``max-order``). Each value is
 parsed as its flag's would be and becomes the verb's default, so explicit
 flags win. A key the verb does not declare, or a value its flag rejects, is
@@ -30,6 +31,7 @@ a format error (exit 2).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -96,7 +98,9 @@ def _read_config_file(path: str) -> dict[str, str]:
         raise FormatError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # A "#" starts a comment at the start of a line or after whitespace
+        # only, so that a value such as ``out = run#2`` keeps it.
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -290,10 +294,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             f"{model.spectral_radius:.6f}); try a different order"
         )
     with _outdir(args) as out:
-        atomic_write_text(out / "model.json", (model.to_json(), "\n"))
+        atomic_write_text(out / "model.json", [f"{model.to_json()}\n".encode()])
         if curve is not None:
             lines = ["p,aic"] + [f"{p},{_fmt(a)}" for p, a in enumerate(curve, start=1)]
-            atomic_write_text(out / "aic.csv", (line + "\n" for line in lines))
+            atomic_write_text(out / "aic.csv", [("\n".join(lines) + "\n").encode()])
     margin = 1.0 - model.spectral_radius
     print(f"selected order: {model.order}")
     print(f"stability margin: {_fmt(margin)}")
@@ -370,7 +374,7 @@ def _coupling_sweep(args: argparse.Namespace, scenario: str) -> int:
     header = ",".join(["c"] + [f"pird_{t}" for t in names] + [f"{prefix}_{t}" for t in names])
     with _outdir(args) as out:
         path = out / f"bench_{scenario}.csv"
-        atomic_write_text(path, (line + "\n" for line in [header, *rows]))
+        atomic_write_text(path, [("\n".join([header, *rows]) + "\n").encode()])
     print(f"swept c over {len(cs)} points ({args.units}); wrote {path}")
     return 0
 
@@ -389,7 +393,7 @@ def _band_table(args: argparse.Namespace) -> int:
         lines.append(",".join([label] + [_fmt(v, scale) for v in values]))
     with _outdir(args) as out:
         path = out / "bench_sim3.csv"
-        atomic_write_text(path, (line + "\n" for line in lines))
+        atomic_write_text(path, [("\n".join(lines) + "\n").encode()])
     print(f"band table in {args.units}; wrote {path}")
     return 0
 

@@ -84,7 +84,7 @@ from .spectral import (
     spectral_mir,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
     spectral_mir_rows,
 )
-from .var import _resolve_sources
+from .var import _check_csv_text, _resolve_sources
 
 #: Band label reserved for the full frequency axis.
 FULL_BAND = "FULL"
@@ -381,20 +381,23 @@ def decompose(
 # Tabular exports
 
 
-def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write the concatenated text ``chunks`` to a file atomically (temp
-    file in the target dir, then rename).
+def atomic_write_text(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the concatenated ``chunks``, the UTF-8 bytes of a text, to a
+    file atomically (temp file in the target dir, then rename). Every writer
+    of this package encodes its text and writes it through here, in one
+    chunk or, for ``profiles.csv``, one chunk per block.
 
-    The chunks are consumed while the temp file is open; if one raises, the
-    temp file is removed and the target is left as it was. The temp file is
-    created with mode 0666 less the umask, the mode any new file gets, and
-    ``O_EXCL`` so that an existing file is never reused.
+    The chunks are consumed while the temp file is open; if one raises, or
+    is not bytes, the temp file is removed and the target is left as it
+    was. The temp file is created with mode 0666 less the umask, the mode
+    any new file gets, and ``O_EXCL`` so that an existing file is never
+    reused.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -433,7 +436,7 @@ def write_atoms_csv(result: DecompositionResult, path: str | Path, units: str = 
                 f"{_fmt(result.atom_pi_bands[band.label][i], scale)},"
                 f"{_fmt(result.atom_redundancy_bands[band.label][i], scale)}\n"
             )
-    atomic_write_text(path, lines)
+    atomic_write_text(path, ["".join(lines).encode()])
 
 
 def write_coarse_csv(
@@ -448,9 +451,13 @@ def write_coarse_csv(
     ``S``, ``Delta`` and ``JointMIR`` of the result's coarse terms, or
     ``JointMIR`` alone for one source. Then each entry of ``baselines``
     (e.g. ``{"staticPID": ..., "tePID": ...}``) writes the same terms on
-    ``FULL`` with its key as a ``prefix:`` on every term.
+    ``FULL`` with its key as a ``prefix:`` on every term. A key that the
+    CSV cannot hold (empty, or with a comma, double quote, carriage return
+    or newline) is an ArgumentError before the file is opened.
     """
     scale = unit_scale(units)
+    for prefix in baselines:
+        _check_csv_text(prefix, "baseline name")
     names = coarse_names(result.source_names)
     lines = [f"term,band,value_{units}\n"]
     joints = {FULL_BAND: result.joint_mir, **result.joint_mir_bands}
@@ -464,7 +471,7 @@ def write_coarse_csv(
     for prefix, terms in baselines.items():
         lines += [f"{prefix}:{name},{FULL_BAND},{_fmt(v, scale)}\n"
                   for name, v in zip(names, coarse_values(terms))]
-    atomic_write_text(path, lines)
+    atomic_write_text(path, ["".join(lines).encode()])
 
 
 def write_profiles_csv(result: DecompositionResult, path: str | Path, units: str = "nats") -> None:
@@ -478,8 +485,9 @@ def write_profiles_csv(result: DecompositionResult, path: str | Path, units: str
     ``JointMIR``. With M >= 2 sources that is ``atoms + 2M + 3`` blocks of
     ``grid`` rows after the header.
 
-    The file is streamed in chunks while it is written, so peak memory does
-    not grow with the file's size. Every value prints as ``%.12g``.
+    The file is streamed as UTF-8 bytes, one chunk per block, while it is
+    written, so peak memory does not grow with the file's size. Every value
+    prints as ``%.12g``.
     """
     scale = unit_scale(units)
     blocks: list[tuple[str, np.ndarray]] = []
@@ -500,35 +508,41 @@ def write_profiles_csv(result: DecompositionResult, path: str | Path, units: str
 
 def _profile_chunks(
     blocks: list[tuple[str, np.ndarray]], hz: np.ndarray, scale: float
-) -> Iterator[str]:
-    """The text of ``profiles.csv`` in chunks. Most atom PI values are +0.0,
-    in long runs (at most E atoms are nonzero per frequency), so each block
-    is sliced from a zero template that prints them as "0", and only its
-    runs of other values go through a ``%.12g`` template. A -0.0 is such a
-    value: it prints as "-0". "\0" marks where a row's key goes."""
-    zero_rows = [f"{f:.12g},\0,0\n" for f in hz]
-    value_rows = [f"{f:.12g},\0,%.12g\n" for f in hz]
-    zero, values_template = "".join(zero_rows), "".join(value_rows)
+) -> Iterator[bytes]:
+    """The UTF-8 bytes of ``profiles.csv``: the header, then one chunk per
+    block. Most atom PI values are +0.0, in long runs (at most E atoms are
+    nonzero per frequency), so each block is sliced from a zero template
+    that prints them as "0", and only its runs of other values go through a
+    ``%.12g`` template. A -0.0 is such a value: it prints as "-0". "\0"
+    marks where a row's key goes."""
+    freqs = [f"{f:.12g}" for f in hz]
+    zero_rows = [f"{f},\0,0\n".encode() for f in freqs]
+    value_rows = [f"{f},\0,%.12g\n".encode() for f in freqs]
+    zero, values_template = b"".join(zero_rows), b"".join(value_rows)
     # Row i starts at zero_at[i] in `zero` (at value_at[i] in the template);
     # the last entry is the length.
     zero_at = np.cumsum([0] + [len(r) for r in zero_rows]).tolist()
     value_at = np.cumsum([0] + [len(r) for r in value_rows]).tolist()
     n = len(zero_rows)
-    yield "f_hz,atom_or_term,value\n"
+    # pad[1:-1] marks the values that are not +0.0; its two ends stay False,
+    # so the edges of the runs, starts and ends alternating, are where it
+    # changes.
+    pad = np.zeros(n + 2, dtype=bool)
+    yield b"f_hz,atom_or_term,value\n"
     for key, values in blocks:
         scaled = values / scale
-        nonzero = (scaled != 0.0) | np.signbit(scaled)
-        # Run boundaries: starts and ends alternate.
-        edges = np.flatnonzero(np.diff(nonzero, prepend=False, append=False)).tolist()
-        # Each key in `zero_key` shifts row i by i * (len(key) - 1).
-        zero_key, shift = zero.replace("\0", key), len(key) - 1
-        escaped = key.replace("%", "%%")
-        done = 0
+        np.not_equal(scaled, 0.0, out=pad[1:-1])
+        pad[1:-1] |= np.signbit(scaled)
+        edges = np.flatnonzero(pad[1:] != pad[:-1]).tolist()
+        encoded = key.encode()
+        # Each key in `zero_key` shifts row i by i * (len(encoded) - 1).
+        zero_key, shift = zero.replace(b"\0", encoded), len(encoded) - 1
+        escaped = encoded.replace(b"%", b"%%")
+        parts, done = [], 0
         for a, b in zip(edges[::2], edges[1::2]):
-            if done < a:
-                yield zero_key[zero_at[done] + shift * done:zero_at[a] + shift * a]
-            run = values_template[value_at[a]:value_at[b]].replace("\0", escaped)
-            yield run % tuple(scaled[a:b].tolist())
+            parts.append(zero_key[zero_at[done] + shift * done:zero_at[a] + shift * a])
+            run = values_template[value_at[a]:value_at[b]].replace(b"\0", escaped)
+            parts.append(run % tuple(scaled[a:b].tolist()))
             done = b
-        if done < n:
-            yield zero_key[zero_at[done] + shift * done:]
+        parts.append(zero_key[zero_at[done] + shift * done:])
+        yield b"".join(parts)

@@ -181,6 +181,25 @@ def test_decompose_config_file_with_flag_override(tmp_path):
     assert header == "term,band,value_bits"  # config value survived
 
 
+def test_config_hash_starts_a_comment_only_after_whitespace(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "# comment line\n"
+        "  # indented comment line\n"
+        "grid = 65  # note\n"
+        "bands = B#1:0.04-0.15,B2:0.15-0.4\t# tab before the comment\n"
+        f"out = {tmp_path / 'run#2'}\n"
+    )
+    args = _parse_args(["decompose", "--config", str(cfg)])
+    assert args.grid == 65
+    assert args.bands == "B#1:0.04-0.15,B2:0.15-0.4"
+    assert args.out == str(tmp_path / "run#2")
+    assert main(["decompose", "--config", str(cfg), "--scenario", "sim3"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#2", "run.cfg"]
+    coarse = (tmp_path / "run#2" / "coarse.csv").read_text().splitlines()
+    assert {line.split(",")[1] for line in coarse[1:]} == {"FULL", "B#1", "B2"}
+
+
 def test_decompose_requires_exactly_one_model_source(tmp_path):
     assert main(["decompose", "--out", str(tmp_path)]) == 3
     assert main([

@@ -425,6 +425,39 @@ def test_writers_take_one_units_name(tmp_path, sim3_psd):
             assert not path.exists()
 
 
+def test_coarse_csv_checks_the_baseline_names(tmp_path, sim3_model, sim3_result):
+    # A baseline name is a prefix of every term it writes, so it must be
+    # CSV-safe like a channel name; a bad one fails before the file opens.
+    base = static_pid(sim3_model, 0)
+    path = tmp_path / "coarse.csv"
+    for name in ('a,b"c', "a,b", 'a"b', "a\rb", "a\nb", "", None):
+        with pytest.raises(ArgumentError, match="baseline name"):
+            write_coarse_csv(sim3_result, path, "nats", {"staticPID": base, name: base})
+        assert not path.exists()
+    write_coarse_csv(sim3_result, path, "bits", {"staticPID": base, "tePID é%": base})
+    rows = path.read_text(encoding="utf-8").splitlines()
+    assert all(row.count(",") == 2 for row in rows)
+    assert rows[-1].startswith("tePID é%:JointMIR,FULL,")
+
+
+def test_writers_write_through_the_module_atomic_writer(tmp_path, monkeypatch, sim3_result):
+    # Each writer calls this module's global atomic_write_text with the
+    # target path as its first positional argument, where a wrapper bound
+    # to that name sees every file and its size.
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args[0], kwargs))
+        atomic_write_text(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "atomic_write_text", spy)
+    for writer in (write_atoms_csv, write_coarse_csv, write_profiles_csv):
+        path = tmp_path / f"{writer.__name__}.csv"
+        writer(sim3_result, path)
+        assert calls[-1] == (path, {}) and path.stat().st_size > 0
+    assert len(calls) == 3
+
+
 def reference_profile_blocks(result):
     """The ``(key, values)`` blocks of ``profiles.csv``, in file order."""
     blocks = [(str(atom), result.atom_pi[i]) for i, atom in enumerate(result.lattice.atoms)]
@@ -465,11 +498,13 @@ def _profiles_case(case, grid):
         return decompose(psd_from_var(model, grid), 0, [3], bands=bands)
     if case == "var5":
         return decompose(psd_from_var(model, grid), 0, bands=bands)
-    # channel names that are %-format directives must come out verbatim
-    named = VarModel(
-        coeffs=model.coeffs, sigma=model.sigma,
-        names=("Y%", "X%s", "%(k)d", "50%%", "%.12g"),
-    )
+    # channel names that are %-format directives must come out verbatim;
+    # non-ASCII names take more bytes than characters in every row
+    names = {
+        "percent-names": ("Y%", "X%s", "%(k)d", "50%%", "%.12g"),
+        "non-ascii-names": ("Y", "Xé", "Ψ", "日本", "X%ü"),
+    }[case]
+    named = VarModel(coeffs=model.coeffs, sigma=model.sigma, names=names)
     return decompose(psd_from_var(named, grid), 0, bands=bands)
 
 
@@ -518,6 +553,7 @@ PROFILE_FEATURES = {
     [
         ("var5-one-source", 1), ("sim1", 2), ("sim3", 3), ("sim3-two-points", 3),
         ("var4-run-of-one", 3), ("var5", 4), ("independent-source", 4), ("percent-names", 4),
+        ("non-ascii-names", 4),
     ],
 )
 @pytest.mark.parametrize("scale", [1.0, np.log(2.0)])
@@ -586,8 +622,8 @@ def test_atomic_write_leaves_the_target_alone_when_the_chunks_raise(tmp_path, ex
         target.write_bytes(b"old,bytes\n")
 
     def chunks():
-        yield "x" * (1 << 20)  # more than a write buffer: the temp file has bytes
-        yield "y\n"
+        yield b"x" * (1 << 20)  # more than a write buffer: the temp file has bytes
+        yield b"y\n"
         raise RuntimeError("formatting failed")
 
     with pytest.raises(RuntimeError, match="formatting failed"):
@@ -595,6 +631,18 @@ def test_atomic_write_leaves_the_target_alone_when_the_chunks_raise(tmp_path, ex
     assert sorted(p.name for p in tmp_path.iterdir()) == (["out.csv"] if existing else [])
     if existing:
         assert target.read_bytes() == b"old,bytes\n"
+
+
+def test_atomic_write_takes_bytes_chunks_only(tmp_path):
+    # One chunk type: a str chunk after bytes fails like a raising chunk.
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old,bytes\n")
+    with pytest.raises(TypeError, match="bytes-like"):
+        atomic_write_text(target, [b"x" * (1 << 20), "y\n"])
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_bytes() == b"old,bytes\n"
+    atomic_write_text(target, ["é,%\n".encode(), b"", b"1\n"])
+    assert target.read_text(encoding="utf-8") == "é,%\n1\n"
 
 
 def test_aggregate_coarse_band_consistency(sim3_psd):
