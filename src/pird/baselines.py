@@ -7,21 +7,21 @@ Phys. Rev. E 91, 040101(R), 2015): the innovation covariance of any channel
 subset of a VAR follows exactly from one discrete algebraic Riccati equation
 on the model's innovations form, solved by structure-preserving doubling
 (Lin & Xu, SIAM J. Matrix Anal. Appl. 28(1), 2006). The stationary
-covariance of the static PID comes from Smith doubling of the companion
-Lyapunov equation. There is no truncation order and no Monte-Carlo
-simulation.
+covariance of the static PID comes from the same solver: the companion
+Lyapunov equation is the Riccati equation without an observation. There is
+no truncation order and no Monte-Carlo simulation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .decomposition import CoarseTerms
 from .errors import ArgumentError, EstimationError, NumericalError
-from .var import _MAX_DOUBLINGS, VarModel, _channel_set, _check_symmetric, _require_stable
-from .var import _resolve_sources
+from .var import VarModel, _channel_set, _check_symmetric, _dare, _lyapunov_equation
+from .var import _require_stable, _resolve_sources
 
 
 def _logdet_spd(mat: np.ndarray, what: str, err=NumericalError) -> float:
@@ -42,6 +42,11 @@ def gaussian_mi(cov: np.ndarray, target: int, sources: Sequence[int]) -> float:
         If the covariance is not finite, symmetric and positive definite,
         or the channel indices are invalid.
     """
+    cov = _checked_covariance(cov)
+    return _gaussian_mi(cov, target, _resolve_sources(len(cov), target, sources))
+
+
+def _checked_covariance(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if not np.isfinite(cov).all():
         raise ArgumentError("covariance must be finite, got a NaN or infinite entry")
@@ -51,7 +56,10 @@ def gaussian_mi(cov: np.ndarray, target: int, sources: Sequence[int]) -> float:
     _check_symmetric(cov, "covariance")
     if np.linalg.eigvalsh(cov)[0] <= 0.0:
         raise ArgumentError("covariance must be positive definite")
-    srcs = list(_resolve_sources(q, target, sources))
+    return cov
+
+
+def _gaussian_mi(cov: np.ndarray, target: int, srcs: tuple[int, ...]) -> float:
     joint = [target, *srcs]
     ld_s = _logdet_spd(cov[np.ix_(srcs, srcs)], "source covariance", ArgumentError)
     ld_j = _logdet_spd(cov[np.ix_(joint, joint)], "joint covariance", ArgumentError)
@@ -69,14 +77,43 @@ def static_pid(
     The stationary covariance comes from Smith doubling of the
     companion-form Lyapunov equation.
     """
-    from .var import zero_lag_covariance
+    return _static_pids([model], target, sources)[0]
 
-    srcs = _resolve_sources(model.dim, target, sources)
-    if len(srcs) < 2:
+
+def _static_pids(models, target, sources, names=None) -> list[CoarseTerms]:
+    """:func:`static_pid` of each model, the stationary covariance checked
+    once; ``names[i]`` names model ``i`` in a failure."""
+    srcs = [_resolve_sources(m.dim, target, sources) for m in models]
+    if any(len(s) < 2 for s in srcs):
         raise ArgumentError("static PID needs at least two sources")
-    gamma0 = zero_lag_covariance(model)
-    marginals = [gaussian_mi(gamma0, target, (s,)) for s in srcs]
-    return CoarseTerms.min_mi(gaussian_mi(gamma0, target, srcs), marginals)
+    for m in models:
+        _require_stable(m, "zero_lag_covariance")
+    equations = {i: _lyapunov_equation(m) for i, m in enumerate(models) if m.order}
+    states = _solve(equations, names, "Lyapunov equation has no stable solution")
+    terms = []
+    for i, (m, s) in enumerate(zip(models, srcs)):
+        gamma = _checked_covariance(states[i][: m.dim, : m.dim] if m.order else m.sigma)
+        marginals = [_gaussian_mi(gamma, target, (k,)) for k in s]
+        terms.append(CoarseTerms.min_mi(_gaussian_mi(gamma, target, s), marginals))
+    return terms
+
+
+def _solve(equations: dict, names, what: str) -> dict:
+    """:func:`_dare` of each equation ``(A, C, Q, R, S)`` by key, in one
+    batched call per shape; a failure is an EstimationError that starts with
+    ``what`` and ends with ``names[key]``."""
+    groups: dict[tuple[int, int], list] = {}
+    for key, (_, c, *_) in equations.items():
+        groups.setdefault(c.shape, []).append(key)
+    solved = {}
+    for keys in groups.values():
+        batch = [np.stack([equations[key][j] for key in keys]) for j in range(5)]
+        try:
+            p = _dare(*batch, None if names is None else [names[key] for key in keys])
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError(f"{what}: {exc}") from exc
+        solved.update(zip(keys, p))
+    return solved
 
 
 def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
@@ -100,74 +137,42 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
         If the Riccati equation has no stabilising solution (numerical
         conditioning).
     """
-    chans = list(_channel_set(model.dim, channels, "channel"))
-    _require_stable(model, "submodel_innovation")
-    if model.order == 0:
-        return model.sigma[np.ix_(chans, chans)].copy()
-    # The equation is solved for the channels rescaled to unit innovation
-    # variance and the result scaled back, which is exact. Unscaled, channels
-    # whose units differ by a few decades make the solver fail.
-    scale = 1.0 / np.sqrt(np.diag(model.sigma))
-    state_scale = np.tile(scale, model.order)
-    comp = state_scale[:, None] * model.companion() / state_scale[None, :]
-    c_s = comp[chans]
-    noise = np.zeros_like(comp)
-    noise[: model.dim, : model.dim] = model.sigma * np.outer(scale, scale)
-    sig_ss = noise[np.ix_(chans, chans)]
-    try:
-        p = _dare(comp, c_s, noise, sig_ss, noise[:, chans])
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(
-            f"Riccati equation for channels {tuple(chans)} has no stabilising "
-            f"solution ({exc})"
-        ) from exc
-    resid = (c_s @ p @ c_s.T + sig_ss) / np.outer(scale[chans], scale[chans])
-    return (resid + resid.T) / 2.0
+    chans = _channel_set(model.dim, channels, "channel")
+    return _innovations([model], [[chans]])[0][chans]
 
 
-def _dare(
-    a: np.ndarray, c: np.ndarray, q: np.ndarray, r: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """Stabilising solution ``P`` of the Kalman-filter Riccati equation
-
-        P = A P A.T - (A P C.T + S) (R + C P C.T)^-1 (A P C.T + S).T + Q
-
-    by the structure-preserving doubling algorithm. With the cross term
-    removed (``A~ = A - S R^-1 C``, ``Q~ = Q - S R^-1 S.T``,
-    ``G = C.T R^-1 C``) the equation reads ``P = A~ P (I + G P)^-1 A~.T +
-    Q~``. Each doubling squares the closed-loop matrix, so the iterate
-    converges to ``P`` quadratically.
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If the doubling does not settle within the cap, or the result fails
-        the Riccati residual or closed-loop stability check.
-    """
-    n = a.shape[0]
-    eye = np.eye(n)
-    r_c = np.linalg.solve(r, c)
-    a_t = a - s @ r_c
-    q_t = q - s @ np.linalg.solve(r, s.T)
-    g_0 = c.T @ r_c
-    ak, g, h = a_t.T, g_0, q_t
-    for _ in range(_MAX_DOUBLINGS):
-        w = np.linalg.solve(eye + g @ h, np.hstack([ak, g]))
-        step = ak.T @ h @ w[:, :n]
-        g = g + ak @ w[:, n:] @ ak.T
-        ak = ak @ w[:, :n]
-        h = h + (step + step.T) / 2.0
-        if np.abs(step).max() <= 1e-15 * np.abs(h).max():
-            break
-    else:
-        raise np.linalg.LinAlgError(f"doubling did not converge in {_MAX_DOUBLINGS} steps")
-    closed = np.linalg.solve(eye + g_0 @ h, a_t.T).T  # A~ (I + P G)^-1
-    resid = closed @ h @ a_t.T + q_t - h
-    if np.abs(resid).max() > 1e-10 * max(np.abs(h).max(), np.abs(q).max()):
-        raise np.linalg.LinAlgError("Riccati residual too large")
-    if np.abs(np.linalg.eigvals(closed)).max() >= 1.0:
-        raise np.linalg.LinAlgError("closed loop is not stable")
-    return h
+def _innovations(models, channel_sets, names=None) -> list[dict[tuple[int, ...], np.ndarray]]:
+    """The sub-model table: per model ``models[i]``, the innovation
+    covariance of each channel tuple in ``channel_sets[i]``, keyed by that
+    tuple. The Riccati equations of all models are solved together, one
+    batched :func:`_dare` call per state size and set size; ``names[i]``
+    names model ``i`` in a failure."""
+    tables: list[dict] = [{} for _ in models]
+    equations, labels, scales = {}, {}, {}
+    for i, model in enumerate(models):
+        _require_stable(model, "submodel_innovation")
+        if model.order == 0:
+            tables[i] = {ch: model.sigma[np.ix_(ch, ch)].copy() for ch in channel_sets[i]}
+            continue
+        # The equation is solved for the channels rescaled to unit innovation
+        # variance and the result scaled back, which is exact. Unscaled,
+        # channels whose units differ by a few decades make the solver fail.
+        scale = 1.0 / np.sqrt(np.diag(model.sigma))
+        state_scale = np.tile(scale, model.order)
+        comp = state_scale[:, None] * model.companion() / state_scale[None, :]
+        noise = np.zeros_like(comp)
+        noise[: model.dim, : model.dim] = model.sigma * np.outer(scale, scale)
+        for chans in channel_sets[i]:
+            sel = list(chans)
+            equations[i, chans] = comp, comp[sel], noise, noise[np.ix_(sel, sel)], noise[:, sel]
+            labels[i, chans] = f"channels {chans}" + ("" if names is None else f" of {names[i]}")
+            scales[i, chans] = np.outer(scale[sel], scale[sel])
+    solved = _solve(equations, labels, "Riccati equation has no stabilising solution")
+    for (i, chans), p in solved.items():
+        _, c_s, _, sig_ss, _ = equations[i, chans]
+        resid = (c_s @ p @ c_s.T + sig_ss) / scales[i, chans]
+        tables[i][chans] = (resid + resid.T) / 2.0
+    return tables
 
 
 def transfer_entropy(
@@ -188,21 +193,13 @@ def transfer_entropy(
     channel group, in which case determinants of its innovation block are
     used.
     """
-    return _transfer_entropy(
-        lambda chans: submodel_innovation(model, chans), model.dim, sources, target, conditioning
-    )
+    transfer = _transfer(model.dim, sources, target, conditioning)
+    return _transfer_entropy(_innovations([model], [transfer[1:]])[0], *transfer)
 
 
-def _transfer_entropy(
-    innovation: Callable[[tuple[int, ...]], np.ndarray],
-    dim: int,
-    sources: Sequence[int],
-    target: int | Sequence[int],
-    conditioning: Sequence[int],
-) -> float:
-    """:func:`transfer_entropy` with the sub-model innovation covariances
-    taken from ``innovation(channels)`` (sorted channel tuples) of a
-    ``dim``-channel model."""
+def _transfer(dim: int, sources, target, conditioning) -> tuple[tuple[int, ...], ...]:
+    """The checked target channels of a transfer in a ``dim``-channel
+    model, and the sorted channel sets of its reduced and full sub-models."""
     targets = (target,) if isinstance(target, (int, np.integer)) else target
     targets = _channel_set(dim, targets, "target channel")
     srcs = _channel_set(dim, sources, "source channel")
@@ -214,16 +211,18 @@ def _transfer_entropy(
     if set(cond) & (set(srcs) | set(targets)):
         raise ArgumentError("conditioning set overlaps target or sources")
     reduced_set = tuple(sorted(set(targets) | set(cond)))
-    full_set = tuple(sorted(set(reduced_set) | set(srcs)))
-    sig_full = innovation(full_set)
-    sig_red = innovation(reduced_set)
+    return targets, reduced_set, tuple(sorted(set(reduced_set) | set(srcs)))
+
+
+def _transfer_entropy(table: dict, targets, reduced_set, full_set) -> float:
+    """:func:`transfer_entropy` of a :func:`_transfer`, from the sub-model table."""
     t_full = [full_set.index(t) for t in targets]
     t_red = [reduced_set.index(t) for t in targets]
     ld_full = _logdet_spd(
-        sig_full[np.ix_(t_full, t_full)], "full-model innovation block"
+        table[full_set][np.ix_(t_full, t_full)], "full-model innovation block"
     )
     ld_red = _logdet_spd(
-        sig_red[np.ix_(t_red, t_red)], "reduced-model innovation block"
+        table[reduced_set][np.ix_(t_red, t_red)], "reduced-model innovation block"
     )
     return 0.5 * (ld_red - ld_full)
 
@@ -234,8 +233,13 @@ def instantaneous_info(
     """Zero-lag information shared between target and sources given both
     pasts: the Gaussian MI between the blocks of the innovation covariance
     of the sub-process formed by the target and the sources."""
-    srcs = _resolve_sources(model.dim, target, sources)
-    sig = submodel_innovation(model, [target, *srcs])
+    joint = tuple(sorted((target, *_resolve_sources(model.dim, target, sources))))
+    return _instantaneous_info(_innovations([model], [[joint]])[0][joint], joint.index(target))
+
+
+def _instantaneous_info(sig: np.ndarray, t: int) -> float:
+    order = [t, *(k for k in range(len(sig)) if k != t)]
+    sig = sig[np.ix_(order, order)]  # the target first
     ld_s = _logdet_spd(sig[1:, 1:], "innovation source block")
     ld_j = _logdet_spd(sig, "innovation joint block")
     return 0.5 * (ld_s + np.log(sig[0, 0]) - ld_j)
@@ -254,24 +258,30 @@ def te_pid(
     target's own past only); ``conditioned=True`` conditions each marginal
     on the remaining sources instead.
     """
-    srcs = _resolve_sources(model.dim, target, sources)
-    if len(srcs) < 2:
-        raise ArgumentError("TE PID needs at least two sources")
+    return _te_pids([model], target, sources, conditioned)[0]
+
+
+def _te_pids(models, target, sources, conditioned, names=None) -> list[CoarseTerms]:
+    """:func:`te_pid` of each model from one sub-model table;
+    ``names[i]`` names model ``i`` in a failure."""
+    transfers = []
+    for model in models:
+        srcs = _resolve_sources(model.dim, target, sources)
+        if len(srcs) < 2:
+            raise ArgumentError("TE PID needs at least two sources")
+        others = [[o for o in srcs if o != s] if conditioned else () for s in srcs]
+        transfers.append([_transfer(model.dim, srcs, target, ())] + [
+            _transfer(model.dim, (s,), target, cond) for s, cond in zip(srcs, others)
+        ])
     # The transfers share sub-models (the target-only one at least), so
     # each distinct channel set is solved once: M + 2 Riccati equations.
-    solved: dict[tuple[int, ...], np.ndarray] = {}
-
-    def innovation(chans: tuple[int, ...]) -> np.ndarray:
-        if chans not in solved:
-            solved[chans] = submodel_innovation(model, chans)
-        return solved[chans]
-
-    joint = _transfer_entropy(innovation, model.dim, srcs, target, ())
-    marginals = []
-    for s in srcs:
-        cond = tuple(o for o in srcs if o != s) if conditioned else ()
-        marginals.append(_transfer_entropy(innovation, model.dim, (s,), target, cond))
-    return CoarseTerms.min_mi(joint, marginals)
+    sets = [dict.fromkeys(chans for t in ts for chans in t[1:]) for ts in transfers]
+    return [
+        CoarseTerms.min_mi(
+            _transfer_entropy(table, *joint), [_transfer_entropy(table, *t) for t in rest]
+        )
+        for table, (joint, *rest) in zip(_innovations(models, sets, names), transfers)
+    ]
 
 
 def mir_decomposition(
@@ -279,9 +289,15 @@ def mir_decomposition(
 ) -> tuple[float, float, float]:
     """The additive split of the mutual information rate: transfer from
     sources to target, transfer from target to sources, and instantaneous
-    sharing. Their sum equals the integrated joint spectral MIR."""
+    sharing. Their sum equals the integrated joint spectral MIR. The three
+    share their sub-models, so three Riccati equations are solved."""
     srcs = _resolve_sources(model.dim, target, sources)
-    te_to_target = transfer_entropy(model, srcs, target)
-    te_to_sources = transfer_entropy(model, (target,), srcs)
-    inst = instantaneous_info(model, srcs, target)
-    return te_to_target, te_to_sources, inst
+    to_target = _transfer(model.dim, srcs, target, ())
+    to_sources = _transfer(model.dim, (target,), srcs, ())
+    table = _innovations([model], [dict.fromkeys(to_target[1:] + to_sources[1:])])[0]
+    joint = to_target[2]
+    return (
+        _transfer_entropy(table, *to_target),
+        _transfer_entropy(table, *to_sources),
+        _instantaneous_info(table[joint], joint.index(target)),
+    )

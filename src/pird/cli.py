@@ -358,16 +358,18 @@ def _coupling_sweep(args: argparse.Namespace, scenario: str) -> int:
     cs = _parse_sweep(args.sweep)
     scale = unit_scale(args.units)
     prefix = "staticPID" if scenario == "sim1" else "tePID"
-    rows, grid = [], None
-    for c in cs:
-        model = _retimed(build_scenario(Scenario(scenario, {"c": float(c)})), args)
-        if grid is None:  # one grid for the sweep: its models share their rate
-            grid = FrequencyGrid(fs=model.fs, n_points=args.grid)
+    models = [_retimed(build_scenario(Scenario(scenario, {"c": float(c)})), args) for c in cs]
+    # One grid for the sweep, whose models share their rate, and one batch
+    # of reference PIDs.
+    grid = FrequencyGrid(fs=models[0].fs, n_points=args.grid)
+    labels = [f"the model at c = {_fmt(c)}" for c in cs]
+    if scenario == "sim1":
+        bases = bl._static_pids(models, 0, None, labels)
+    else:
+        bases = bl._te_pids(models, 0, None, args.conditioned_te, labels)
+    rows = []
+    for c, model, base in zip(cs, models, bases):
         result = decompose(psd_from_var(model, grid), 0)
-        if scenario == "sim1":
-            base = bl.static_pid(model, 0)
-        else:
-            base = bl.te_pid(model, 0, conditioned=args.conditioned_te)
         values = coarse_values(result.coarse[FULL_BAND]) + coarse_values(base)
         rows.append(",".join([_fmt(c)] + [_fmt(v, scale) for v in values]))
     names = coarse_names(result.source_names)

@@ -664,28 +664,100 @@ def zero_lag_covariance(model: VarModel) -> np.ndarray:
     return _companion_covariance(model)[: model.dim, : model.dim].copy()
 
 
-#: Cap on the doublings of the Lyapunov solve here and of the Riccati solve
-#: in :mod:`pird.baselines`. Each doubling squares the contraction, so the
-#: error after k of them falls like rho**(2**k), rho the spectral radius of
-#: the companion or closed-loop matrix: 50 cover 1 - rho down to about
-#: 1e-13 (the stability margin needs about 25).
+#: Cap on the doublings of :func:`_dare`. Each doubling squares the
+#: contraction, so the error after k of them falls like rho**(2**k), rho the
+#: spectral radius of the companion or closed-loop matrix: 50 cover 1 - rho
+#: down to about 1e-13 (the stability margin needs about 25).
 _MAX_DOUBLINGS = 50
 
 
+def _lyapunov_equation(model: VarModel) -> tuple[np.ndarray, ...]:
+    """``G = A G A.T + S`` of the companion form (order >= 1) as the
+    arguments ``(A, C, Q, R, S)`` of :func:`_dare`: no observation."""
+    n, q = model.order * model.dim, model.dim
+    noise = np.zeros((n, n))
+    noise[:q, :q] = model.sigma
+    return model.companion(), np.zeros((0, n)), noise, np.zeros((0, 0)), np.zeros((n, 0))
+
+
 def _companion_covariance(model: VarModel) -> np.ndarray:
-    p, q = model.order, model.dim
-    comp = model.companion()
-    gamma_bar = np.zeros((p * q, p * q))
-    gamma_bar[:q, :q] = model.sigma
+    try:
+        return _dare(*_lyapunov_equation(model))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Lyapunov equation has no stable solution: {exc}") from exc
+
+
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).max(axis=(-2, -1))
+
+
+def _dare(a, c, q, r, s, names: Sequence[str] | None = None) -> np.ndarray:
+    """Stabilising solution ``P`` of the Kalman-filter Riccati equation
+
+        P = A P A.T - (A P C.T + S) (R + C P C.T)^-1 (A P C.T + S).T + Q
+
+    by structure-preserving doubling (Lin & Xu, SIAM J. Matrix Anal. Appl.
+    28(1), 2006). With the cross term removed (``A~ = A - S R^-1 C``,
+    ``Q~ = Q - S R^-1 S.T``, ``G = C.T R^-1 C``) it reads ``P = A~ P (I +
+    G P)^-1 A~.T + Q~``, and each doubling squares the closed loop. With no
+    observation (``C`` with no rows) it is the Lyapunov equation
+    ``P = A P A.T + Q``, and the doubling is Smith's.
+
+    The arguments may share a leading batch axis, as ``P`` then does. Each
+    member stops at its own convergence, so its solution does not depend on
+    its batch, and is certified on its own: the cap on the doublings, the
+    residual and, with an observation, the stability of the closed loop
+    ``A~ (I + P G)^-1``. Without one that is ``A``, a companion matrix whose
+    stability every caller requires first.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        For the first member that fails a check, named by ``names``.
+    """
+    single = a.ndim == 2
+    if single:
+        a, c, q, r, s = (x[None] for x in (a, c, q, r, s))
+    n, observed = a.shape[-1], c.shape[-2] > 0
+    a_t, q_t, g_0 = a, q, np.zeros_like(a)
+    if observed:
+        r_c = np.linalg.solve(r, c)
+        a_t, q_t, g_0 = a - s @ r_c, q - s @ np.linalg.solve(r, s.mT), c.mT @ r_c
+    eye, solved, live = np.eye(n), np.empty_like(q_t), np.arange(len(a))
+    ak, g, h = a_t.mT, g_0, q_t
     for _ in range(_MAX_DOUBLINGS):
-        step = comp @ gamma_bar @ comp.T
-        gamma_bar = gamma_bar + step
-        if np.abs(step).max() <= 1e-16 * np.abs(gamma_bar).max():
-            return (gamma_bar + gamma_bar.T) / 2.0
-        comp = comp @ comp
-    raise NumericalError(
-        f"Lyapunov doubling did not converge in {_MAX_DOUBLINGS} steps"
+        wa = ak  # Smith's doubling: G stays 0
+        if observed:
+            w = np.linalg.solve(eye + g @ h, np.concatenate([ak, g], axis=-1))
+            wa, g = w[..., :n], g + ak @ w[..., n:] @ ak.mT
+        step = ak.mT @ h @ wa
+        ak = ak @ wa
+        # The Riccati iterate is kept symmetric at every step, Smith's once at the end.
+        h = h + ((step + step.mT) / 2.0 if observed else step)
+        done = _max_abs(step) <= 1e-15 * _max_abs(h)
+        if done.any():  # retire the converged members
+            solved[live[done]] = h[done]
+            live, ak, g, h = live[~done], ak[~done], g[~done], h[~done]
+            if not live.size:
+                break
+
+    def fail(k: int, why: str):
+        raise np.linalg.LinAlgError(why if names is None else f"{why} for {names[k]}")
+
+    if live.size:
+        fail(live[0], f"doubling did not converge in {_MAX_DOUBLINGS} steps")
+    closed, unstable = a_t, np.zeros(len(a), dtype=bool)
+    if observed:
+        closed = np.linalg.solve(eye + g_0 @ solved, a_t.mT).mT
+        unstable = np.abs(np.linalg.eigvals(closed)).max(axis=-1) >= 1.0
+    else:
+        solved = (solved + solved.mT) / 2.0
+    big = _max_abs(closed @ solved @ a_t.mT + q_t - solved) > 1e-10 * np.maximum(
+        _max_abs(solved), _max_abs(q)
     )
+    for k in np.flatnonzero(big | unstable)[:1]:
+        fail(k, "residual too large" if big[k] else "closed loop is not stable")
+    return solved[0] if single else solved
 
 
 # ---------------------------------------------------------------------------

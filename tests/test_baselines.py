@@ -30,7 +30,7 @@ from pird import (
 )
 from pird import baselines, var
 from pird.decomposition import write_coarse_csv
-from pird.cli import main
+from pird.cli import _parse_sweep, main
 
 from conftest import make_model_set
 from oracles import autocovariance_sequence
@@ -380,6 +380,20 @@ def test_te_pid_conditioned_variant(sim3_model):
     assert biv.redundancy != pytest.approx(cond.redundancy, abs=1e-6)
 
 
+def count_solver_members(monkeypatch):
+    """Record each batch member the Riccati/Lyapunov solver is given, as the
+    bytes of its observation matrix."""
+    members = []
+    solve = baselines._dare
+
+    def counted(a, c, q, r, s, names=None):
+        members.extend(member.tobytes() for member in c)
+        return solve(a, c, q, r, s, names)
+
+    monkeypatch.setattr(baselines, "_dare", counted)
+    return members
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("conditioned", [False, True])
 def test_te_pid_solves_each_distinct_submodel_once(monkeypatch, m, conditioned):
@@ -392,19 +406,72 @@ def test_te_pid_solves_each_distinct_submodel_once(monkeypatch, m, conditioned):
     expected_marginals = tuple(
         transfer_entropy(model, [s], 1, conditioning=others[s]) for s in srcs
     )
-    calls = []
-    solve = baselines.submodel_innovation
-
-    def counted(model, channels):
-        calls.append(tuple(channels))
-        return solve(model, channels)
-
-    monkeypatch.setattr(baselines, "submodel_innovation", counted)
+    members = count_solver_members(monkeypatch)
     res = te_pid(model, 1, srcs, conditioned=conditioned)
-    assert len(calls) == m + 2
-    assert len(set(calls)) == len(calls)
+    assert len(members) == m + 2
+    assert len(set(members)) == len(members)
     assert res.joint_mir == expected_joint
     assert res.marginals == expected_marginals
+
+
+@pytest.mark.parametrize("target, sources", [(0, None), (2, [0, 3]), (1, [4])])
+def test_mir_decomposition_solves_each_distinct_submodel_once(monkeypatch, target, sources):
+    # the target alone, the sources alone and both together: 3 sets
+    model = random_stable_var(5, 2, seed=31, radius=0.9)
+    srcs = [c for c in range(5) if c != target] if sources is None else sources
+    expected = (
+        transfer_entropy(model, srcs, target),
+        transfer_entropy(model, [target], srcs),
+        instantaneous_info(model, srcs, target),
+    )
+    members = count_solver_members(monkeypatch)
+    assert mir_decomposition(model, target, sources) == expected
+    assert len(members) == len(set(members)) == 3
+
+
+def test_static_pid_checks_the_stationary_covariance_once(monkeypatch):
+    model = random_stable_var(5, 3, seed=12, radius=0.9)
+    gamma = var.zero_lag_covariance(model)
+    srcs = [1, 2, 4]
+    expected = (gaussian_mi(gamma, 0, srcs), tuple(gaussian_mi(gamma, 0, [s]) for s in srcs))
+    checked = []
+    check = baselines._checked_covariance
+    monkeypatch.setattr(
+        baselines, "_checked_covariance", lambda cov: checked.append(cov) or check(cov)
+    )
+    res = static_pid(model, 0, srcs)
+    assert len(checked) == 1
+    assert (res.joint_mir, res.marginals) == expected
+
+
+@pytest.mark.parametrize("scenario", ["sim1", "sim2"])
+def test_sweep_batch_equals_the_single_model_path(scenario):
+    # The sweep of `pird bench` solves all its models in one batch: each
+    # member stops at its own convergence, so every value is bit for bit
+    # the one-model value.
+    cs = _parse_sweep("0:0.05:0.8")
+    models = [build_scenario(Scenario(scenario, {"c": float(c)})) for c in cs]
+    for conditioned in (False, True):
+        assert baselines._te_pids(models, 0, None, conditioned) == [
+            te_pid(m, 0, conditioned=conditioned) for m in models
+        ]
+    assert baselines._static_pids(models, 0, None) == [static_pid(m, 0) for m in models]
+
+
+def test_mixed_batch_equals_the_single_model_path():
+    # M = 2..4 sources, orders 0..3: the batch groups its equations by shape
+    rng = np.random.default_rng(404)
+    models = [
+        random_stable_var(m + 1, order, seed=rng, radius=float(rng.uniform(0.3, 0.98)))
+        for m in (2, 3, 4)
+        for order in (0, 1, 2, 3)
+    ]
+    models = [models[k] for k in rng.permutation(len(models))]
+    for conditioned in (False, True):
+        assert baselines._te_pids(models, 0, None, conditioned) == [
+            te_pid(m, 0, conditioned=conditioned) for m in models
+        ]
+    assert baselines._static_pids(models, 0, None) == [static_pid(m, 0) for m in models]
 
 
 def test_te_nonnegative_across_models():

@@ -648,6 +648,40 @@ def test_one_companion_eigen_solve_per_model(monkeypatch, tmp_path, argv, models
     assert closed_loop  # and those ran
 
 
+@pytest.mark.parametrize("scenario, named", [
+    ("sim1", "Lyapunov equation has no stable solution: doubling did not converge in 50 steps "
+     "for the model at c = 0.35\n"),
+    ("sim2", "Riccati equation has no stabilising solution: "),
+])
+def test_sweep_solver_failure_names_the_channel_set_and_the_model(
+    monkeypatch, tmp_path, capsys, scenario, named
+):
+    # One member of the sweep's batch is replaced by an equation the solver
+    # must refuse: for sim1 a Lyapunov equation whose state does not decay,
+    # for sim2 the target-only Riccati equation with an unseen, driven unit
+    # mode. The others are solved; the failure names its model.
+    solve = pird.baselines._dare
+    member = 7  # c = 0.35 in the default sweep
+
+    def forced(a, c, q, r, s, names):
+        if c.shape[-2] < 2:
+            a, c, q, r, s = (x.copy() for x in (a, c, q, r, s))
+            if c.shape[-2] == 0:
+                a[member] = np.eye(a.shape[-1])
+            else:
+                a[member], c[member] = np.diag([1.0, 0.5, 0.5]), [[0.0, 0.5, 0.0]]
+                q[member], r[member], s[member] = np.eye(3), np.eye(1), 0.0
+        return solve(a, c, q, r, s, names)
+
+    monkeypatch.setattr(pird.baselines, "_dare", forced)
+    assert main(["bench", "--scenario", scenario, "--grid", "65", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert named in err
+    if scenario == "sim2":
+        assert err.endswith(" for channels (0,) of the model at c = 0.35\n")
+    assert not (tmp_path / f"bench_{scenario}.csv").exists()
+
+
 def test_bench_unknown_scenario(tmp_path):
     assert main(["bench", "--scenario", "simX", "--out", str(tmp_path)]) == 3
     assert main(["bench", "--scenario", "sim1", "--sweep", "oops", "--out", str(tmp_path)]) == 3

@@ -465,6 +465,11 @@ def test_spectral_mir_rows_singular_blocks(kind):
                 spectral_mir_rows(psd, 0, groups)
         with pytest.raises(SpectralSingularityError, match="f = 0.25 Hz"):
             spectral_mir(psd, 0, bad)
+        # the message says what the floor means for the route
+        with pytest.raises(SpectralSingularityError, match=(
+            r"singular to working precision .* limits this route to an MIR near 18 nats"
+        )):
+            spectral_mir(psd, 0, bad)
 
 
 def test_spectral_mir_rows_names_the_first_singular_group_in_groups_order():
