@@ -24,11 +24,22 @@ from .var import VarModel, _channel_set, _check_symmetric, _dare, _lyapunov_equa
 from .var import _require_stable, _resolve_sources
 
 
-def _logdet_spd(mat: np.ndarray, what: str, err=NumericalError) -> float:
-    sign, logdet = np.linalg.slogdet(mat)
-    if sign <= 0:
-        raise err(f"{what} is not positive definite")
-    return float(logdet)
+def _block(mat: np.ndarray, idx: Sequence[int]) -> np.ndarray:
+    return mat.take(idx, 0).take(idx, 1)  # mat[np.ix_(idx, idx)], faster
+
+
+def _logdets(blocks: list[tuple[str, np.ndarray]], err=NumericalError) -> list[float]:
+    """``ln det`` of each ``(what, block)``, by one stacked ``slogdet`` per
+    shape (LAPACK's routine on each block, as in a call of its own); the
+    first block that is not positive definite raises ``err`` naming it."""
+    signs, values, by_shape = np.empty(len(blocks)), np.empty(len(blocks)), {}
+    for i, (_, block) in enumerate(blocks):
+        by_shape.setdefault(block.shape, []).append(i)
+    for idx in by_shape.values():
+        signs[idx], values[idx] = np.linalg.slogdet(np.stack([blocks[i][1] for i in idx]))
+    for i in np.flatnonzero(signs <= 0)[:1]:
+        raise err(f"{blocks[i][0]} is not positive definite")
+    return values.tolist()
 
 
 def gaussian_mi(cov: np.ndarray, target: int, sources: Sequence[int]) -> float:
@@ -43,7 +54,8 @@ def gaussian_mi(cov: np.ndarray, target: int, sources: Sequence[int]) -> float:
         or the channel indices are invalid.
     """
     cov = _checked_covariance(cov)
-    return _gaussian_mi(cov, target, _resolve_sources(len(cov), target, sources))
+    blocks = _mi_blocks(cov, target, _resolve_sources(len(cov), target, sources))
+    return _gaussian_mi(cov[target, target], *_logdets(blocks, ArgumentError))
 
 
 def _checked_covariance(cov: np.ndarray) -> np.ndarray:
@@ -59,11 +71,13 @@ def _checked_covariance(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
-def _gaussian_mi(cov: np.ndarray, target: int, srcs: tuple[int, ...]) -> float:
-    joint = [target, *srcs]
-    ld_s = _logdet_spd(cov[np.ix_(srcs, srcs)], "source covariance", ArgumentError)
-    ld_j = _logdet_spd(cov[np.ix_(joint, joint)], "joint covariance", ArgumentError)
-    return 0.5 * (ld_s + np.log(cov[target, target]) - ld_j)
+def _mi_blocks(cov, target, srcs, whats=("source covariance", "joint covariance")) -> list:
+    """The source and ``[target, *srcs]`` joint blocks of :func:`gaussian_mi`, named."""
+    return list(zip(whats, (_block(cov, srcs), _block(cov, [target, *srcs]))))
+
+
+def _gaussian_mi(var_t: float, ld_s: float, ld_j: float) -> float:
+    return 0.5 * (ld_s + np.log(var_t) - ld_j)
 
 
 def static_pid(
@@ -82,7 +96,7 @@ def static_pid(
 
 def _static_pids(models, target, sources, names=None) -> list[CoarseTerms]:
     """:func:`static_pid` of each model, the stationary covariance checked
-    once; ``names[i]`` names model ``i`` in a failure."""
+    once and the log-dets stacked; ``names[i]`` names model ``i`` in a failure."""
     srcs = [_resolve_sources(m.dim, target, sources) for m in models]
     if any(len(s) < 2 for s in srcs):
         raise ArgumentError("static PID needs at least two sources")
@@ -90,12 +104,16 @@ def _static_pids(models, target, sources, names=None) -> list[CoarseTerms]:
         _require_stable(m, "zero_lag_covariance")
     equations = {i: _lyapunov_equation(m) for i, m in enumerate(models) if m.order}
     states = _solve(equations, names, "Lyapunov equation has no stable solution")
-    terms = []
+    variances, blocks = [], []
     for i, (m, s) in enumerate(zip(models, srcs)):
         gamma = _checked_covariance(states[i][: m.dim, : m.dim] if m.order else m.sigma)
-        marginals = [_gaussian_mi(gamma, target, (k,)) for k in s]
-        terms.append(CoarseTerms.min_mi(_gaussian_mi(gamma, target, s), marginals))
-    return terms
+        variances.append(gamma[target, target])
+        for group in (*((k,) for k in s), s):  # the marginals, then the joint MI
+            blocks += _mi_blocks(gamma, target, group)
+    lds = iter(_logdets(blocks, ArgumentError))
+    mis = [[_gaussian_mi(v, next(lds), next(lds)) for _ in range(len(s) + 1)]
+           for v, s in zip(variances, srcs)]
+    return [CoarseTerms.min_mi(joint, marginals) for *marginals, joint in mis]
 
 
 def _solve(equations: dict, names, what: str) -> dict:
@@ -152,7 +170,7 @@ def _innovations(models, channel_sets, names=None) -> list[dict[tuple[int, ...],
     for i, model in enumerate(models):
         _require_stable(model, "submodel_innovation")
         if model.order == 0:
-            tables[i] = {ch: model.sigma[np.ix_(ch, ch)].copy() for ch in channel_sets[i]}
+            tables[i] = {ch: _block(model.sigma, ch) for ch in channel_sets[i]}
             continue
         # The equation is solved for the channels rescaled to unit innovation
         # variance and the result scaled back, which is exact. Unscaled,
@@ -164,7 +182,7 @@ def _innovations(models, channel_sets, names=None) -> list[dict[tuple[int, ...],
         noise[: model.dim, : model.dim] = model.sigma * np.outer(scale, scale)
         for chans in channel_sets[i]:
             sel = list(chans)
-            equations[i, chans] = comp, comp[sel], noise, noise[np.ix_(sel, sel)], noise[:, sel]
+            equations[i, chans] = comp, comp[sel], noise, _block(noise, sel), noise[:, sel]
             labels[i, chans] = f"channels {chans}" + ("" if names is None else f" of {names[i]}")
             scales[i, chans] = np.outer(scale[sel], scale[sel])
     solved = _solve(equations, labels, "Riccati equation has no stabilising solution")
@@ -194,7 +212,8 @@ def transfer_entropy(
     used.
     """
     transfer = _transfer(model.dim, sources, target, conditioning)
-    return _transfer_entropy(_innovations([model], [transfer[1:]])[0], *transfer)
+    table = _innovations([model], [transfer[1:]])[0]
+    return _transfer_entropy(*_logdets(_transfer_blocks(table, *transfer)))
 
 
 def _transfer(dim: int, sources, target, conditioning) -> tuple[tuple[int, ...], ...]:
@@ -214,16 +233,14 @@ def _transfer(dim: int, sources, target, conditioning) -> tuple[tuple[int, ...],
     return targets, reduced_set, tuple(sorted(set(reduced_set) | set(srcs)))
 
 
-def _transfer_entropy(table: dict, targets, reduced_set, full_set) -> float:
-    """:func:`transfer_entropy` of a :func:`_transfer`, from the sub-model table."""
-    t_full = [full_set.index(t) for t in targets]
-    t_red = [reduced_set.index(t) for t in targets]
-    ld_full = _logdet_spd(
-        table[full_set][np.ix_(t_full, t_full)], "full-model innovation block"
-    )
-    ld_red = _logdet_spd(
-        table[reduced_set][np.ix_(t_red, t_red)], "reduced-model innovation block"
-    )
+def _transfer_blocks(table: dict, targets, reduced_set, full_set) -> list:
+    """The target's named full- and reduced-model innovation blocks of a
+    :func:`_transfer`, from the sub-model table."""
+    return [(f"{kind}-model innovation block", _block(table[s], [s.index(t) for t in targets]))
+            for kind, s in (("full", full_set), ("reduced", reduced_set))]
+
+
+def _transfer_entropy(ld_full: float, ld_red: float) -> float:
     return 0.5 * (ld_red - ld_full)
 
 
@@ -238,11 +255,9 @@ def instantaneous_info(
 
 
 def _instantaneous_info(sig: np.ndarray, t: int) -> float:
-    order = [t, *(k for k in range(len(sig)) if k != t)]
-    sig = sig[np.ix_(order, order)]  # the target first
-    ld_s = _logdet_spd(sig[1:, 1:], "innovation source block")
-    ld_j = _logdet_spd(sig, "innovation joint block")
-    return 0.5 * (ld_s + np.log(sig[0, 0]) - ld_j)
+    others = [k for k in range(len(sig)) if k != t]
+    whats = ("innovation source block", "innovation joint block")
+    return _gaussian_mi(sig[t, t], *_logdets(_mi_blocks(sig, t, others, whats)))
 
 
 def te_pid(
@@ -262,8 +277,8 @@ def te_pid(
 
 
 def _te_pids(models, target, sources, conditioned, names=None) -> list[CoarseTerms]:
-    """:func:`te_pid` of each model from one sub-model table;
-    ``names[i]`` names model ``i`` in a failure."""
+    """:func:`te_pid` of each model from one sub-model table, the log-dets
+    stacked; ``names[i]`` names model ``i`` in a failure."""
     transfers = []
     for model in models:
         srcs = _resolve_sources(model.dim, target, sources)
@@ -276,12 +291,10 @@ def _te_pids(models, target, sources, conditioned, names=None) -> list[CoarseTer
     # The transfers share sub-models (the target-only one at least), so
     # each distinct channel set is solved once: M + 2 Riccati equations.
     sets = [dict.fromkeys(chans for t in ts for chans in t[1:]) for ts in transfers]
-    return [
-        CoarseTerms.min_mi(
-            _transfer_entropy(table, *joint), [_transfer_entropy(table, *t) for t in rest]
-        )
-        for table, (joint, *rest) in zip(_innovations(models, sets, names), transfers)
-    ]
+    lds = iter(_logdets([b for tab, ts in zip(_innovations(models, sets, names), transfers)
+                         for t in ts for b in _transfer_blocks(tab, *t)]))
+    tes = [[_transfer_entropy(next(lds), next(lds)) for _ in ts] for ts in transfers]
+    return [CoarseTerms.min_mi(joint, marginals) for joint, *marginals in tes]
 
 
 def mir_decomposition(
@@ -297,7 +310,7 @@ def mir_decomposition(
     table = _innovations([model], [dict.fromkeys(to_target[1:] + to_sources[1:])])[0]
     joint = to_target[2]
     return (
-        _transfer_entropy(table, *to_target),
-        _transfer_entropy(table, *to_sources),
+        _transfer_entropy(*_logdets(_transfer_blocks(table, *to_target))),
+        _transfer_entropy(*_logdets(_transfer_blocks(table, *to_sources))),
         _instantaneous_info(table[joint], joint.index(target)),
     )

@@ -244,9 +244,14 @@ def _chain_pi(table: np.ndarray, lattice: RedundancyLattice) -> tuple[np.ndarray
         env[idx] = np.maximum(env[idx], env[subs].max(axis=1))
     # Stable on size-major numbering: ties by value go by size.
     order = np.argsort(env, axis=0, kind="stable")
-    delta = np.diff(np.take_along_axis(env, order, axis=0), axis=0, prepend=0.0)
-    bits = (1 << np.arange(len(lattice.elements)))[order]
-    at = lattice.atom_of_upset[np.bitwise_or.accumulate(bits[::-1], axis=0)[::-1]]
+    # Rank k's up-set ORs in the ranks above it and its PI is the step from
+    # the rank below, both from the top rank down.
+    delta = np.take_along_axis(env, order, axis=0)
+    upset = (1 << np.arange(len(lattice.elements)))[order]
+    for k in range(len(upset) - 1, 0, -1):
+        upset[k - 1] |= upset[k]
+        delta[k] -= delta[k - 1]
+    at = lattice.atom_of_upset[upset]
     assert np.all(at >= 0), "a sorted envelope gave a non-up-set"
     return at, delta
 

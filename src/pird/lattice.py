@@ -70,9 +70,12 @@ class Atom:
                 raise ArgumentError(
                     f"not an antichain: {set(a)} and {set(b)} are nested"
                 )
+        # Built once for every CSV row and profile key; not a field, so not in ==.
+        label = "".join("{" + "".join(str(i) for i in el) + "}" for el in self.elements)
+        object.__setattr__(self, "_label", label)
 
     def __str__(self) -> str:
-        return "".join("{" + "".join(str(i) for i in el) + "}" for el in self.elements)
+        return self._label
 
     def __repr__(self) -> str:
         return f"Atom({self})"

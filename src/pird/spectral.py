@@ -14,14 +14,15 @@ order and the weights of each band) is computed once per
 
 A model's spectrum is built frequency-last: :func:`transfer_function` solves
 ``I - A(omega)`` at every grid frequency at once, by one Gaussian
-elimination with partial pivoting over ``(Q, ., n_points)`` arrays, and
-:func:`psd_from_var` forms ``B B*`` from the solution's rows with an exact
-Hermitian mirror. Each quantity is then read from those buffers as
-contiguous rows over frequency.
+elimination with partial pivoting run row by row, in place, over
+``(Q, ., n_points)`` arrays, and :func:`psd_from_var` forms ``B B*`` from
+the solution's rows with an exact Hermitian mirror. Each quantity is then
+read from those buffers as contiguous rows over frequency.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -246,12 +247,13 @@ def transfer_function(
 
     ``I - A(omega)`` is built frequency-last, as one ``(Q, Q, n_points)``
     array, and solved against ``right`` (or ``I``) by Gaussian elimination
-    with partial pivoting run for every frequency at once: at each step the
-    pivot is the entry of largest ``|a|^2`` down the column, and every
-    multiplier and update is one ``(Q - k - 1, ., n_points)`` block. The
-    result is the ``(n_points, Q, K)`` view of the ``(Q, K, n_points)``
-    solution buffer, so ``result.transpose(1, 2, 0)`` reads its rows back
-    contiguous over frequency without a copy.
+    with partial pivoting for every frequency at once, row by row in place:
+    each step works on rows contiguous over frequency. The pivot is the
+    first maximum of ``|a_ik|^2`` down the column (a tie keeps the upper
+    row, as ``np.argmax`` does), and rows are exchanged only at the
+    frequencies that pivot. The result is the ``(n_points, Q, K)`` view of
+    the ``(Q, K, n_points)`` solution buffer, so ``result.transpose(1, 2,
+    0)`` reads its rows back contiguous over frequency without a copy.
 
     Raises
     ------
@@ -274,32 +276,36 @@ def transfer_function(
     a[np.arange(q), np.arange(q)] += 1.0
     b = np.empty((q, kcols, n), dtype=complex)
     b[...] = right[:, :, None]
-    # The reciprocals of the pivots, which back substitution reuses, and
-    # one buffer for every step's products, viewed in each step's shape.
+    # The reciprocals of the pivots, which back substitution reuses, and one
+    # buffer for every step's products; the pivot search takes the |a_ik|^2
+    # in its real half, the imaginary half scratch.
     inv = np.empty((q, n), dtype=complex)
-    scratch = np.empty(q * max(q, kcols) * n, dtype=complex)
+    prod = np.empty((max(q, kcols), n), dtype=complex)
+    piv, more = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(q - 1):
-            piv = k + np.argmax(_abs2(a[k:, k]), axis=0)
+            mags = _abs2(a[k:, k], prod[: q - k].real, prod[: q - k].imag)
+            best = mags[0]
+            piv.fill(k)
+            for i in range(1, q - k):  # a lower row wins only where larger, as in np.argmax
+                np.copyto(best, mags[i], where=np.greater(mags[i], best, out=more))
+                piv[more] = k + i
             swap = np.flatnonzero(piv != k)
             if swap.size:
-                piv = piv[swap]
+                rows = piv[swap]
                 for buf in (a[:, k:], b):
-                    row = buf[piv, :, swap]
-                    buf[piv, :, swap] = buf[k][:, swap].T
+                    row = buf[rows, :, swap]
+                    buf[rows, :, swap] = buf[k][:, swap].T
                     buf[k][:, swap] = row.T
             np.divide(1.0, a[k, k], out=inv[k])
-            r = q - k - 1
-            mult = np.multiply(a[k + 1:, k], inv[k], out=a[k + 1:, k])[:, None]
-            a[k + 1:, k + 1:] -= np.multiply(
-                mult, a[k, k + 1:], out=scratch[: r * r * n].reshape(r, r, n)
-            )
-            b[k + 1:] -= np.multiply(mult, b[k], out=scratch[: r * kcols * n].reshape(r, kcols, n))
+            for i in range(k + 1, q):
+                mult = np.multiply(a[i, k], inv[k], out=a[i, k])
+                a[i, k + 1:] -= np.multiply(mult, a[k, k + 1:], out=prod[: q - k - 1])
+                b[i] -= np.multiply(mult, b[k], out=prod[:kcols])
         np.divide(1.0, a[-1, -1], out=inv[-1])
-        prod = scratch[: kcols * n].reshape(kcols, n)
         for k in reversed(range(q)):
             for j in range(k + 1, q):
-                b[k] -= np.multiply(a[k, j], b[j], out=prod)
+                b[k] -= np.multiply(a[k, j], b[j], out=prod[:kcols])
             b[k] *= inv[k]
         finite = np.isfinite(b).all(axis=(0, 1))
     if not finite.all():
@@ -356,8 +362,9 @@ class _TrieNode(NamedTuple):
     det: np.ndarray
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
+def _abs2(z: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None):
+    re2 = np.multiply(z.real, z.real, out=out)  # into out, with tmp as scratch
+    return np.add(re2, np.multiply(z.imag, z.imag, out=tmp), out=out)
 
 
 def spectral_mir(psd: SpectralMatrix, target: int, sources: Sequence[int]) -> np.ndarray:
@@ -555,7 +562,8 @@ def _check_nyquist(band: Band, fs: float) -> None:
 
 
 def parse_bands(spec: str) -> list[Band]:
-    """Parse a band list of the form ``"LF:0.04-0.15,HF:0.15-0.4"``."""
+    """Parse a band list of the form ``"LF:0.04-0.15,HF:0.15-0.4"``; a range
+    splits at the one hyphen with a number on either side (``1e-3-0.04``)."""
     bands = []
     for part in spec.split(","):
         part = part.strip()
@@ -563,8 +571,12 @@ def parse_bands(spec: str) -> list[Band]:
             continue
         try:
             label, rng = part.split(":")
-            lo, hi = rng.split("-")
-            bands.append(Band(lo=float(lo), hi=float(hi), label=label.strip()))
+            edges = []
+            for i in (i for i, char in enumerate(rng) if char == "-"):
+                with suppress(ValueError):
+                    edges.append((float(rng[:i]), float(rng[i + 1:])))
+            [(lo, hi)] = edges
+            bands.append(Band(lo=lo, hi=hi, label=label.strip()))
         except ValueError:
             raise ArgumentError(
                 f"cannot parse band {part!r} (expected LABEL:lo-hi)"
@@ -572,3 +584,4 @@ def parse_bands(spec: str) -> list[Band]:
     if not bands:
         raise ArgumentError("no bands given")
     return bands
+

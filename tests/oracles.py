@@ -50,3 +50,53 @@ def coarse_group(atom):
     if singles:
         return f"unique:{singles[0][0]}"
     return "synergistic"
+
+
+def block_transfer_function(model, grid, right=None):
+    """:func:`pird.transfer_function` as one Gaussian elimination with
+    partial pivoting over ``(Q, ., n_points)`` blocks: the pivot rows of
+    each column from ``np.argmax``, exchanged by fancy indexing, and every
+    step's multipliers and updates as one broadcast block."""
+    p, q, n = model.order, model.dim, grid.n_points
+    right = np.eye(q) if right is None else np.asarray(right)
+    kcols = right.shape[1]
+    a = np.tensordot(-model.coeffs, grid.lag_phases(p), axes=(0, 0))
+    a[np.arange(q), np.arange(q)] += 1.0
+    b = np.empty((q, kcols, n), dtype=complex)
+    b[...] = right[:, :, None]
+    inv = np.empty((q, n), dtype=complex)
+    with np.errstate(all="ignore"):
+        for k in range(q - 1):
+            col = a[k:, k]
+            piv = k + np.argmax(col.real * col.real + col.imag * col.imag, axis=0)
+            swap = np.flatnonzero(piv != k)
+            if swap.size:
+                piv = piv[swap]
+                for buf in (a[:, k:], b):
+                    row = buf[piv, :, swap]
+                    buf[piv, :, swap] = buf[k][:, swap].T
+                    buf[k][:, swap] = row.T
+            np.divide(1.0, a[k, k], out=inv[k])
+            mult = np.multiply(a[k + 1:, k], inv[k], out=a[k + 1:, k])[:, None]
+            a[k + 1:, k + 1:] -= mult * a[k, k + 1:]
+            b[k + 1:] -= mult * b[k]
+        np.divide(1.0, a[-1, -1], out=inv[-1])
+        for k in reversed(range(q)):
+            for j in range(k + 1, q):
+                b[k] -= a[k, j] * b[j]
+            b[k] *= inv[k]
+    return b.transpose(2, 0, 1)
+
+
+def accumulated_chain(table, lattice):
+    """The element chain ``(at, delta)`` of an MIR table, as
+    ``pird.decomposition._chain_pi`` returns it: the up-set masks ORed by
+    ``np.bitwise_or.accumulate`` over the reversed ranks, and the PIs by
+    ``np.diff`` of the sorted envelope."""
+    env = table + 0.0
+    for idx, subs in lattice.smaller:
+        env[idx] = np.maximum(env[idx], env[subs].max(axis=1))
+    order = np.argsort(env, axis=0, kind="stable")
+    delta = np.diff(np.take_along_axis(env, order, axis=0), axis=0, prepend=0.0)
+    bits = (1 << np.arange(len(lattice.elements)))[order]
+    return lattice.atom_of_upset[np.bitwise_or.accumulate(bits[::-1], axis=0)[::-1]], delta

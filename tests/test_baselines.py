@@ -11,6 +11,7 @@ from pird import (
     Band,
     EstimationError,
     FrequencyGrid,
+    NumericalError,
     Scenario,
     UnstableModelError,
     VarModel,
@@ -472,6 +473,38 @@ def test_mixed_batch_equals_the_single_model_path():
             te_pid(m, 0, conditioned=conditioned) for m in models
         ]
     assert baselines._static_pids(models, 0, None) == [static_pid(m, 0) for m in models]
+
+
+@pytest.mark.parametrize("scenario, shapes", [("sim1", 3), ("sim2", 1)])
+def test_a_sweep_takes_one_stacked_slogdet_per_block_shape(monkeypatch, scenario, shapes):
+    # sim2's transfers are all on the one target (1 x 1 blocks); sim1's
+    # static MIs take 1 x 1 to 3 x 3 blocks of the stationary covariance.
+    models = [build_scenario(Scenario(scenario, {"c": float(c)})) for c in _parse_sweep("0:0.05:0.8")]
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
+    if scenario == "sim1":
+        baselines._static_pids(models, 0, None)
+    else:
+        baselines._te_pids(models, 0, None, False)
+    assert len(calls) == shapes
+    assert sum(shape[0] for shape in calls) == 6 * len(models)
+
+
+def test_stacked_logdets_equal_one_slogdet_each():
+    rng = np.random.default_rng(5)
+    blocks = []
+    for size in (1, 2, 3, 1, 4, 2, 3):
+        w = rng.standard_normal((size, size + 2)) * 10.0 ** rng.uniform(-5, 5)
+        blocks.append((f"block {len(blocks)}", w @ w.T))
+    want = [float(np.linalg.slogdet(block)[1]) for _, block in blocks]
+    assert baselines._logdets(blocks) == want
+    # The first block in order that is not positive definite is named,
+    # though a block of a shape stacked earlier fails too.
+    blocks[2] = ("third", -blocks[2][1])
+    blocks[3] = ("fourth", -blocks[3][1])
+    with pytest.raises(NumericalError, match="^third is not positive definite"):
+        baselines._logdets(blocks)
 
 
 def test_te_nonnegative_across_models():

@@ -200,6 +200,22 @@ def test_config_hash_starts_a_comment_only_after_whitespace(tmp_path):
     assert {line.split(",")[1] for line in coarse[1:]} == {"FULL", "B#1", "B2"}
 
 
+def test_band_edges_in_exponent_notation_equal_their_decimal_forms(tmp_path):
+    plain = "VLF:0.001-0.04,LF:0.04-0.15"
+    runs = {"plain": ["--bands", plain], "flag": ["--bands", "VLF:1e-3-0.04,LF:4e-2-1.5e-1"]}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bands = VLF:1e-3-4e-2,LF:4.0e-2-1.5E-1\n")
+    runs["config"] = ["--config", str(cfg)]
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(["decompose", "--scenario", "sim3", "--grid", "257", *argv,
+                     "--out", str(out)]) == 0, name
+    coarse = (tmp_path / "plain" / "coarse.csv").read_bytes()
+    assert {line.split(b",")[1] for line in coarse.splitlines()[1:]} == {b"FULL", b"VLF", b"LF"}
+    for name in ("flag", "config"):
+        assert (tmp_path / name / "coarse.csv").read_bytes() == coarse, name
+
+
 def test_decompose_requires_exactly_one_model_source(tmp_path):
     assert main(["decompose", "--out", str(tmp_path)]) == 3
     assert main([
@@ -430,6 +446,11 @@ SIM1 = ["decompose", "--scenario", "sim1", "--c", "0"]
         (["decompose", "--scenario", "sim3", "--bands", ":0.1-0.2"], None, 3, "non-empty"),
         (["bench", "--scenario", "sim3", "--bands", '"q:0.1-0.2'], None, 3, "cannot hold"),
         (["bench", "--scenario", "sim3", "--bands", ":0.1-0.2"], None, 3, "non-empty"),
+        # a band range splits at the one hyphen with a number on either side
+        (["decompose", "--scenario", "sim3", "--bands", "X:-0.1-0.2"], None, 3, "need 0 <= lo"),
+        (["decompose", "--scenario", "sim3"], "bands = X:-1e-2-0.2", 3, "need 0 <= lo"),
+        (["decompose", "--scenario", "sim3", "--bands", "X:1e-3"], None, 3, "cannot parse band"),
+        (["decompose", "--scenario", "sim3"], "bands = X:0.1-0.2-0.3", 3, "cannot parse band"),
     ],
 )
 def test_options_behave_as_declared(argv, config, code, message, tmp_path, capsys):

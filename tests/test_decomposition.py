@@ -40,7 +40,7 @@ from pird.lattice import enumerate_antichains
 from pird.spectral import integrate_rows, quadrature_weights
 
 from conftest import make_model_set, reference_band_integral
-from oracles import down_sets
+from oracles import accumulated_chain, down_sets
 
 R_FLAT = -0.5 * np.log(1.0 - 0.8**2)  # white correlation-0.8 pair
 J_FLAT = 0.5 * np.log(0.36 / 0.104)  # target vs both correlated sources
@@ -932,6 +932,21 @@ def chain_profiles(table, lattice):
     pi = np.zeros((len(lattice), table.shape[1]))
     pi[at, np.arange(table.shape[1])] = delta
     return pi
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chain_pi_equals_the_accumulated_chain_bit_for_bit(m, seed):
+    # Small integers tie exactly across ranks and within the envelope;
+    # -0.0 entries check the +0.0 of an exactly independent source.
+    lattice = enumerate_antichains(m)
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 4, size=(len(lattice.elements), 257)).astype(float)
+    table[rng.random(table.shape) < 0.1] = -0.0
+    at, delta = _chain_pi(table, lattice)
+    want_at, want_delta = accumulated_chain(table, lattice)
+    assert np.array_equal(at, want_at)
+    assert delta.tobytes() == want_delta.tobytes()
 
 
 # ---------------------------------------------------------------------------

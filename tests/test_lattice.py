@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from itertools import chain, combinations
 
 import numpy as np
@@ -96,6 +98,19 @@ def test_atom_canonical_form_and_equality():
     assert hash(a) == hash(b)
     assert str(a) == "{12}{3}"
     assert a.elements == ((1, 2), (3,))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_atom_label_is_built_once_and_stays_out_of_the_value(m):
+    for atom in enumerate_antichains(m).atoms:
+        label = str(atom)
+        assert str(atom) is label and f"{atom}" is label
+        assert label == "".join("{" + "".join(map(str, el)) + "}" for el in atom.elements)
+        assert repr(atom) == f"Atom({label})"
+        twin = Atom(reversed(atom.elements))
+        assert twin == atom and hash(twin) == hash(atom)
+        assert dataclasses.astuple(atom) == (atom.elements,)
+        assert str(pickle.loads(pickle.dumps(atom))) == label
 
 
 def test_atom_validation():

@@ -30,9 +30,11 @@ from pird import (
     zero_lag_covariance,
 )
 
+from pird import spectral
 from pird.spectral import integrate_rows, quadrature_weights, spectral_mir_rows
 
 from conftest import make_model_set, reference_band_integral
+from oracles import block_transfer_function
 
 
 def scalar_ar(coeffs, var=1.0):
@@ -243,6 +245,49 @@ def test_spectrum_matches_the_lapack_reference(grid):
         # and passes the full validation that it skips.
         assert np.array_equal(psd.mats, psd.mats.conj().transpose(0, 2, 1))
         SpectralMatrix(psd.grid, psd.mats, psd.names)
+
+
+#: Rows 1 and 2 of column 0 of ``I - A(omega)`` hold the same entry at
+#: every frequency, and below about 0.09 Hz it is larger than row 0's: the
+#: first step pivots on an exact tie there, which the upper row must win.
+TIE_MODEL = VarModel(
+    coeffs=[[[0.5, 0.0, 0.0], [0.8, 0.3, 0.1], [0.8, -0.2, 0.4]]],
+    sigma=[[1.0, 0.3, 0.0], [0.3, 2.0, 0.5], [0.0, 0.5, 1.5]],
+)
+#: Row 1 of column 0 is larger than row 0 below about 0.15 Hz only, so the
+#: first step exchanges rows at some frequencies but not at all of them.
+PARTIAL_PIVOT_MODEL = VarModel(coeffs=[[[0.5, 0.3], [0.8, 0.2]]], sigma=[[1.0, 0.3], [0.3, 2.0]])
+
+
+def test_the_pivot_models_tie_and_pivot_where_they_claim(grid):
+    def first_column(model):
+        # -A(omega)[:, 0] as transfer_function builds it; its row 0 gains the 1.
+        col = np.tensordot(-model.coeffs[:, :, 0], grid.lag_phases(1), axes=(0, 0))
+        col[0] += 1.0
+        return col
+
+    col = first_column(TIE_MODEL)
+    assert np.array_equal(col[1], col[2])
+    ties = np.abs(col[1]) > np.abs(col[0])
+    assert 0 < ties.sum() < grid.n_points
+    col = first_column(PARTIAL_PIVOT_MODEL)
+    pivots = np.abs(col[1]) > np.abs(col[0])
+    assert 0 < pivots.sum() < grid.n_points
+
+
+def test_transfer_function_equals_the_block_elimination_bit_for_bit(grid):
+    for model in _oracle_models() + [TIE_MODEL, PARTIAL_PIVOT_MODEL]:
+        for right in (None, np.linalg.cholesky(model.sigma), np.ones((model.dim, 2))):
+            got = transfer_function(model, grid, right)
+            assert got.tobytes() == block_transfer_function(model, grid, right).tobytes()
+
+
+def test_psd_from_var_equals_the_gram_of_the_block_elimination(grid, monkeypatch):
+    models = _oracle_models() + [TIE_MODEL, PARTIAL_PIVOT_MODEL]
+    got = [psd_from_var(model, grid).mats for model in models]
+    monkeypatch.setattr(spectral, "transfer_function", block_transfer_function)
+    for model, mats in zip(models, got):
+        assert mats.tobytes() == psd_from_var(model, grid).mats.tobytes()
 
 
 @pytest.mark.parametrize("coupling, layer", [(1e308, "transfer function"), (1e154, "spectral matrix")])
@@ -733,3 +778,24 @@ def test_parse_bands():
     assert bands[0].lo == 0.04 and bands[1].hi == 0.4
     with pytest.raises(ArgumentError):
         parse_bands("nonsense")
+
+
+@pytest.mark.parametrize(
+    "spec, edges",
+    [("VLF:1e-3-0.04", (1e-3, 0.04)), ("LF:4e-2-1.5e-1", (0.04, 0.15)),
+     ("HF:0.15-4E-1", (0.15, 0.4)), ("B:1.5e+1-2e1", (15.0, 20.0))],
+)
+def test_parse_bands_takes_edges_in_exponent_notation(spec, edges):
+    [band] = parse_bands(spec)
+    assert (band.lo, band.hi) == edges
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("X:1e-3", "cannot parse band"), ("X:0.1-0.2-0.3", "cannot parse band"),
+     ("X:0.1--0.2", "need 0 <= lo < hi"), ("X:-0.1-0.2", "need 0 <= lo < hi"),
+     ("X:-1e-2-0.2", "need 0 <= lo < hi"), ("X:0.2-0.1", "need 0 <= lo < hi")],
+)
+def test_parse_bands_splits_at_the_one_hyphen_between_two_numbers(spec, message):
+    with pytest.raises(ArgumentError, match=message):
+        parse_bands(spec)
