@@ -20,8 +20,8 @@ import numpy as np
 
 from .decomposition import CoarseTerms
 from .errors import ArgumentError, EstimationError, NumericalError
-from .var import VarModel, _channel_set, _check_symmetric, _dare, _lyapunov_equation
-from .var import _require_stable, _resolve_sources
+from .var import VarModel, _channel_set, _check_covariance, _dare, _lyapunov_equation
+from .var import _require_stable, _resolve_sources, _state_space
 
 
 def _block(mat: np.ndarray, idx: Sequence[int]) -> np.ndarray:
@@ -53,22 +53,9 @@ def gaussian_mi(cov: np.ndarray, target: int, sources: Sequence[int]) -> float:
         If the covariance is not finite, symmetric and positive definite,
         or the channel indices are invalid.
     """
-    cov = _checked_covariance(cov)
+    cov = _check_covariance(cov, "covariance")
     blocks = _mi_blocks(cov, target, _resolve_sources(len(cov), target, sources))
     return _gaussian_mi(cov[target, target], *_logdets(blocks, ArgumentError))
-
-
-def _checked_covariance(cov: np.ndarray) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if not np.isfinite(cov).all():
-        raise ArgumentError("covariance must be finite, got a NaN or infinite entry")
-    q = cov.shape[-1] if cov.ndim else 0
-    if cov.shape != (q, q):
-        raise ArgumentError(f"covariance must be a square matrix, got shape {cov.shape}")
-    _check_symmetric(cov, "covariance")
-    if np.linalg.eigvalsh(cov)[0] <= 0.0:
-        raise ArgumentError("covariance must be positive definite")
-    return cov
 
 
 def _mi_blocks(cov, target, srcs, whats=("source covariance", "joint covariance")) -> list:
@@ -89,7 +76,9 @@ def static_pid(
     the joint MI.
 
     The stationary covariance comes from Smith doubling of the
-    companion-form Lyapunov equation.
+    companion-form Lyapunov equation at unit innovation variance, where the
+    MIs are read, so the PID does not change with the channels' units; only
+    :func:`~pird.var.zero_lag_covariance` returns it in those units.
     """
     return _static_pids([model], target, sources)[0]
 
@@ -102,11 +91,11 @@ def _static_pids(models, target, sources, names=None) -> list[CoarseTerms]:
         raise ArgumentError("static PID needs at least two sources")
     for m in models:
         _require_stable(m, "zero_lag_covariance")
-    equations = {i: _lyapunov_equation(m) for i, m in enumerate(models) if m.order}
+    equations = {i: _lyapunov_equation(*_state_space(m)[1:]) for i, m in enumerate(models)}
     states = _solve(equations, names, "Lyapunov equation has no stable solution")
     variances, blocks = [], []
     for i, (m, s) in enumerate(zip(models, srcs)):
-        gamma = _checked_covariance(states[i][: m.dim, : m.dim] if m.order else m.sigma)
+        gamma = _check_covariance(states[i][: m.dim, : m.dim], "covariance")
         variances.append(gamma[target, target])
         for group in (*((k,) for k in s), s):  # the marginals, then the joint MI
             blocks += _mi_blocks(gamma, target, group)
@@ -145,7 +134,10 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
     solution of the Kalman-filter Riccati equation with state noise
     ``K Sigma K.T``, observation noise ``Sigma_ss`` and cross term
     ``K Sigma[:, s]``. :func:`_dare` finds it by structure-preserving
-    doubling and certifies it by its residual and closed-loop stability.
+    doubling and certifies it by its residual and closed-loop stability, at
+    unit innovation variance, where the transfer entropies read their
+    log-dets (so they do not change with the channels' units); only the
+    returned covariance is scaled back to those units.
 
     Raises
     ------
@@ -156,39 +148,29 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
         conditioning).
     """
     chans = _channel_set(model.dim, channels, "channel")
-    return _innovations([model], [[chans]])[0][chans]
+    scale = _state_space(model)[0][list(chans)]
+    return _innovations([model], [[chans]])[0][chans] / np.outer(scale, scale)
 
 
 def _innovations(models, channel_sets, names=None) -> list[dict[tuple[int, ...], np.ndarray]]:
-    """The sub-model table: per model ``models[i]``, the innovation
-    covariance of each channel tuple in ``channel_sets[i]``, keyed by that
-    tuple. The Riccati equations of all models are solved together, one
-    batched :func:`_dare` call per state size and set size; ``names[i]``
-    names model ``i`` in a failure."""
-    tables: list[dict] = [{} for _ in models]
-    equations, labels, scales = {}, {}, {}
+    """The sub-model table at unit innovation variance: per model
+    ``models[i]``, the innovation covariance of each channel tuple in
+    ``channel_sets[i]``, keyed by that tuple. The Riccati equations of all
+    models are solved together, one batched :func:`_dare` call per state
+    size and set size; ``names[i]`` names model ``i`` in a failure."""
+    equations, labels = {}, {}
     for i, model in enumerate(models):
         _require_stable(model, "submodel_innovation")
-        if model.order == 0:
-            tables[i] = {ch: _block(model.sigma, ch) for ch in channel_sets[i]}
-            continue
-        # The equation is solved for the channels rescaled to unit innovation
-        # variance and the result scaled back, which is exact. Unscaled,
-        # channels whose units differ by a few decades make the solver fail.
-        scale = 1.0 / np.sqrt(np.diag(model.sigma))
-        state_scale = np.tile(scale, model.order)
-        comp = state_scale[:, None] * model.companion() / state_scale[None, :]
-        noise = np.zeros_like(comp)
-        noise[: model.dim, : model.dim] = model.sigma * np.outer(scale, scale)
+        _, comp, noise = _state_space(model)
         for chans in channel_sets[i]:
             sel = list(chans)
             equations[i, chans] = comp, comp[sel], noise, _block(noise, sel), noise[:, sel]
             labels[i, chans] = f"channels {chans}" + ("" if names is None else f" of {names[i]}")
-            scales[i, chans] = np.outer(scale[sel], scale[sel])
     solved = _solve(equations, labels, "Riccati equation has no stabilising solution")
+    tables: list[dict] = [{} for _ in models]
     for (i, chans), p in solved.items():
         _, c_s, _, sig_ss, _ = equations[i, chans]
-        resid = (c_s @ p @ c_s.T + sig_ss) / scales[i, chans]
+        resid = c_s @ p @ c_s.T + sig_ss
         tables[i][chans] = (resid + resid.T) / 2.0
     return tables
 

@@ -42,6 +42,7 @@ import numpy as np
 from . import baselines as bl
 from .decomposition import (
     FULL_BAND,
+    UNIT_SCALES,
     _fmt,
     atomic_write_text,
     coarse_names,
@@ -168,7 +169,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     for p in (dec, bench):
         p.add_argument("--scenario", help="built-in system: sim1, sim2 or sim3")
         p.add_argument(
-            "--units", choices=("nats", "bits"), default="nats",
+            "--units", choices=tuple(UNIT_SCALES), default="nats",
             help="output units (default %(default)s)",
         )
         p.add_argument(
@@ -407,7 +408,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _coupling_sweep(args, args.scenario)
     if args.scenario == "sim3":
         return _band_table(args)
-    raise ArgumentError(f"unknown scenario {args.scenario!r} (use sim1, sim2 or sim3)")
+    what = f"unknown scenario {args.scenario!r}" if args.scenario else "--scenario is required"
+    raise ArgumentError(f"{what} (use sim1, sim2 or sim3)")
 
 
 def main(argv: list[str] | None = None) -> int:

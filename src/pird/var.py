@@ -64,6 +64,23 @@ def _check_symmetric(matrix: np.ndarray, what: str) -> None:
         raise ArgumentError(f"{what} must be symmetric")
 
 
+def _check_covariance(matrix: np.ndarray, what: str) -> np.ndarray:
+    """``matrix`` as a symmetrised float array; ArgumentError naming ``what``
+    unless it is finite, square, symmetric and, by Cholesky, positive definite."""
+    matrix = np.asarray(matrix, dtype=float)
+    if not np.isfinite(matrix).all():
+        raise ArgumentError(f"{what} must be finite, got a NaN or infinite entry")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ArgumentError(f"{what} must be a square matrix, got shape {matrix.shape}")
+    _check_symmetric(matrix, what)
+    matrix = (matrix + matrix.T) / 2.0
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        raise ArgumentError(f"{what} must be positive definite") from None
+    return matrix
+
+
 def _channel_set(dim: int, channels: Sequence[int], what: str) -> tuple[int, ...]:
     """The distinct ``channels``, in first-seen order: ArgumentError naming
     ``what`` unless there is one at least and each is an integer index
@@ -155,10 +172,8 @@ class VarModel:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
+        sigma = _check_covariance(np.atleast_2d(self.sigma), "sigma")
         q = sigma.shape[0]
-        if sigma.shape != (q, q):
-            raise ArgumentError(f"sigma must be square, got shape {sigma.shape}")
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.size == 0:
             coeffs = np.zeros((0, q, q))
@@ -166,15 +181,8 @@ class VarModel:
             raise ArgumentError(
                 f"coeffs must have shape (p, {q}, {q}), got {coeffs.shape}"
             )
-        for what, values in (("coeffs", coeffs), ("sigma", sigma)):
-            if not np.all(np.isfinite(values)):
-                raise ArgumentError(f"{what} must be finite, got a NaN or infinite entry")
-        _check_symmetric(sigma, "sigma")
-        sigma = (sigma + sigma.T) / 2.0
-        try:
-            np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            raise ArgumentError("sigma must be positive definite") from None
+        if not np.all(np.isfinite(coeffs)):
+            raise ArgumentError("coeffs must be finite, got a NaN or infinite entry")
         _check_fs(self.fs)
         names = _check_names(self.names, ("Y",) + tuple(f"X{i}" for i in range(1, q)))
         object.__setattr__(self, "coeffs", _readonly(coeffs))
@@ -238,11 +246,8 @@ class VarModel:
                     f"invalid model JSON: dim {dim!r} and order {order!r} disagree with "
                     f"{len(doc['sigma'])} sigma rows and {len(doc['coeffs'])} lag matrices"
                 )
-            coeffs = np.array(doc["coeffs"], dtype=float)
-            if coeffs.size == 0:
-                coeffs = np.zeros((0, dim, dim))
             return cls(
-                coeffs=coeffs,
+                coeffs=np.array(doc["coeffs"], dtype=float),
                 sigma=np.array(doc["sigma"], dtype=float),
                 fs=float(doc["fs"]),
                 names=tuple(doc["names"]),
@@ -652,15 +657,12 @@ def select_order_aic(
 
 
 def zero_lag_covariance(model: VarModel) -> np.ndarray:
-    """Stationary covariance ``Gamma_0`` of a stable model.
-
-    Solves the discrete Lyapunov equation of the companion form,
-    ``G = A G A.T + S``, by Smith doubling and returns the top-left
-    ``Q x Q`` block.
-    """
+    """Stationary covariance ``Gamma_0`` of a stable model, in the channels'
+    units: the top-left ``Q x Q`` block of the companion form's Lyapunov
+    equation ``G = A G A.T + S``, solved by Smith doubling at unit innovation
+    variance, where the reference PIDs read it (so they do not change with
+    the channels' units)."""
     _require_stable(model, "zero_lag_covariance")
-    if model.order == 0:
-        return model.sigma.copy()
     return _companion_covariance(model)[: model.dim, : model.dim].copy()
 
 
@@ -671,20 +673,34 @@ def zero_lag_covariance(model: VarModel) -> np.ndarray:
 _MAX_DOUBLINGS = 50
 
 
-def _lyapunov_equation(model: VarModel) -> tuple[np.ndarray, ...]:
-    """``G = A G A.T + S`` of the companion form (order >= 1) as the
-    arguments ``(A, C, Q, R, S)`` of :func:`_dare`: no observation."""
-    n, q = model.order * model.dim, model.dim
-    noise = np.zeros((n, n))
-    noise[:q, :q] = model.sigma
-    return model.companion(), np.zeros((0, n)), noise, np.zeros((0, 0)), np.zeros((n, 0))
+def _state_space(model: VarModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The companion form at unit innovation variance, where every Lyapunov
+    and Riccati equation is solved: each state entry's factor ``d`` (the
+    first ``Q`` are ``diag(sigma)**-1/2``), ``D A D^-1`` and the state noise
+    ``[[D sigma D, 0], [0, 0]]``; a white model is the VAR(1) with ``A = 0``."""
+    q = model.dim
+    scale = np.tile(1.0 / np.sqrt(np.diag(model.sigma)), max(model.order, 1))
+    comp = model.companion() if model.order else np.zeros((q, q))
+    comp = scale[:, None] * comp / scale[None, :]
+    noise = np.zeros_like(comp)
+    noise[:q, :q] = model.sigma * np.outer(scale[:q], scale[:q])
+    return scale, comp, noise
+
+
+def _lyapunov_equation(comp: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``G = A G A.T + S`` as the arguments ``(A, C, Q, R, S)`` of :func:`_dare`."""
+    n = len(comp)
+    return comp, np.zeros((0, n)), noise, np.zeros((0, 0)), np.zeros((n, 0))
 
 
 def _companion_covariance(model: VarModel) -> np.ndarray:
+    """The companion state's stationary covariance, in the channels' units."""
+    scale, comp, noise = _state_space(model)
     try:
-        return _dare(*_lyapunov_equation(model))
+        gamma = _dare(*_lyapunov_equation(comp, noise))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Lyapunov equation has no stable solution: {exc}") from exc
+    return gamma / np.outer(scale, scale)
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pird import (
@@ -436,9 +436,9 @@ def test_static_pid_checks_the_stationary_covariance_once(monkeypatch):
     srcs = [1, 2, 4]
     expected = (gaussian_mi(gamma, 0, srcs), tuple(gaussian_mi(gamma, 0, [s]) for s in srcs))
     checked = []
-    check = baselines._checked_covariance
+    check = baselines._check_covariance
     monkeypatch.setattr(
-        baselines, "_checked_covariance", lambda cov: checked.append(cov) or check(cov)
+        baselines, "_check_covariance", lambda cov, what: checked.append(cov) or check(cov, what)
     )
     res = static_pid(model, 0, srcs)
     assert len(checked) == 1
@@ -601,6 +601,73 @@ def test_te_pid_invariant_under_source_permutation(m, data):
     assert res_p.synergy == pytest.approx(res.synergy, abs=1e-12)
     for i, old in enumerate(perm[1:]):
         assert res_p.unique[i] == pytest.approx(res.unique[old - 1], abs=1e-12)
+
+
+def in_units(model, factors):
+    """``model`` with channel ``i`` multiplied by ``factors[i]``: lag
+    matrices ``D A D^-1`` and innovation covariance ``D sigma D``."""
+    d = np.diag(factors)
+    return VarModel(coeffs=d @ model.coeffs @ np.diag(1.0 / factors), sigma=d @ model.sigma @ d)
+
+
+def terms(res):
+    return [*res.unique, res.redundancy, res.synergy, res.joint_mir, *res.marginals]
+
+
+#: A valid model whose stationary covariance, with channel 3 in units 1e8
+#: times larger, once failed a positive-definiteness test taken in the
+#: channels' units.
+SEED3 = random_stable_var(5, 4, seed=3, radius=0.95)
+
+
+@PROPERTY
+@given(
+    m=st.builds(
+        random_stable_var,
+        dim=st.integers(3, 6),
+        order=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.floats(0.3, 0.95),
+    ),
+    log_factors=st.lists(st.integers(-10, 10), min_size=6, max_size=6),
+)
+@example(m=SEED3, log_factors=[0, 0, 0, -8, 0, 0])
+def test_reference_pids_do_not_change_with_channel_units(m, log_factors):
+    # The equations are solved at unit innovation variance and every
+    # log-det is read there; only the covariances return in the channels'
+    # units, as D X D of the unscaled ones.
+    f = 10.0 ** np.array(log_factors[: m.dim], dtype=float)
+    scaled = in_units(m, f)
+    pids = (static_pid, te_pid, lambda mod, t: te_pid(mod, t, conditioned=True))
+    pairs = [(terms(pid(scaled, 0)), terms(pid(m, 0))) for pid in pids]
+    pairs.append((mir_decomposition(scaled, 0), mir_decomposition(m, 0)))
+    for got, want in pairs:
+        for value, expected in zip(got, want, strict=True):
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+    covariances = [(submodel_innovation(scaled, c), submodel_innovation(m, c), f[list(c)])
+                   for c in ((0,), (1, m.dim - 1), range(m.dim))]
+    covariances.append((var.zero_lag_covariance(scaled), var.zero_lag_covariance(m), f))
+    for got, want, d in covariances:
+        assert np.abs(got / np.outer(d, d) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_a_white_model_takes_the_same_coordinates():
+    # Variances far from 1: the order-0 tables are at unit innovation
+    # variance too, so the covariances come back in the channels' units
+    # and the PIDs are those of sigma.
+    f = np.array([1e-6, 1e3, 1e8, 1.0])
+    sigma = random_stable_var(4, 0, seed=8).sigma * np.outer(f, f)
+    m = VarModel(coeffs=np.zeros((0, 4, 4)), sigma=sigma)
+    for chans in ((0,), (1, 3), (0, 1, 2, 3)):
+        block = sigma[np.ix_(chans, chans)]
+        assert np.allclose(submodel_innovation(m, chans), block, rtol=1e-14, atol=0.0)
+    assert np.allclose(var.zero_lag_covariance(m), sigma, rtol=1e-14, atol=0.0)
+    srcs = [1, 2, 3]
+    mis = [gaussian_mi(sigma, 0, srcs)] + [gaussian_mi(sigma, 0, [s]) for s in srcs]
+    res = static_pid(m, 0)
+    assert [res.joint_mir, *res.marginals] == pytest.approx(mis, rel=1e-12)
+    assert terms(te_pid(m, 0)) == pytest.approx([0.0] * 9, abs=1e-14)
+    assert mir_decomposition(m, 0) == pytest.approx((0.0, 0.0, mis[0]), rel=1e-12, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,30 @@ def test_decompose_from_model_json(sim3_csv, tmp_path):
     assert rows[("JointMIR", "FULL")] == pytest.approx(0.904134652869, abs=0.02)
 
 
+def test_decompose_model_in_mixed_units(tmp_path):
+    # Channel X3 in units 1e8 times larger: the reference PIDs, log-det
+    # ratios read at unit innovation variance, print the same values (this
+    # model's stationary covariance once failed a positive-definiteness
+    # test taken in the channels' units, exit 3).
+    model = pird.random_stable_var(5, 4, seed=3, radius=0.95)
+    f = np.array([1.0, 1.0, 1.0, 1e-8, 1.0])
+    mixed = VarModel(
+        coeffs=np.diag(f) @ model.coeffs @ np.diag(1.0 / f),
+        sigma=np.diag(f) @ model.sigma @ np.diag(f),
+    )
+    rows = []
+    for name, m in (("plain", model), ("mixed", mixed)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(m.to_json())
+        assert main(["decompose", "--model", str(path), "--grid", "257",
+                     "--out", str(tmp_path / name)]) == 0
+        rows.append(read_coarse(tmp_path / name / "coarse.csv"))
+    assert rows[1].keys() == rows[0].keys()
+    assert any(key[0].startswith("staticPID:") for key in rows[0])
+    for key, value in rows[0].items():
+        assert abs(rows[1][key] - value) <= 1e-12 * max(1.0, abs(value)), key
+
+
 def test_every_input_file_may_start_with_a_byte_order_mark(sim3_csv, tmp_path):
     # The time series, model.json and --config are each read as UTF-8 with
     # an optional byte-order mark, as spreadsheet exports write them.
@@ -432,6 +456,8 @@ SIM1 = ["decompose", "--scenario", "sim1", "--c", "0"]
         (["decompose", "--model", "x.json", "--order", "3"], None, 3, "--order applies"),
         (["decompose", "--model", "x.json", "--c", "0.2"], None, 3, "--c applies"),
         (["decompose", "--input", "x.csv", "--c", "0.2"], None, 3, "--c applies"),
+        (["bench"], None, 3, "--scenario is required (use sim1, sim2 or sim3)"),
+        (["bench", "--scenario", "sim4"], None, 3, "unknown scenario 'sim4' (use sim1, sim2"),
         (["bench", "--scenario", "sim1", "--conditioned-te"], None, 3, "--conditioned-te"),
         (["bench", "--scenario", "sim3", "--conditioned-te"], None, 3, "--conditioned-te"),
         (["decompose", "--scenario", "sim3", "--sources", "X1", "--conditioned-te"], None, 3,
