@@ -456,8 +456,6 @@ SIM1 = ["decompose", "--scenario", "sim1", "--c", "0"]
         (["decompose", "--model", "x.json", "--order", "3"], None, 3, "--order applies"),
         (["decompose", "--model", "x.json", "--c", "0.2"], None, 3, "--c applies"),
         (["decompose", "--input", "x.csv", "--c", "0.2"], None, 3, "--c applies"),
-        (["bench"], None, 3, "--scenario is required (use sim1, sim2 or sim3)"),
-        (["bench", "--scenario", "sim4"], None, 3, "unknown scenario 'sim4' (use sim1, sim2"),
         (["bench", "--scenario", "sim1", "--conditioned-te"], None, 3, "--conditioned-te"),
         (["bench", "--scenario", "sim3", "--conditioned-te"], None, 3, "--conditioned-te"),
         (["decompose", "--scenario", "sim3", "--sources", "X1", "--conditioned-te"], None, 3,
@@ -477,6 +475,8 @@ SIM1 = ["decompose", "--scenario", "sim1", "--c", "0"]
         (["decompose", "--scenario", "sim3"], "bands = X:-1e-2-0.2", 3, "need 0 <= lo"),
         (["decompose", "--scenario", "sim3", "--bands", "X:1e-3"], None, 3, "cannot parse band"),
         (["decompose", "--scenario", "sim3"], "bands = X:0.1-0.2-0.3", 3, "cannot parse band"),
+        (["bench"], None, 3, "--scenario is required (use sim1, sim2 or sim3)"),
+        (["bench", "--scenario", "sim4"], None, 3, "unknown scenario 'sim4' (use sim1, sim2"),
     ],
 )
 def test_options_behave_as_declared(argv, config, code, message, tmp_path, capsys):
