@@ -6,10 +6,14 @@ Transfer entropies are state-space Granger causalities (Barnett & Seth,
 Phys. Rev. E 91, 040101(R), 2015): the innovation covariance of any channel
 subset of a VAR follows exactly from one discrete algebraic Riccati equation
 on the model's innovations form, solved by structure-preserving doubling
-(Lin & Xu, SIAM J. Matrix Anal. Appl. 28(1), 2006). The stationary
-covariance of the static PID comes from the same solver: the companion
-Lyapunov equation is the Riccati equation without an observation. There is
-no truncation order and no Monte-Carlo simulation.
+(Lin & Xu, SIAM J. Matrix Anal. Appl. 28(1), 2006). There is no truncation
+order and no Monte-Carlo simulation.
+
+Every quantity here reads one covariance table (:func:`pird.var._covariances`)
+keyed by channel tuple. The empty set's equation is the companion Lyapunov
+equation, the Riccati equation without an observation, and its entry the
+stationary covariance of the static PID. The table alone checks stability
+and turns a solver failure into an EstimationError.
 """
 
 from __future__ import annotations
@@ -19,13 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import CoarseTerms
-from .errors import ArgumentError, EstimationError, NumericalError
-from .var import VarModel, _channel_set, _check_covariance, _dare, _lyapunov_equation
-from .var import _require_stable, _resolve_sources, _state_space
-
-
-def _block(mat: np.ndarray, idx: Sequence[int]) -> np.ndarray:
-    return mat.take(idx, 0).take(idx, 1)  # mat[np.ix_(idx, idx)], faster
+from .errors import ArgumentError, NumericalError
+from .var import VarModel, _block, _channel_set, _check_covariance, _covariances, _resolve_sources
+from .var import _unit_scale
 
 
 def _logdets(blocks: list[tuple[str, np.ndarray]], err=NumericalError) -> list[float]:
@@ -75,9 +75,9 @@ def static_pid(
     :meth:`~pird.decomposition.CoarseTerms.min_mi`, so ``joint_mir`` holds
     the joint MI.
 
-    The stationary covariance comes from Smith doubling of the
-    companion-form Lyapunov equation at unit innovation variance, where the
-    MIs are read, so the PID does not change with the channels' units; only
+    The stationary covariance is the covariance table's empty-set entry, at
+    unit innovation variance, where the MIs are read, so the PID does not
+    change with the channels' units; only
     :func:`~pird.var.zero_lag_covariance` returns it in those units.
     """
     return _static_pids([model], target, sources)[0]
@@ -89,13 +89,10 @@ def _static_pids(models, target, sources, names=None) -> list[CoarseTerms]:
     srcs = [_resolve_sources(m.dim, target, sources) for m in models]
     if any(len(s) < 2 for s in srcs):
         raise ArgumentError("static PID needs at least two sources")
-    for m in models:
-        _require_stable(m, "zero_lag_covariance")
-    equations = {i: _lyapunov_equation(*_state_space(m)[1:]) for i, m in enumerate(models)}
-    states = _solve(equations, names, "Lyapunov equation has no stable solution")
+    tables = _covariances(models, [[()]] * len(models), names)
     variances, blocks = [], []
-    for i, (m, s) in enumerate(zip(models, srcs)):
-        gamma = _check_covariance(states[i][: m.dim, : m.dim], "covariance")
+    for m, s, table in zip(models, srcs, tables):
+        gamma = _check_covariance(table[()][: m.dim, : m.dim], "covariance")
         variances.append(gamma[target, target])
         for group in (*((k,) for k in s), s):  # the marginals, then the joint MI
             blocks += _mi_blocks(gamma, target, group)
@@ -103,24 +100,6 @@ def _static_pids(models, target, sources, names=None) -> list[CoarseTerms]:
     mis = [[_gaussian_mi(v, next(lds), next(lds)) for _ in range(len(s) + 1)]
            for v, s in zip(variances, srcs)]
     return [CoarseTerms.min_mi(joint, marginals) for *marginals, joint in mis]
-
-
-def _solve(equations: dict, names, what: str) -> dict:
-    """:func:`_dare` of each equation ``(A, C, Q, R, S)`` by key, in one
-    batched call per shape; a failure is an EstimationError that starts with
-    ``what`` and ends with ``names[key]``."""
-    groups: dict[tuple[int, int], list] = {}
-    for key, (_, c, *_) in equations.items():
-        groups.setdefault(c.shape, []).append(key)
-    solved = {}
-    for keys in groups.values():
-        batch = [np.stack([equations[key][j] for key in keys]) for j in range(5)]
-        try:
-            p = _dare(*batch, None if names is None else [names[key] for key in keys])
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(f"{what}: {exc}") from exc
-        solved.update(zip(keys, p))
-    return solved
 
 
 def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
@@ -133,11 +112,13 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
     covariance is ``C_s P C_s.T + Sigma_ss``, where ``P`` is the stabilising
     solution of the Kalman-filter Riccati equation with state noise
     ``K Sigma K.T``, observation noise ``Sigma_ss`` and cross term
-    ``K Sigma[:, s]``. :func:`_dare` finds it by structure-preserving
-    doubling and certifies it by its residual and closed-loop stability, at
-    unit innovation variance, where the transfer entropies read their
-    log-dets (so they do not change with the channels' units); only the
-    returned covariance is scaled back to those units.
+    ``K Sigma[:, s]``. This is the covariance table's entry for
+    ``channels`` (:func:`~pird.var._covariances`): :func:`~pird.var._dare`
+    finds ``P`` by structure-preserving doubling and certifies it by its
+    residual and closed-loop stability, at unit innovation variance, where
+    the transfer entropies read their log-dets (so they do not change with
+    the channels' units); only the returned covariance is scaled back to
+    those units.
 
     Raises
     ------
@@ -148,31 +129,8 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
         conditioning).
     """
     chans = _channel_set(model.dim, channels, "channel")
-    scale = _state_space(model)[0][list(chans)]
-    return _innovations([model], [[chans]])[0][chans] / np.outer(scale, scale)
-
-
-def _innovations(models, channel_sets, names=None) -> list[dict[tuple[int, ...], np.ndarray]]:
-    """The sub-model table at unit innovation variance: per model
-    ``models[i]``, the innovation covariance of each channel tuple in
-    ``channel_sets[i]``, keyed by that tuple. The Riccati equations of all
-    models are solved together, one batched :func:`_dare` call per state
-    size and set size; ``names[i]`` names model ``i`` in a failure."""
-    equations, labels = {}, {}
-    for i, model in enumerate(models):
-        _require_stable(model, "submodel_innovation")
-        _, comp, noise = _state_space(model)
-        for chans in channel_sets[i]:
-            sel = list(chans)
-            equations[i, chans] = comp, comp[sel], noise, _block(noise, sel), noise[:, sel]
-            labels[i, chans] = f"channels {chans}" + ("" if names is None else f" of {names[i]}")
-    solved = _solve(equations, labels, "Riccati equation has no stabilising solution")
-    tables: list[dict] = [{} for _ in models]
-    for (i, chans), p in solved.items():
-        _, c_s, _, sig_ss, _ = equations[i, chans]
-        resid = c_s @ p @ c_s.T + sig_ss
-        tables[i][chans] = (resid + resid.T) / 2.0
-    return tables
+    scale = _unit_scale(model)[list(chans)]
+    return _covariances([model], [[chans]])[0][chans] / np.outer(scale, scale)
 
 
 def transfer_entropy(
@@ -194,7 +152,7 @@ def transfer_entropy(
     used.
     """
     transfer = _transfer(model.dim, sources, target, conditioning)
-    table = _innovations([model], [transfer[1:]])[0]
+    table = _covariances([model], [transfer[1:]])[0]
     return _transfer_entropy(*_logdets(_transfer_blocks(table, *transfer)))
 
 
@@ -233,7 +191,7 @@ def instantaneous_info(
     pasts: the Gaussian MI between the blocks of the innovation covariance
     of the sub-process formed by the target and the sources."""
     joint = tuple(sorted((target, *_resolve_sources(model.dim, target, sources))))
-    return _instantaneous_info(_innovations([model], [[joint]])[0][joint], joint.index(target))
+    return _instantaneous_info(_covariances([model], [[joint]])[0][joint], joint.index(target))
 
 
 def _instantaneous_info(sig: np.ndarray, t: int) -> float:
@@ -273,7 +231,7 @@ def _te_pids(models, target, sources, conditioned, names=None) -> list[CoarseTer
     # The transfers share sub-models (the target-only one at least), so
     # each distinct channel set is solved once: M + 2 Riccati equations.
     sets = [dict.fromkeys(chans for t in ts for chans in t[1:]) for ts in transfers]
-    lds = iter(_logdets([b for tab, ts in zip(_innovations(models, sets, names), transfers)
+    lds = iter(_logdets([b for tab, ts in zip(_covariances(models, sets, names), transfers)
                          for t in ts for b in _transfer_blocks(tab, *t)]))
     tes = [[_transfer_entropy(next(lds), next(lds)) for _ in ts] for ts in transfers]
     return [CoarseTerms.min_mi(joint, marginals) for joint, *marginals in tes]
@@ -289,7 +247,7 @@ def mir_decomposition(
     srcs = _resolve_sources(model.dim, target, sources)
     to_target = _transfer(model.dim, srcs, target, ())
     to_sources = _transfer(model.dim, (target,), srcs, ())
-    table = _innovations([model], [dict.fromkeys(to_target[1:] + to_sources[1:])])[0]
+    table = _covariances([model], [dict.fromkeys(to_target[1:] + to_sources[1:])])[0]
     joint = to_target[2]
     return (
         _transfer_entropy(*_logdets(_transfer_blocks(table, *to_target))),

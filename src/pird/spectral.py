@@ -36,6 +36,7 @@ from .var import (
     _check_fs,
     _check_names,
     _count,
+    _readonly,
     _require_stable,
     _resolve_sources,
 )
@@ -81,11 +82,11 @@ class FrequencyGrid:
 
     @cached_property
     def omegas(self) -> np.ndarray:
-        return _read_only(np.linspace(0.0, np.pi, self.n_points))
+        return _readonly(np.linspace(0.0, np.pi, self.n_points))
 
     @cached_property
     def hz(self) -> np.ndarray:
-        return _read_only(self.omegas * self.fs / (2.0 * np.pi))
+        return _readonly(self.omegas * self.fs / (2.0 * np.pi))
 
     def lag_phases(self, order: int) -> np.ndarray:
         """The ``(order, n_points)`` table of ``e^{-j omega k}``, row ``k - 1``
@@ -104,12 +105,7 @@ class FrequencyGrid:
         try:
             return memo[key]
         except KeyError:
-            return memo.setdefault(key, _read_only(build(self, *args)))
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
+            return memo.setdefault(key, _readonly(build(self, *args)))
 
 
 def _lag_phases(grid: FrequencyGrid, order: int) -> np.ndarray:
@@ -469,12 +465,13 @@ def spectral_mir_rows(
     ok = np.multiply(det, r, out=det) >= DET_FLOOR
     if not ok.all():
         k = int(np.argmin(ok.all(axis=1)))
+        j = np.argmin(ok[k])
         raise SpectralSingularityError(
             f"joint spectrum of target {target} and sources {list(groups[k])} singular "
-            f"to working precision (normalised determinant below {DET_FLOOR:g}) at "
-            f"f = {psd.grid.hz[np.argmin(ok[k])]:.6g} Hz; a spectrum held in double "
-            "precision limits this route to an MIR near 18 nats, 1/2 ln(1/eps) "
-            "(consider the diagonal-loading knob)"
+            f"to working precision (normalised determinant {det[k, j]:.6g}, where at "
+            f"least {DET_FLOOR:g} is needed) at f = {psd.grid.hz[j]:.6g} Hz; a spectrum "
+            "held in double precision limits this route to an MIR near 18 nats, "
+            "1/2 ln(1/eps) (consider the diagonal-loading knob)"
         )
     return np.negative(np.log(np.sqrt(r, out=r), out=r), out=r)
 

@@ -26,7 +26,6 @@ from .errors import (
     ArgumentError,
     EstimationError,
     FormatError,
-    NumericalError,
     UnstableModelError,
 )
 
@@ -38,10 +37,14 @@ STABILITY_EPS = 1e-6
 _SYMMETRY_TOL = 1e-10
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+def _readonly(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only."""
+    array.setflags(write=False)
+    return array
+
+
+def _block(mat: np.ndarray, idx: Sequence[int]) -> np.ndarray:
+    return mat.take(idx, 0).take(idx, 1)  # mat[np.ix_(idx, idx)], faster
 
 
 def _count(value: int, what: str, least: int | None = None) -> int:
@@ -174,7 +177,7 @@ class VarModel:
     def __post_init__(self):
         sigma = _check_covariance(np.atleast_2d(self.sigma), "sigma")
         q = sigma.shape[0]
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = np.array(self.coeffs, dtype=float)
         if coeffs.size == 0:
             coeffs = np.zeros((0, q, q))
         if coeffs.ndim != 3 or coeffs.shape[1:] != (q, q):
@@ -265,7 +268,7 @@ class TimeSeriesMatrix:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        samples = np.atleast_2d(np.array(self.samples, dtype=float))
         if samples.shape[0] < 1:
             raise ArgumentError("need at least one sample")
         if not np.all(np.isfinite(samples)):
@@ -658,11 +661,11 @@ def select_order_aic(
 
 def zero_lag_covariance(model: VarModel) -> np.ndarray:
     """Stationary covariance ``Gamma_0`` of a stable model, in the channels'
-    units: the top-left ``Q x Q`` block of the companion form's Lyapunov
-    equation ``G = A G A.T + S``, solved by Smith doubling at unit innovation
-    variance, where the reference PIDs read it (so they do not change with
-    the channels' units)."""
-    _require_stable(model, "zero_lag_covariance")
+    units: the leading ``Q x Q`` block of the covariance table's empty-set
+    entry (:func:`_covariances`), the companion form's Lyapunov equation
+    ``G = A G A.T + S`` solved by Smith doubling at unit innovation variance,
+    where the reference PIDs read it. UnstableModelError if the model is not
+    stable; EstimationError if the equation has no stable solution."""
     return _companion_covariance(model)[: model.dim, : model.dim].copy()
 
 
@@ -673,34 +676,72 @@ def zero_lag_covariance(model: VarModel) -> np.ndarray:
 _MAX_DOUBLINGS = 50
 
 
-def _state_space(model: VarModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_scale(model: VarModel) -> np.ndarray:
+    """Each companion state entry's factor ``d`` to unit innovation variance:
+    ``diag(sigma)**-1/2`` per channel, once per lag (once for a white model)."""
+    return np.tile(1.0 / np.sqrt(np.diag(model.sigma)), max(model.order, 1))
+
+
+def _state_space(model: VarModel) -> tuple[np.ndarray, np.ndarray]:
     """The companion form at unit innovation variance, where every Lyapunov
-    and Riccati equation is solved: each state entry's factor ``d`` (the
-    first ``Q`` are ``diag(sigma)**-1/2``), ``D A D^-1`` and the state noise
-    ``[[D sigma D, 0], [0, 0]]``; a white model is the VAR(1) with ``A = 0``."""
+    and Riccati equation is solved: ``D A D^-1`` and the state noise
+    ``[[D sigma D, 0], [0, 0]]``, ``D`` the diagonal of :func:`_unit_scale`;
+    a white model is the VAR(1) with ``A = 0``."""
     q = model.dim
-    scale = np.tile(1.0 / np.sqrt(np.diag(model.sigma)), max(model.order, 1))
+    scale = _unit_scale(model)
     comp = model.companion() if model.order else np.zeros((q, q))
     comp = scale[:, None] * comp / scale[None, :]
     noise = np.zeros_like(comp)
     noise[:q, :q] = model.sigma * np.outer(scale[:q], scale[:q])
-    return scale, comp, noise
-
-
-def _lyapunov_equation(comp: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``G = A G A.T + S`` as the arguments ``(A, C, Q, R, S)`` of :func:`_dare`."""
-    n = len(comp)
-    return comp, np.zeros((0, n)), noise, np.zeros((0, 0)), np.zeros((n, 0))
+    return comp, noise
 
 
 def _companion_covariance(model: VarModel) -> np.ndarray:
     """The companion state's stationary covariance, in the channels' units."""
-    scale, comp, noise = _state_space(model)
-    try:
-        gamma = _dare(*_lyapunov_equation(comp, noise))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Lyapunov equation has no stable solution: {exc}") from exc
-    return gamma / np.outer(scale, scale)
+    scale = _unit_scale(model)
+    return _covariances([model], [[()]])[0][()] / np.outer(scale, scale)
+
+
+def _covariances(models, channel_sets, names=None) -> list[dict]:
+    """The covariance table: per model ``models[i]``, one entry per channel
+    tuple in ``channel_sets[i]``, keyed by it. The empty tuple observes
+    nothing, so its equation is the companion Lyapunov equation and its entry
+    the state's stationary covariance; any other tuple's entry is that
+    sub-model's innovation covariance (:func:`pird.baselines.submodel_innovation`).
+    Each model's stability is checked and its state space built once, and the
+    entries are at unit innovation variance. One batched :func:`_dare` per
+    state size and set size solves the equations of all models; a failure is
+    an EstimationError naming the channel set and ``names[i]``."""
+    equations, batches = {}, {}
+    for i, model in enumerate(models):
+        _require_stable(model, "the analytic covariance structure")
+        comp, noise = _state_space(model)
+        n = len(comp)
+        for chans in channel_sets[i]:
+            sel = list(chans)
+            equations[i, chans] = (
+                (comp, comp[sel], noise, _block(noise, sel), noise[:, sel]) if chans
+                else (comp, np.zeros((0, n)), noise, np.zeros((0, 0)), np.zeros((n, 0)))
+            )
+            batches.setdefault((n, len(chans)), []).append((i, chans))
+    tables: list[dict] = [{} for _ in models]
+    for (_, size), keys in batches.items():
+        labels = [" of ".join([f"channels {c}"] * bool(c) + ([names[i]] if names else []))
+                  for i, c in keys]
+        try:  # np.array stacks the members' equal shapes, faster than np.stack
+            solved = _dare(*(np.array([equations[key][j] for key in keys]) for j in range(5)),
+                           labels if all(labels) else None)
+        except np.linalg.LinAlgError as exc:
+            what = ("Riccati equation has no stabilising solution" if size
+                    else "Lyapunov equation has no stable solution")
+            raise EstimationError(f"{what}: {exc}") from exc
+        for (i, chans), p in zip(keys, solved):
+            if chans:  # the innovation covariance C_s P C_s.T + Sigma_ss
+                _, c_s, _, sig_ss, _ = equations[i, chans]
+                p = c_s @ p @ c_s.T + sig_ss
+                p = (p + p.T) / 2.0
+            tables[i][chans] = p
+    return tables
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:

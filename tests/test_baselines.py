@@ -192,21 +192,21 @@ UNSEEN_UNIT_MODE = dict(
 @pytest.mark.parametrize("q", [np.eye(2), np.diag([0.0, 1.0])])
 def test_dare_without_stabilising_solution_raises(q):
     with pytest.raises(np.linalg.LinAlgError):
-        baselines._dare(q=q, **UNSEEN_UNIT_MODE)
+        var._dare(q=q, **UNSEEN_UNIT_MODE)
 
 
 def test_riccati_failure_is_estimation_error(monkeypatch, tmp_path):
     # A random walk that channel 0 does not see: past the stability guard,
     # the solver itself fails and the failure surfaces as EstimationError.
     walk = VarModel(coeffs=[[[0.5, 0.0], [0.0, 1.0]]], sigma=np.eye(2))
-    monkeypatch.setattr(baselines, "_require_stable", lambda *args: None)
+    monkeypatch.setattr(var, "_require_stable", lambda *args: None)
     with pytest.raises(EstimationError, match="Riccati"):
         submodel_innovation(walk, [0])
     monkeypatch.undo()
 
     # The CLI maps it to exit code 4.
-    solve = baselines._dare
-    monkeypatch.setattr(baselines, "_dare", lambda *args: solve(q=np.eye(2), **UNSEEN_UNIT_MODE))
+    solve = var._dare
+    monkeypatch.setattr(var, "_dare", lambda *args: solve(q=np.eye(2), **UNSEEN_UNIT_MODE))
     args = ["decompose", "--scenario", "sim2", "--c", "0.2", "--out", str(tmp_path)]
     assert main(args) == 4
 
@@ -251,7 +251,7 @@ def test_doubling_solvers_near_the_unit_circle():
         equation, _ = innovations_form(m, chans)
         a, c, q, r, s = equation
         oracle = scipy.linalg.solve_discrete_are(a.T, c.T, q, r, s=s)
-        p = baselines._dare(*equation)
+        p = var._dare(*equation)
         assert riccati_residual(*equation, p) <= 1e-13
         assert np.abs(p - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
@@ -385,13 +385,13 @@ def count_solver_members(monkeypatch):
     """Record each batch member the Riccati/Lyapunov solver is given, as the
     bytes of its observation matrix."""
     members = []
-    solve = baselines._dare
+    solve = var._dare
 
     def counted(a, c, q, r, s, names=None):
         members.extend(member.tobytes() for member in c)
         return solve(a, c, q, r, s, names)
 
-    monkeypatch.setattr(baselines, "_dare", counted)
+    monkeypatch.setattr(var, "_dare", counted)
     return members
 
 
@@ -428,6 +428,54 @@ def test_mir_decomposition_solves_each_distinct_submodel_once(monkeypatch, targe
     members = count_solver_members(monkeypatch)
     assert mir_decomposition(model, target, sources) == expected
     assert len(members) == len(set(members)) == 3
+
+
+def test_a_static_sweep_solves_one_lyapunov_equation_per_model(monkeypatch, tmp_path):
+    # The sim1 sweep reads each model's stationary covariance, the empty
+    # channel set of the covariance table: no Riccati equation, no repeat.
+    members = count_solver_members(monkeypatch)
+    assert main(["bench", "--scenario", "sim1", "--grid", "65", "--out", str(tmp_path)]) == 0
+    assert members == [b""] * len(_parse_sweep("0:0.05:0.8"))
+
+
+def test_lyapunov_failure_is_estimation_error(monkeypatch):
+    # A state that does not decay: the doubling cannot converge.
+    solve = var._dare
+    monkeypatch.setattr(var, "_dare", lambda a, *rest: solve(np.eye(a.shape[-1]) + 0.0 * a, *rest))
+    with pytest.raises(EstimationError, match="^Lyapunov equation has no stable solution: "):
+        var.zero_lag_covariance(random_stable_var(3, 2, seed=1))
+
+
+def test_every_reference_quantity_refuses_an_unstable_model_alike():
+    model = VarModel(coeffs=[np.diag([1.02, 0.5, 0.5])], sigma=np.eye(3))
+    calls = (
+        lambda: static_pid(model, 0), lambda: te_pid(model, 0), lambda: mir_decomposition(model, 0),
+        lambda: instantaneous_info(model, [1, 2], 0), lambda: transfer_entropy(model, [1], 0),
+        lambda: submodel_innovation(model, [0, 2]), lambda: var.zero_lag_covariance(model),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(UnstableModelError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {
+        "the analytic covariance structure requires a stable model "
+        "(companion spectral radius 1.020000)"
+    }
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: submodel_innovation(m, [2, 0]), lambda m: var.zero_lag_covariance(m),
+])
+def test_one_state_space_build_per_call(monkeypatch, call):
+    model = random_stable_var(4, 3, seed=8, radius=0.9)
+    expected = call(model)
+    built = []
+    build = var._state_space
+    monkeypatch.setattr(var, "_state_space", lambda m: built.append(m) or build(m))
+    for calls in (1, 2):
+        assert np.array_equal(call(model), expected)
+        assert built == [model] * calls
 
 
 def test_static_pid_checks_the_stationary_covariance_once(monkeypatch):

@@ -682,7 +682,7 @@ def test_one_companion_eigen_solve_per_model(monkeypatch, tmp_path, argv, models
     eigvals = np.linalg.eigvals
 
     def spy(a):
-        from_dare = sys._getframe(1).f_code is pird.baselines._dare.__code__
+        from_dare = sys._getframe(1).f_code is pird.var._dare.__code__
         (closed_loop if from_dare else solved).append(np.array(a))
         return eigvals(a)
 
@@ -707,7 +707,7 @@ def test_sweep_solver_failure_names_the_channel_set_and_the_model(
     # must refuse: for sim1 a Lyapunov equation whose state does not decay,
     # for sim2 the target-only Riccati equation with an unseen, driven unit
     # mode. The others are solved; the failure names its model.
-    solve = pird.baselines._dare
+    solve = pird.var._dare
     member = 7  # c = 0.35 in the default sweep
 
     def forced(a, c, q, r, s, names):
@@ -720,7 +720,7 @@ def test_sweep_solver_failure_names_the_channel_set_and_the_model(
                 q[member], r[member], s[member] = np.eye(3), np.eye(1), 0.0
         return solve(a, c, q, r, s, names)
 
-    monkeypatch.setattr(pird.baselines, "_dare", forced)
+    monkeypatch.setattr(pird.var, "_dare", forced)
     assert main(["bench", "--scenario", scenario, "--grid", "65", "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert named in err

@@ -494,18 +494,24 @@ def _singular_psd(kind):
     return SpectralMatrix(grid=grid, mats=mats)
 
 
+# What each kind computes for det * r at the bad frequency: none is a tiny positive value.
+SINGULAR_DET_R = {"zero-pivot": "nan", "zero-residual": "0", "negative-residual": r"-\d\.\d+e-\d+"}
+
+
 @pytest.mark.parametrize("kind", ["zero-pivot", "zero-residual", "negative-residual"])
 def test_spectral_mir_rows_singular_blocks(kind):
-    psd = _singular_psd(kind)
+    psd, printed = _singular_psd(kind), SINGULAR_DET_R[kind]
     bad = [1, 2] if kind == "zero-pivot" else [1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning leaks
         # the groups before the bad one are fine
         assert np.array_equal(spectral_mir_rows(psd, 0, [[3], [2, 3]]), np.zeros((2, 5)))
+        # the message prints the computed det * r
         for groups, named in (([[3], bad], bad), ([[3], [1, 2, 3]], [1, 2, 3])):
             with pytest.raises(SpectralSingularityError, match=(
                 rf"target 0 and sources \[{', '.join(map(str, named))}\] singular "
-                rf".* at f = 0.25 Hz"
+                rf"to working precision \(normalised determinant {printed}, where at least "
+                rf"1e-300 is needed\) at f = 0.25 Hz"
             )):
                 spectral_mir_rows(psd, 0, groups)
         with pytest.raises(SpectralSingularityError, match="f = 0.25 Hz"):
