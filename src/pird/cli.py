@@ -45,8 +45,6 @@ from .decomposition import (
     UNIT_SCALES,
     _fmt,
     atomic_write_text,
-    coarse_names,
-    coarse_values,
     decompose,
     unit_scale,
     write_atoms_csv,
@@ -83,6 +81,9 @@ _BENCH_BANDS = "B1:0.04-0.15,B2:0.15-0.4"
 
 #: Most coupling values one ``bench --sweep`` may ask for (the default has 17).
 MAX_SWEEP_POINTS = 1001
+
+#: Most frequency grid points ``--grid`` may ask for: 64 times the default.
+MAX_GRID_POINTS = 2**17 + 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,10 +157,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
             help="sampling frequency in Hz (default: a stored model's own, else 1)",
         )
         p.add_argument("--out", default="pird_out", help="output directory (default %(default)s)")
-        p.add_argument(
-            "--seed", type=int, default=0,
-            help="accepted and unused: every verb is deterministic",
-        )
     for p in (fit, dec):
         p.add_argument("--input", help="input CSV time series (decompose fits it inline)")
         p.add_argument("--order", type=int, help="force this VAR order, skip AIC")
@@ -174,7 +171,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         )
         p.add_argument(
             "--grid", type=int, default=DEFAULT_GRID_POINTS,
-            help="frequency grid points (default %(default)s)",
+            help=f"frequency grid points, at most {MAX_GRID_POINTS} (default %(default)s)",
         )
         p.add_argument(
             "--conditioned-te", action="store_true",
@@ -203,13 +200,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """The resolved options of one invocation. A ``--config`` file's keys
     become the verb's defaults, and ``argv`` is parsed again over them, so
-    explicit flags win."""
+    explicit flags win. A ``--grid`` is bounded here, before anything is
+    allocated."""
     parser, verbs = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
         verb = verbs[args.command]
         verb.set_defaults(**_config_defaults(verb, args.config))
         args = parser.parse_args(argv)
+    if args.command != "fit" and args.grid > MAX_GRID_POINTS:
+        raise ArgumentError(f"--grid {args.grid} has more than {MAX_GRID_POINTS} points")
     return args
 
 
@@ -349,10 +349,19 @@ def _parse_sweep(spec: str) -> np.ndarray:
         raise ArgumentError(f"cannot parse sweep {spec!r} (expected start:step:stop)") from None
     if not np.all(np.isfinite([start, step, stop])) or step <= 0 or stop < start:
         raise ArgumentError(f"invalid sweep {spec!r} (finite start <= stop, step > 0)")
-    # np.arange makes ceil(this) points: count them before it allocates
-    if (stop + step / 2.0 - start) / step > MAX_SWEEP_POINTS:
-        raise ArgumentError(f"sweep {spec!r} has more than {MAX_SWEEP_POINTS} points")
-    return np.arange(start, stop + step / 2.0, step)
+    too_many = ArgumentError(f"sweep {spec!r} has more than {MAX_SWEEP_POINTS} points")
+    # np.arange makes ceil(this) points, at most one past stop: bound them before it allocates
+    if (stop + step / 2.0 - start) / step > MAX_SWEEP_POINTS + 1:
+        raise too_many
+    # arange makes none at start == stop if roundoff eats the half step. Of
+    # its points, those past stop go, and one within its roundoff is stop.
+    cs = np.arange(start, stop + step / 2.0, step) if stop > start else np.array([stop])
+    tol = 2 * (len(cs) + 1) * np.spacing(max(abs(start), abs(stop)))
+    cs = cs[cs <= stop + tol]
+    cs[-1] = stop if stop - cs[-1] <= tol else cs[-1]
+    if len(cs) > MAX_SWEEP_POINTS:
+        raise too_many
+    return cs
 
 
 def _coupling_sweep(args: argparse.Namespace, scenario: str) -> int:
@@ -371,10 +380,10 @@ def _coupling_sweep(args: argparse.Namespace, scenario: str) -> int:
     rows = []
     for c, model, base in zip(cs, models, bases):
         result = decompose(psd_from_var(model, grid), 0)
-        values = coarse_values(result.coarse[FULL_BAND]) + coarse_values(base)
+        ours, theirs = (t.row(result.source_names) for t in (result.coarse[FULL_BAND], base))
+        values = [*ours.values(), *theirs.values()]
         rows.append(",".join([_fmt(c)] + [_fmt(v, scale) for v in values]))
-    names = coarse_names(result.source_names)
-    header = ",".join(["c"] + [f"pird_{t}" for t in names] + [f"{prefix}_{t}" for t in names])
+    header = ",".join(["c"] + [f"pird_{t}" for t in ours] + [f"{prefix}_{t}" for t in theirs])
     with _outdir(args) as out:
         path = out / f"bench_{scenario}.csv"
         atomic_write_text(path, [("\n".join([header, *rows]) + "\n").encode()])
@@ -387,16 +396,15 @@ def _band_table(args: argparse.Namespace) -> int:
     psd = psd_from_var(model, FrequencyGrid(fs=model.fs, n_points=args.grid))
     result = decompose(psd, 0, bands=parse_bands(args.bands))
     scale = unit_scale(args.units)
-    src = result.source_names
-    # coarse_values without the JointMIR, which sits after the marginals
-    header = ["band", *(f"I_{n}" for n in src), "JointMIR", *coarse_names(src)[:-1]]
-    lines = [",".join(header)]
+    src, lines = result.source_names, []
     for label, terms in result.coarse.items():
-        values = [*terms.marginals, terms.joint_mir, *coarse_values(terms)[:-1]]
-        lines.append(",".join([label] + [_fmt(v, scale) for v in values]))
+        # JointMIR keeps its place here, after the single-source rates.
+        row = {**{f"I_{n}": v for n, v in zip(src, terms.marginals)}, "JointMIR": None,
+               **terms.row(src)}
+        lines.append(",".join([label] + [_fmt(v, scale) for v in row.values()]))
     with _outdir(args) as out:
         path = out / "bench_sim3.csv"
-        atomic_write_text(path, [("\n".join(lines) + "\n").encode()])
+        atomic_write_text(path, [("\n".join([",".join(["band", *row]), *lines]) + "\n").encode()])
     print(f"band table in {args.units}; wrote {path}")
     return 0
 

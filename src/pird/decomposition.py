@@ -79,7 +79,6 @@ from .spectral import (
     integrate_band,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
     integrate_full,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
     integrate_rows,
-    _check_nyquist,
     quadrature_weights,
     spectral_mir,  # unused here: the benchmark's tracer (perfbench/tracer.py) binds this name
     spectral_mir_rows,
@@ -130,17 +129,16 @@ class CoarseTerms:
             marginals=marginals,
         )
 
-
-def coarse_values(terms: CoarseTerms) -> list[float]:
-    """``[U_1 .. U_M, R, S, Delta, JointMIR]``, the order of every coarse
-    row this package writes."""
-    return [*terms.unique, terms.redundancy, terms.synergy, terms.delta, terms.joint_mir]
-
-
-def coarse_names(source_names: Sequence[str]) -> list[str]:
-    """``[U_<name> .., R, S, Delta, JointMIR]``: the term names of
-    :func:`coarse_values`, in its order."""
-    return [f"U_{name}" for name in source_names] + ["R", "S", "Delta", "JointMIR"]
+    def row(self, source_names: Sequence[str]) -> dict[str, float]:
+        """``{U_<name> .., R, S, Delta, JointMIR}``: the terms of every
+        coarse row this package writes, named and in its order. An
+        ArgumentError unless ``source_names`` gives one distinct name per
+        unique term."""
+        row = {f"U_{name}": u for name, u in zip(source_names, self.unique)}
+        if len(source_names) != len(self.unique) or len(row) != len(self.unique):
+            raise ArgumentError(f"{source_names} are not {len(self.unique)} distinct source names")
+        row.update(R=self.redundancy, S=self.synergy, Delta=self.delta, JointMIR=self.joint_mir)
+        return row
 
 
 @dataclass(frozen=True)
@@ -271,9 +269,7 @@ def _chain_integrals(
     ])
 
 
-def _check_bands(bands: tuple[Band, ...], fs: float) -> None:
-    for band in bands:
-        _check_nyquist(band, fs)
+def _check_bands(bands: tuple[Band, ...]) -> None:
     labels = [b.label for b in bands]
     if FULL_BAND in labels:
         raise ArgumentError(f"band label {FULL_BAND!r} is reserved for the full axis")
@@ -282,15 +278,13 @@ def _check_bands(bands: tuple[Band, ...], fs: float) -> None:
 
 
 def aggregate_coarse(
-    lattice: RedundancyLattice,
-    atom_pi: Mapping[str, np.ndarray],
-    joint_mir: Mapping[str, float],
-    marginals: Mapping[str, np.ndarray],
+    lattice: RedundancyLattice, labels: Sequence[str], pi_spans: np.ndarray, spans: np.ndarray
 ) -> dict[str, CoarseTerms]:
-    """Coarse terms per band label: the atoms' PI rates of that band summed
-    over the unique / redundant / synergistic groups of the lattice (see
-    :attr:`pird.lattice.RedundancyLattice.coarse_of`), with the band's
-    joint and single-source rates.
+    """Coarse terms per span label, as :func:`decompose` holds its spans:
+    row ``k`` of ``pi_spans``, the atoms' PI rates over span ``labels[k]``,
+    summed over the unique / redundant / synergistic groups of the lattice
+    (see :attr:`pird.lattice.RedundancyLattice.coarse_of`), with that span's
+    joint rate ``spans[k, 0]`` and single-source rates ``spans[k, 1:]``.
 
     For two sources the groups are single atoms. For three or more sources
     the aggregation keeps all coarse terms meaningful per group (e.g. a
@@ -298,12 +292,12 @@ def aggregate_coarse(
     term).
     """
     terms = {}
-    for label, values in atom_pi.items():
+    for label, pi, (joint, *marginals) in zip(labels, pi_spans, spans.tolist()):
         # np.bincount adds each group's rates from 0.0 in atom order.
-        *unique, red, syn = np.bincount(lattice.coarse_of, values, lattice.m + 2).tolist()
+        *unique, red, syn = np.bincount(lattice.coarse_of, pi, lattice.m + 2).tolist()
         terms[label] = CoarseTerms(
             unique=tuple(unique), redundancy=red, synergy=syn,
-            joint_mir=float(joint_mir[label]), marginals=tuple(marginals[label].tolist()),
+            joint_mir=joint, marginals=tuple(marginals),
         )
     return terms
 
@@ -324,17 +318,23 @@ def decompose(
     integrals are their zeta sum, so the integrated PI equals
     ``lattice.invert_values(atom_redundancy_time)`` up to roundoff.
 
+    Each span, the full axis first and then each band, is one row of the
+    engine's span arrays, which :func:`aggregate_coarse` reads as they are;
+    the result's ``*_time`` fields and ``*_bands`` mappings view their rows.
+
     Raises
     ------
     ArgumentError
-        On an invalid channel choice, or a band above the Nyquist
-        frequency, labelled ``"FULL"`` or given twice; all before any
-        spectral MIR is computed.
+        On an invalid channel choice, or a band labelled ``"FULL"``, given
+        twice or above the Nyquist frequency (found by its quadrature
+        weights); all before any spectral MIR is computed.
     """
     srcs = _resolve_sources(psd.dim, target, sources)
     bands = tuple(bands)
-    _check_bands(bands, psd.grid.fs)
+    _check_bands(bands)
     grid, m = psd.grid, len(srcs)
+    # One weight row per span, the full axis first.
+    weights = [quadrature_weights(grid, b) for b in (None, *bands)]
     lattice = enumerate_antichains(m)
     elements = lattice.elements
     table = spectral_mir_rows(psd, target, [[srcs[i - 1] for i in el] for el in elements])
@@ -344,8 +344,6 @@ def decompose(
     marginal_k = [elements.index((j,)) for j in range(1, m + 1)]
     joint, marginal = table[joint_k], table[marginal_k]
     labels = [FULL_BAND, *(b.label for b in bands)]
-    # One weight row per span, the full axis first.
-    weights = [quadrature_weights(grid, b) for b in (None, *bands)]
     pi_spans = _chain_integrals(at, delta, weights, len(lattice))
     # Each atom's redundancy integral: its PI integral plus its predecessors'.
     red_spans = np.stack([
@@ -354,10 +352,7 @@ def decompose(
     # The joint row first, then one row per source.
     spans = integrate_rows(table[[joint_k, *marginal_k]], weights)
     joint_spans = spans[:, 0].tolist()
-    coarse = {}
-    if m >= 2:
-        integrals = pi_spans, joint_spans, spans[:, 1:]
-        coarse = aggregate_coarse(lattice, *(dict(zip(labels, x)) for x in integrals))
+    coarse = aggregate_coarse(lattice, labels, pi_spans, spans) if m >= 2 else {}
     # Frozen all the way down, so a writer prints what was computed here.
     for array in (at, delta, marginal, pi_spans, red_spans):
         array.setflags(write=False)
@@ -429,18 +424,13 @@ def write_atoms_csv(result: DecompositionResult, path: str | Path, units: str = 
     """Per-atom table: ``(atom, band, pi_<units>, redundancy_<units>)`` rows
     for the full axis and every band of the result."""
     scale = unit_scale(units)
+    labels = [FULL_BAND, *result.atom_pi_bands]
+    pi = [result.atom_pi_time, *result.atom_pi_bands.values()]
+    red = [result.atom_redundancy_time, *result.atom_redundancy_bands.values()]
     lines = [f"atom,band,pi_{units},redundancy_{units}\n"]
     for i, atom in enumerate(result.lattice.atoms):
-        lines.append(
-            f"{atom},{FULL_BAND},{_fmt(result.atom_pi_time[i], scale)},"
-            f"{_fmt(result.atom_redundancy_time[i], scale)}\n"
-        )
-        for band in result.bands:
-            lines.append(
-                f"{atom},{band.label},"
-                f"{_fmt(result.atom_pi_bands[band.label][i], scale)},"
-                f"{_fmt(result.atom_redundancy_bands[band.label][i], scale)}\n"
-            )
+        lines += [f"{atom},{label},{_fmt(p[i], scale)},{_fmt(r[i], scale)}\n"
+                  for label, p, r in zip(labels, pi, red)]
     atomic_write_text(path, ["".join(lines).encode()])
 
 
@@ -456,27 +446,25 @@ def write_coarse_csv(
     ``S``, ``Delta`` and ``JointMIR`` of the result's coarse terms, or
     ``JointMIR`` alone for one source. Then each entry of ``baselines``
     (e.g. ``{"staticPID": ..., "tePID": ...}``) writes the same terms on
-    ``FULL`` with its key as a ``prefix:`` on every term. A key that the
-    CSV cannot hold (empty, or with a comma, double quote, carriage return
-    or newline) is an ArgumentError before the file is opened.
+    ``FULL`` with its key as a ``prefix:`` on every term, each a
+    :meth:`CoarseTerms.row`. A key that the CSV cannot hold (empty, or with
+    a comma, double quote, carriage return or newline), or a baseline of
+    another source count, is an ArgumentError before the file is opened.
     """
     scale = unit_scale(units)
     for prefix in baselines:
         _check_csv_text(prefix, "baseline name")
-    names = coarse_names(result.source_names)
-    lines = [f"term,band,value_{units}\n"]
-    joints = {FULL_BAND: result.joint_mir, **result.joint_mir_bands}
-    for label, joint in joints.items():
-        terms = result.coarse.get(label)
-        if terms is None:
-            lines.append(f"JointMIR,{label},{_fmt(joint, scale)}\n")
-        else:
-            lines += [f"{name},{label},{_fmt(v, scale)}\n"
-                      for name, v in zip(names, coarse_values(terms))]
-    for prefix, terms in baselines.items():
-        lines += [f"{prefix}:{name},{FULL_BAND},{_fmt(v, scale)}\n"
-                  for name, v in zip(names, coarse_values(terms))]
-    atomic_write_text(path, ["".join(lines).encode()])
+    names = result.source_names
+    rows = [
+        ("", label, result.coarse[label].row(names) if result.coarse else {"JointMIR": joint})
+        for label, joint in ((FULL_BAND, result.joint_mir), *result.joint_mir_bands.items())
+    ]
+    rows += [(f"{prefix}:", FULL_BAND, terms.row(names)) for prefix, terms in baselines.items()]
+    text = f"term,band,value_{units}\n" + "".join(
+        f"{prefix}{name},{label},{_fmt(v, scale)}\n"
+        for prefix, label, row in rows for name, v in row.items()
+    )
+    atomic_write_text(path, [text.encode()])
 
 
 def write_profiles_csv(result: DecompositionResult, path: str | Path, units: str = "nats") -> None:
@@ -506,7 +494,8 @@ def write_profiles_csv(result: DecompositionResult, path: str | Path, units: str
         sums = np.zeros((result.lattice.m + 2, len(cols)))
         for k in range(len(at)):
             sums[result.lattice.coarse_of[at[k]], cols] += delta[k]
-        blocks += zip(coarse_names(result.source_names)[:-2], sums)
+        # The row's U, R and S keys: zip stops before Delta and JointMIR.
+        blocks += zip(result.coarse[FULL_BAND].row(result.source_names), sums)
     blocks.append(("JointMIR", result.joint_profile))
     atomic_write_text(path, _profile_chunks(blocks, result.grid.hz, scale))
 

@@ -139,12 +139,13 @@ class SpectralMatrix:
     Construction validates the PSD invariants at every grid point: finite
     entries, Hermitian within 1e-10 relative, strictly positive real
     diagonal, and smallest eigenvalue >= -1e-10 * trace, checked as a
-    successful Cholesky factorisation of ``mats[i] + 1e-10 * trace * I``.
-    A spectrum that :func:`psd_from_var` builds from a model is a Gram
-    matrix ``B B*`` with an exact Hermitian mirror, so it skips the last
-    two checks and is checked only for its shape, finite entries and a
-    positive diagonal. Its ``mats`` is the ``(n_points, Q, Q)`` view of a
-    frequency-last ``(Q, Q, n_points)`` buffer.
+    successful Cholesky factorisation of ``mats[i] + 1e-10 * trace * I``,
+    on a read-only copy of ``mats`` that it keeps, so that the caller's
+    array stays its own. A spectrum that :func:`psd_from_var` builds from a
+    model is a Gram matrix ``B B*`` with an exact Hermitian mirror, so it
+    skips the last two checks and is checked only for its shape, finite
+    entries and a positive diagonal. Its ``mats`` is the ``(n_points, Q,
+    Q)`` view of a frequency-last ``(Q, Q, n_points)`` buffer.
     """
 
     grid: FrequencyGrid
@@ -152,7 +153,7 @@ class SpectralMatrix:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=complex)
+        mats = np.array(self.mats, dtype=complex)
         q = _check_entries(self.grid, mats)
         scale = max(np.max(np.abs(mats)), np.finfo(float).tiny)
         herm_resid = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)))

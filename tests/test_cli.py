@@ -103,7 +103,7 @@ def test_decompose_units_bits(tmp_path):
 def test_decompose_is_deterministic(tmp_path):
     args = [
         "decompose", "--scenario", "sim3",
-        "--bands", "B1:0.04-0.15,B2:0.15-0.4", "--seed", "5",
+        "--bands", "B1:0.04-0.15,B2:0.15-0.4",
     ]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 0
@@ -477,6 +477,11 @@ SIM1 = ["decompose", "--scenario", "sim1", "--c", "0"]
         (["decompose", "--scenario", "sim3"], "bands = X:0.1-0.2-0.3", 3, "cannot parse band"),
         (["bench"], None, 3, "--scenario is required (use sim1, sim2 or sim3)"),
         (["bench", "--scenario", "sim4"], None, 3, "unknown scenario 'sim4' (use sim1, sim2"),
+        # there is no --seed: every verb is deterministic
+        (["fit", "--input", "x.csv", "--seed", "1"], None, 3, "--seed"),
+        (SIM1 + ["--seed", "1"], None, 3, "--seed"),
+        (["bench", "--scenario", "sim1", "--seed", "1"], None, 3, "--seed"),
+        (SIM1, "seed = 1", 2, "'seed' for pird decompose"),
     ],
 )
 def test_options_behave_as_declared(argv, config, code, message, tmp_path, capsys):
@@ -557,13 +562,75 @@ def test_readme_states_each_flags_parser_default_and_choices():
                 checked.append((name, flag, "choices"))
             cap = re.search(r"at most (\d+)", said)
             if cap:
-                assert int(cap[1]) == cli.MAX_SWEEP_POINTS, (name, flag)
+                caps = {"--sweep": cli.MAX_SWEEP_POINTS, "--grid": cli.MAX_GRID_POINTS}
+                assert int(cap[1]) == caps[flag], (name, flag)
                 checked.append((name, flag, "cap"))
     assert len(checked) >= 7, checked
 
 
 # ---------------------------------------------------------------------------
 # bench
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--scenario", "sim1", "--c", "0.4"],
+    ["bench", "--scenario", "sim1"],
+    ["bench", "--scenario", "sim3"],
+])
+def test_grid_is_bounded_before_anything_is_allocated(argv, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frequency grid was built")
+
+    monkeypatch.setattr(cli, "FrequencyGrid", refuse)
+    out = tmp_path / "out"
+    too_many = str(cli.MAX_GRID_POINTS + 1)
+    assert main(argv + ["--grid", too_many, "--out", str(out)]) == 3
+    assert f"more than {cli.MAX_GRID_POINTS} points" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid = {too_many}\n")
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec,on_grid", [
+    ("0:0.3:0.5", False),
+    ("0:0.3:0.8", False),
+    ("0.3:0.1:0.8", True),
+    ("0:0.05:0.8", True),  # the default
+    ("0.5:1e-20:0.5", True),  # arange makes no point here
+])
+def test_sweep_never_passes_stop(spec, on_grid, tmp_path):
+    stop = float(spec.split(":")[2])
+    cs = _parse_sweep(spec)
+    assert len(cs) and cs.max() <= stop
+    assert (cs[-1] == stop) == on_grid
+    out = tmp_path / "out"
+    assert main(["bench", "--scenario", "sim1", "--sweep", spec, "--grid", "65",
+                 "--out", str(out)]) == 0
+    rows = (out / "bench_sim1.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [float(f"{c:.12g}") for c in cs]
+
+
+def test_sweep_cap_counts_the_points_up_to_stop():
+    # np.arange makes 1002 points here, the last past stop: the sweep has 1001.
+    cs = _parse_sweep("0:0.001:1.0006")
+    assert len(cs) == cli.MAX_SWEEP_POINTS and cs[-1] < 1.0006
+
+
+@pytest.mark.parametrize("scenario,header", [
+    ("sim1", "c,pird_U_X1,pird_U_X2,pird_R,pird_S,pird_Delta,pird_JointMIR,"
+             "staticPID_U_X1,staticPID_U_X2,staticPID_R,staticPID_S,staticPID_Delta,"
+             "staticPID_JointMIR"),
+    ("sim2", "c,pird_U_X1,pird_U_X2,pird_R,pird_S,pird_Delta,pird_JointMIR,"
+             "tePID_U_X1,tePID_U_X2,tePID_R,tePID_S,tePID_Delta,tePID_JointMIR"),
+    ("sim3", "band,I_X1,I_X2,I_X3,JointMIR,U_X1,U_X2,U_X3,R,S,Delta"),
+])
+def test_bench_headers(scenario, header, tmp_path):
+    argv = ["bench", "--scenario", scenario, "--sweep", "0:0.8:0.8", "--grid", "65"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    lines = (tmp_path / f"bench_{scenario}.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert {len(line.split(",")) for line in lines} == {header.count(",") + 1}
 
 
 def test_bench_sim2_mini_sweep(tmp_path):

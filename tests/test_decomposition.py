@@ -29,8 +29,6 @@ from pird import decomposition
 from pird.decomposition import (
     _chain_pi,
     atomic_write_text,
-    coarse_names,
-    coarse_values,
     write_atoms_csv,
     write_coarse_csv,
     write_profiles_csv,
@@ -221,10 +219,17 @@ def test_band_beyond_nyquist_raises_before_the_mir_kernel(sim1_c0_psd, monkeypat
 # coarse graining
 
 
-def test_coarse_names_follow_coarse_values(sim3_result):
-    names = coarse_names(sim3_result.source_names)
-    assert names == ["U_X1", "U_X2", "U_X3", "R", "S", "Delta", "JointMIR"]
-    assert len(names) == len(coarse_values(sim3_result.coarse["FULL"]))
+def test_coarse_row_names_every_term_in_order(sim3_result):
+    t = sim3_result.coarse["FULL"]
+    row = t.row(sim3_result.source_names)
+    assert list(row) == ["U_X1", "U_X2", "U_X3", "R", "S", "Delta", "JointMIR"]
+    assert list(row.values()) == [*t.unique, t.redundancy, t.synergy, t.delta, t.joint_mir]
+
+
+@pytest.mark.parametrize("names", [("X1", "X2"), ("X1", "X2", "X3", "X4"), ("X1", "X1", "X2")])
+def test_coarse_row_needs_one_distinct_name_per_unique_term(sim3_result, names):
+    with pytest.raises(ArgumentError, match="are not 3 distinct source names"):
+        sim3_result.coarse["FULL"].row(names)
 
 
 def test_sim1_c0_coarse_values(sim1_c0_psd):
@@ -440,6 +445,23 @@ def test_coarse_csv_checks_the_baseline_names(tmp_path, sim3_model, sim3_result)
     assert rows[-1].startswith("tePID é%:JointMIR,FULL,")
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_coarse_csv_refuses_a_baseline_with_another_source_count(
+    tmp_path, sim3_model, sim3_result, existing
+):
+    # A 2-source PID on a 3-source result would shift every term by one
+    # row; it is refused before the file opens, and a target is left as it was.
+    base = static_pid(sim3_model, 0, [1, 2])
+    path = tmp_path / "coarse.csv"
+    if existing:
+        path.write_bytes(b"old,bytes\n")
+    with pytest.raises(ArgumentError, match="are not 2 distinct source names"):
+        write_coarse_csv(sim3_result, path, baselines={"staticPID": base})
+    assert [p.name for p in tmp_path.iterdir()] == (["coarse.csv"] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"old,bytes\n"
+
+
 def test_writers_write_through_the_module_atomic_writer(tmp_path, monkeypatch, sim3_result):
     # Each writer calls this module's global atomic_write_text with the
     # target path as its first positional argument, where a wrapper bound
@@ -591,7 +613,7 @@ def test_profiles_group_rows_equal_the_fancy_index_sum(tmp_path, grid, monkeypat
     m = len(res.sources)
     labels = [f"unique:{j}" for j in range(1, m + 1)] + ["redundant", "synergistic"]
     groups = res.lattice.coarse_groups()
-    for key, label in zip(coarse_names(res.source_names), labels):
+    for key, label in zip(res.coarse["FULL"].row(res.source_names), labels):
         want = res.atom_pi[list(groups.get(label, ()))].sum(axis=0)
         assert np.array_equal(written[key], want), key
         assert np.array_equal(np.signbit(written[key]), np.signbit(want)), key

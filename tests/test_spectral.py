@@ -337,6 +337,20 @@ def test_spectral_matrix_validation(grid):
         SpectralMatrix(grid=grid, mats=mats)
 
 
+def test_spectral_matrix_owns_its_array(grid):
+    # The caller's complex array is copied, not frozen in place, so a later
+    # write to it (or through a view of it) leaves the checked spectrum alone.
+    base = np.tile(np.eye(2, dtype=complex), (grid.n_points, 1, 1))
+    psd = SpectralMatrix(grid=grid, mats=base[:])
+    assert base.flags.writeable and not np.shares_memory(base, psd.mats)
+    base[0, 0, 1] = 5.0
+    assert psd.mats[0, 0, 1] == 0.0
+    assert np.array_equal(psd.mats, psd.mats.conj().transpose(0, 2, 1))
+    assert not psd.mats.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        psd.mats[0, 0, 0] = 2.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_spectral_matrix_rejects_non_finite_entries(grid, bad):
     mats = np.tile(np.eye(2, dtype=complex), (grid.n_points, 1, 1))
