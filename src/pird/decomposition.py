@@ -165,25 +165,23 @@ class DecompositionResult:
     joint_profile : ndarray, shape (n_freq,)
         Spectral MIR between the target and all sources.
     marginal_profiles : ndarray, shape (M, n_freq)
-        Spectral MIR between the target and each source; their integrals
-        are the ``marginals`` of every band's coarse terms.
-    atom_redundancy_time, atom_pi_time : ndarray, shape (n_atoms,)
-        Full-axis integrals of the redundancy and PI profiles, the PI from
-        the element chain and the redundancy as its zeta sum.
-    joint_mir : float
-        Full-axis integral of the joint profile.
+        Spectral MIR between the target and each source.
     bands : tuple of Band
         The requested bands, in order.
-    atom_redundancy_bands, atom_pi_bands : mapping of str to ndarray
-        Per band label, the band integrals of every atom.
-    joint_mir_bands : mapping of str to float
-        Per band label, the band integral of the joint profile.
+    atom_pi_spans, atom_redundancy_spans : ndarray, shape (S, n_atoms)
+        Per span, the integrals of every atom's PI and redundancy profiles:
+        the PI from the element chain, the redundancy as its zeta sum. The
+        ``S = 1 + len(bands)`` spans are the full axis, then each band, as
+        ``span_labels`` names them.
+    mir_spans : ndarray, shape (S, 1 + M)
+        Per span, the integral of the joint profile, then of each
+        single-source profile.
     coarse : mapping of str to CoarseTerms
-        Per band label, ``"FULL"`` first, the coarse terms; empty for one
+        Per span label, the coarse terms of that span's rows; empty for one
         source.
 
     :func:`decompose` freezes it all the way down: its arrays are read-only
-    and its mappings are read-only views.
+    and its mapping is a read-only view.
     """
 
     lattice: RedundancyLattice
@@ -193,13 +191,10 @@ class DecompositionResult:
     grid: FrequencyGrid
     joint_profile: np.ndarray
     marginal_profiles: np.ndarray
-    atom_redundancy_time: np.ndarray
-    atom_pi_time: np.ndarray
-    joint_mir: float
     bands: tuple[Band, ...]
-    atom_pi_bands: Mapping[str, np.ndarray]
-    atom_redundancy_bands: Mapping[str, np.ndarray]
-    joint_mir_bands: Mapping[str, float]
+    atom_pi_spans: np.ndarray
+    atom_redundancy_spans: np.ndarray
+    mir_spans: np.ndarray
     coarse: Mapping[str, CoarseTerms]
     _table: np.ndarray = field(repr=False, compare=False)
     _chain: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
@@ -227,6 +222,21 @@ class DecompositionResult:
     @property
     def source_names(self) -> tuple[str, ...]:
         return tuple(self.names[s] for s in self.sources)
+
+    @property
+    def span_labels(self) -> tuple[str, ...]:
+        """Each span row's label, ``"FULL"`` first: ``.index(label)`` is its row."""
+        return (FULL_BAND, *(b.label for b in self.bands))
+
+    @property
+    def joint_mir(self) -> float:
+        """The full-axis joint rate, ``mir_spans[0, 0]``."""
+        return float(self.mir_spans[0, 0])
+
+    @property
+    def atom_pi_time(self) -> np.ndarray:
+        """The full-axis PI rates, ``atom_pi_spans[0]``."""
+        return self.atom_pi_spans[0]
 
 
 def _chain_pi(table: np.ndarray, lattice: RedundancyLattice) -> tuple[np.ndarray, np.ndarray]:
@@ -269,12 +279,17 @@ def _chain_integrals(
     ])
 
 
-def _check_bands(bands: tuple[Band, ...]) -> None:
-    labels = [b.label for b in bands]
-    if FULL_BAND in labels:
-        raise ArgumentError(f"band label {FULL_BAND!r} is reserved for the full axis")
+def _check_bands(bands: tuple[Band, ...]) -> list[str]:
+    """The span labels, ``FULL`` first; ArgumentError on an entry that is
+    not a Band, or on a repeated label."""
+    for band in bands:
+        if not isinstance(band, Band):
+            hint = "; pird.parse_bands reads a band string" if isinstance(band, str) else ""
+            raise ArgumentError(f"bands must be Band objects, got {band!r}{hint}")
+    labels = [FULL_BAND, *(b.label for b in bands)]
     if len(set(labels)) != len(labels):
-        raise ArgumentError(f"duplicate band labels in {labels}")
+        raise ArgumentError(f"duplicate span label in {labels}; {FULL_BAND!r} is reserved")
+    return labels
 
 
 def aggregate_coarse(
@@ -315,23 +330,23 @@ def decompose(
     The per-frequency reconstruction identity (atom PI profiles summing to
     the joint spectral MIR) holds by construction at every grid point. The
     PI integrals are taken on the element chain and the redundancy
-    integrals are their zeta sum, so the integrated PI equals
-    ``lattice.invert_values(atom_redundancy_time)`` up to roundoff.
+    integrals are their zeta sum, so each span's integrated PI equals
+    ``lattice.invert_values(atom_redundancy_spans[k])`` up to roundoff.
 
     Each span, the full axis first and then each band, is one row of the
-    engine's span arrays, which :func:`aggregate_coarse` reads as they are;
-    the result's ``*_time`` fields and ``*_bands`` mappings view their rows.
+    result's span arrays, which :func:`aggregate_coarse` reads as they are.
 
     Raises
     ------
     ArgumentError
-        On an invalid channel choice, or a band labelled ``"FULL"``, given
-        twice or above the Nyquist frequency (found by its quadrature
-        weights); all before any spectral MIR is computed.
+        On an invalid channel choice, or a band that is not a :class:`Band`,
+        is labelled ``"FULL"``, is given twice or lies above the Nyquist
+        frequency (found by its quadrature weights); all before any spectral
+        MIR is computed.
     """
     srcs = _resolve_sources(psd.dim, target, sources)
     bands = tuple(bands)
-    _check_bands(bands)
+    labels = _check_bands(bands)
     grid, m = psd.grid, len(srcs)
     # One weight row per span, the full axis first.
     weights = [quadrature_weights(grid, b) for b in (None, *bands)]
@@ -342,38 +357,23 @@ def decompose(
     at, delta = _chain_pi(table, lattice)
     joint_k = elements.index(tuple(range(1, m + 1)))
     marginal_k = [elements.index((j,)) for j in range(1, m + 1)]
-    joint, marginal = table[joint_k], table[marginal_k]
-    labels = [FULL_BAND, *(b.label for b in bands)]
+    marginal = table[marginal_k]
     pi_spans = _chain_integrals(at, delta, weights, len(lattice))
     # Each atom's redundancy integral: its PI integral plus its predecessors'.
     red_spans = np.stack([
         np.add.reduce(np.where(lattice.weakly_below, row, 0.0), axis=1) for row in pi_spans
     ])
     # The joint row first, then one row per source.
-    spans = integrate_rows(table[[joint_k, *marginal_k]], weights)
-    joint_spans = spans[:, 0].tolist()
-    coarse = aggregate_coarse(lattice, labels, pi_spans, spans) if m >= 2 else {}
+    mir_spans = integrate_rows(table[[joint_k, *marginal_k]], weights)
+    coarse = aggregate_coarse(lattice, labels, pi_spans, mir_spans) if m >= 2 else {}
     # Frozen all the way down, so a writer prints what was computed here.
-    for array in (at, delta, marginal, pi_spans, red_spans):
+    for array in (at, delta, marginal, pi_spans, red_spans, mir_spans):
         array.setflags(write=False)
     return DecompositionResult(
-        lattice=lattice,
-        target=target,
-        sources=srcs,
-        names=psd.names,
-        grid=grid,
-        joint_profile=joint,
-        marginal_profiles=marginal,
-        atom_redundancy_time=red_spans[0],
-        atom_pi_time=pi_spans[0],
-        joint_mir=joint_spans[0],
-        bands=bands,
-        atom_pi_bands=MappingProxyType(dict(zip(labels[1:], pi_spans[1:]))),
-        atom_redundancy_bands=MappingProxyType(dict(zip(labels[1:], red_spans[1:]))),
-        joint_mir_bands=MappingProxyType(dict(zip(labels[1:], joint_spans[1:]))),
-        coarse=MappingProxyType(coarse),
-        _table=table,
-        _chain=(at, delta),
+        lattice=lattice, target=target, sources=srcs, names=psd.names, grid=grid,
+        joint_profile=table[joint_k], marginal_profiles=marginal, bands=bands,
+        atom_pi_spans=pi_spans, atom_redundancy_spans=red_spans, mir_spans=mir_spans,
+        coarse=MappingProxyType(coarse), _table=table, _chain=(at, delta),
     )
 
 
@@ -423,13 +423,11 @@ def unit_scale(units: str) -> float:
 def write_atoms_csv(result: DecompositionResult, path: str | Path, units: str = "nats") -> None:
     """Per-atom table: ``(atom, band, pi_<units>, redundancy_<units>)`` rows
     for the full axis and every band of the result."""
-    scale = unit_scale(units)
-    labels = [FULL_BAND, *result.atom_pi_bands]
-    pi = [result.atom_pi_time, *result.atom_pi_bands.values()]
-    red = [result.atom_redundancy_time, *result.atom_redundancy_bands.values()]
+    scale, labels = unit_scale(units), result.span_labels
+    columns = zip(result.lattice.atoms, result.atom_pi_spans.T, result.atom_redundancy_spans.T)
     lines = [f"atom,band,pi_{units},redundancy_{units}\n"]
-    for i, atom in enumerate(result.lattice.atoms):
-        lines += [f"{atom},{label},{_fmt(p[i], scale)},{_fmt(r[i], scale)}\n"
+    for atom, pi, red in columns:
+        lines += [f"{atom},{label},{_fmt(p, scale)},{_fmt(r, scale)}\n"
                   for label, p, r in zip(labels, pi, red)]
     atomic_write_text(path, ["".join(lines).encode()])
 
@@ -457,7 +455,7 @@ def write_coarse_csv(
     names = result.source_names
     rows = [
         ("", label, result.coarse[label].row(names) if result.coarse else {"JointMIR": joint})
-        for label, joint in ((FULL_BAND, result.joint_mir), *result.joint_mir_bands.items())
+        for label, joint in zip(result.span_labels, result.mir_spans[:, 0])
     ]
     rows += [(f"{prefix}:", FULL_BAND, terms.row(names)) for prefix, terms in baselines.items()]
     text = f"term,band,value_{units}\n" + "".join(

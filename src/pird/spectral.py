@@ -37,6 +37,7 @@ from .var import (
     _check_names,
     _count,
     _readonly,
+    _real,
     _require_stable,
     _resolve_sources,
 )
@@ -128,8 +129,9 @@ class Band:
 
     def __post_init__(self):
         _check_csv_text(self.label, "band label")
-        if not 0.0 <= self.lo < self.hi:
-            raise ArgumentError(f"band {self.label!r}: need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
+        what = f"band {self.label!r}"
+        if not 0.0 <= _real(self.lo, f"{what} lo") < _real(self.hi, f"{what} hi"):
+            raise ArgumentError(f"{what}: need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,6 +59,14 @@ def _count(value: int, what: str, least: int | None = None) -> int:
     if least is not None and count < least:
         raise ArgumentError(f"{what} must be >= {least}, got {count}")
     return count
+
+
+def _real(value: float, what: str) -> float:
+    """``value`` as a float: ArgumentError naming ``what`` unless it is a
+    real number (``numbers.Real``: not ``"0.1"``, ``None`` or ``0.2j``)."""
+    if not isinstance(value, numbers.Real):
+        raise ArgumentError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_symmetric(matrix: np.ndarray, what: str) -> None:
@@ -146,7 +155,7 @@ def _check_csv_text(text: str, what: str) -> None:
 def _check_fs(fs: float) -> None:
     """ArgumentError unless the sampling rate ``fs`` is positive and finite
     (NaN fails too)."""
-    if not 0.0 < fs < np.inf:
+    if not 0.0 < _real(fs, "fs") < np.inf:
         raise ArgumentError(f"fs must be positive and finite, got {fs}")
 
 

@@ -33,7 +33,6 @@ from pird import (
     static_pid,
     te_pid,
 )
-from pird.decomposition import FULL_BAND
 
 PATH = Path(__file__).parent / "data" / "golden.json"
 BANDS = (Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2"))
@@ -59,17 +58,13 @@ def case_values(case: str) -> dict[str, list[float]]:
     model, sources = case_model(case)
     psd = psd_from_var(model, FrequencyGrid(fs=model.fs, n_points=2049))
     res = decompose(psd, 0, sources, BANDS)
-    out = {
-        "pi:FULL": res.atom_pi_time,
-        "redundancy:FULL": res.atom_redundancy_time,
-        "joint_mir:FULL": [res.joint_mir],
-    }
-    for band in res.bands:
-        out[f"pi:{band.label}"] = res.atom_pi_bands[band.label]
-        out[f"redundancy:{band.label}"] = res.atom_redundancy_bands[band.label]
-        out[f"joint_mir:{band.label}"] = [res.joint_mir_bands[band.label]]
+    out = {}
+    for k, label in enumerate(res.span_labels):
+        out[f"pi:{label}"] = res.atom_pi_spans[k]
+        out[f"redundancy:{label}"] = res.atom_redundancy_spans[k]
+        out[f"joint_mir:{label}"] = res.mir_spans[k, :1]
     if len(res.sources) >= 2:
-        for label in (FULL_BAND, *(b.label for b in res.bands)):
+        for label in res.span_labels:
             t = res.coarse[label]
             out[f"coarse:{label}"] = [*t.unique, t.redundancy, t.synergy, t.joint_mir]
         stat = static_pid(model, 0, res.sources)

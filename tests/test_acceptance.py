@@ -99,7 +99,7 @@ def test_criterion_2_pointwise_min_never_exceeds_global_min(grid, property_model
             is_iid = model.order == 0 or not np.any(model.coeffs)
             for i, atom in enumerate(result.lattice.atoms):
                 mmi = min(integral_of(el) for el in atom.elements)
-                smmi = result.atom_redundancy_time[i]
+                smmi = result.atom_redundancy_spans[0, i]
                 assert smmi <= mmi + 1e-12
                 if is_iid:
                     assert abs(smmi - mmi) < 1e-9
@@ -144,8 +144,8 @@ def test_criterion_4_integration_commutes_with_inversion(grid, sim3_model):
     with criterion(4, "invert-then-integrate equals integrate-then-invert (sim3)"):
         result = decompose(psd_from_var(sim3_model, grid), 0)
         assert len(result.lattice) == 18
-        dual = result.lattice.invert_values(result.atom_redundancy_time)
-        assert np.max(np.abs(dual - result.atom_pi_time)) < 1e-9
+        dual = result.lattice.invert_values(result.atom_redundancy_spans[0])
+        assert np.max(np.abs(dual - result.atom_pi_spans[0])) < 1e-9
 
 
 def test_criterion_5_mir_additive_split(grid, benchmark_models):
@@ -215,7 +215,7 @@ def test_criterion_8_reconstruction_identities(grid):
             result = decompose(psd_from_var(model, grid), 0, bands=[B1, B2])
             resum = result.atom_pi.sum(axis=0)
             assert np.max(np.abs(resum - result.joint_profile)) < 1e-9
-            assert abs(result.atom_pi_time.sum() - result.joint_mir) < 1e-6
+            assert abs(result.atom_pi_spans[0].sum() - result.joint_mir) < 1e-6
             for label, terms in result.coarse.items():
                 total = sum(terms.unique) + terms.redundancy + terms.synergy
                 assert abs(total - terms.joint_mir) < 1e-9

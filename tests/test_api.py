@@ -1,3 +1,6 @@
+import dataclasses
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,44 @@ def test_public_api_is_the_listed_names():
     assert len(set(pird.__all__)) == len(pird.__all__)
     for name in PUBLIC:
         assert getattr(pird, name) is not None, name
+
+
+#: The public fields of a :class:`pird.DecompositionResult`: its span axis
+#: is three arrays, full axis first, named by ``span_labels``.
+RESULT_FIELDS = [
+    "atom_pi_spans",
+    "atom_redundancy_spans",
+    "bands",
+    "coarse",
+    "grid",
+    "joint_profile",
+    "lattice",
+    "marginal_profiles",
+    "mir_spans",
+    "names",
+    "sources",
+    "target",
+]
+
+#: Its public properties, each read from the fields.
+RESULT_PROPERTIES = [
+    "atom_pi",
+    "atom_pi_time",
+    "atom_redundancy",
+    "joint_mir",
+    "source_names",
+    "span_labels",
+]
+
+
+def test_result_attributes_are_the_listed_names():
+    fields = [f.name for f in dataclasses.fields(pird.DecompositionResult)]
+    assert sorted(name for name in fields if not name.startswith("_")) == RESULT_FIELDS
+    properties = [
+        name for name, value in vars(pird.DecompositionResult).items()
+        if isinstance(value, (property, cached_property)) and not name.startswith("_")
+    ]
+    assert sorted(properties) == RESULT_PROPERTIES
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +172,19 @@ def test_every_channel_entry_takes_numpy_integers():
         assert call(target, sources) is not None, entry
     same = pird.decompose(_PSD, 0, [2, 1, 2]).joint_mir
     assert pird.decompose(_PSD, target, sources).joint_mir == same
+
+
+@pytest.mark.parametrize(
+    "bands, message",
+    [
+        ("B1:0.1-0.2", "got 'B'; pird.parse_bands reads a band string"),
+        ([pird.Band(0.1, 0.2, "x"), (0.1, 0.2, "x")], "got \\(0.1, 0.2, 'x'\\)$"),
+    ],
+    ids=["band string", "tuple"],
+)
+def test_decompose_takes_bands_as_band_objects(bands, message):
+    with pytest.raises(pird.ArgumentError, match=message):
+        pird.decompose(_PSD, 0, bands=bands)
 
 
 def test_decompose_of_a_one_channel_spectrum_needs_a_source():

@@ -732,7 +732,7 @@ def test_write_coarse_csv_one_source_writes_joint_rows_only(tmp_path):
     write_coarse_csv(res, tmp_path / "coarse.csv")
     assert read_rows(tmp_path / "coarse.csv") == [
         ("JointMIR", "FULL", f"{res.joint_mir:.12g}"),
-        ("JointMIR", "B1", f"{res.joint_mir_bands['B1']:.12g}"),
+        ("JointMIR", "B1", f"{res.mir_spans[res.span_labels.index('B1'), 0]:.12g}"),
     ]
 
 

@@ -714,15 +714,20 @@ def test_bench_sim1_agrees_with_static_pid_at_rest(tmp_path):
     assert last["pird_S"] > last["pird_R"]
 
 
-def test_decompose_single_source(tmp_path):
+def test_decompose_single_source(tmp_path, sim3_model):
     out = tmp_path / "single"
     assert main([
         "decompose", "--scenario", "sim3", "--sources", "X1", "--out", str(out),
+        "--bands", "B1:0.04-0.15,B2:0.15-0.4",
     ]) == 0
-    rows = read_coarse(out / "coarse.csv")
-    assert set(rows) == {("JointMIR", "FULL")}  # no coarse split for one source
+    # No coarse split for one source: one JointMIR row per span, in span order.
+    psd = pird.psd_from_var(sim3_model, pird.FrequencyGrid(fs=sim3_model.fs))
+    res = pird.decompose(psd, 0, [1], pird.parse_bands("B1:0.04-0.15,B2:0.15-0.4"))
+    lines = (out / "coarse.csv").read_text().splitlines()[1:]
+    assert lines == [f"JointMIR,{label},{joint:.12g}"
+                     for label, joint in zip(res.span_labels, res.mir_spans[:, 0], strict=True)]
     atoms = (out / "atoms.csv").read_text().strip().splitlines()
-    assert len(atoms) == 2  # header + the single trivial atom
+    assert len(atoms) == 1 + 3  # header + the single trivial atom per span
 
 
 def test_decompose_repeated_source_is_one_source(tmp_path):

@@ -135,14 +135,12 @@ def test_single_source_trivial_decomposition(sim3_psd):
     assert len(res.lattice) == 1
     assert np.array_equal(res.atom_pi[0], res.joint_profile)
     assert np.array_equal(res.atom_redundancy[0], res.joint_profile)
-    assert res.atom_pi_time[0] == pytest.approx(res.joint_mir, abs=1e-15)
+    assert res.atom_pi_spans[0, 0] == pytest.approx(res.joint_mir, abs=1e-15)
     assert res.coarse == {}
     # The one atom's chain integrals are the joint's, per span, and its
     # redundancy integrals are its PI integrals.
     bound = 1e-15 * res.joint_profile.max()
-    spans = [(res.atom_pi_time, res.atom_redundancy_time, res.joint_mir)]
-    spans += [(res.atom_pi_bands[b.label], res.atom_redundancy_bands[b.label],
-               res.joint_mir_bands[b.label]) for b in bands]
+    spans = zip(res.atom_pi_spans, res.atom_redundancy_spans, res.mir_spans[:, 0], strict=True)
     for pi, red, joint in spans:
         assert abs(pi[0] - joint) <= bound
         assert red[0] == pi[0]
@@ -158,8 +156,8 @@ def test_sim1_c0_flat_atoms(sim1_c0_psd):
     # flat spectra: time values equal the pointwise values
     assert res.joint_mir == pytest.approx(J_FLAT, abs=1e-9)
     idx = {str(a): i for i, a in enumerate(res.lattice.atoms)}
-    assert res.atom_pi_time[idx["{1}{2}"]] == pytest.approx(R_FLAT, abs=1e-9)
-    assert res.atom_pi_time[idx["{12}"]] == pytest.approx(J_FLAT - R_FLAT, abs=1e-9)
+    assert res.atom_pi_spans[0, idx["{1}{2}"]] == pytest.approx(R_FLAT, abs=1e-9)
+    assert res.atom_pi_spans[0, idx["{12}"]] == pytest.approx(J_FLAT - R_FLAT, abs=1e-9)
 
 
 def test_pointwise_reconstruction(sim3_result):
@@ -174,9 +172,9 @@ def test_pointwise_reconstruction(sim3_result):
 
 def test_time_reconstruction_and_route_equivalence(sim3_result):
     res = sim3_result
-    assert abs(res.atom_pi_time.sum() - res.joint_mir) < 1e-6
-    dual = res.lattice.invert_values(res.atom_redundancy_time)
-    assert np.max(np.abs(dual - res.atom_pi_time)) < 1e-9
+    assert abs(res.atom_pi_spans[0].sum() - res.joint_mir) < 1e-6
+    dual = res.lattice.invert_values(res.atom_redundancy_spans[0])
+    assert np.max(np.abs(dual - res.atom_pi_spans[0])) < 1e-9
 
 
 def test_sim3_low_band_dominated_by_third_source(sim3_result, grid):
@@ -190,12 +188,13 @@ def test_sim3_low_band_dominated_by_third_source(sim3_result, grid):
 def test_band_integrals_present(sim3_psd):
     bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
     res = decompose(sim3_psd, 0, bands=bands)
-    assert set(res.atom_pi_bands) == {"B1", "B2"}
-    assert res.joint_mir_bands["B1"] > 0
+    assert res.span_labels == ("FULL", "B1", "B2")
+    assert res.mir_spans[res.span_labels.index("B1"), 0] > 0
     # band values sum compatibly with the joint per band
     for label in ("B1", "B2"):
+        k = res.span_labels.index(label)
         assert abs(
-            res.atom_pi_bands[label].sum() - res.joint_mir_bands[label]
+            res.atom_pi_spans[k].sum() - res.mir_spans[k, 0]
         ) < 1e-9
 
 
@@ -256,13 +255,13 @@ def test_m2_coarse_equals_lattice_atoms(grid, c):
 
     t = res.coarse["FULL"]
     for value in (t.redundancy, integral(r)):
-        assert abs(value - res.atom_pi_time[idx["{1}{2}"]]) < 1e-9
+        assert abs(value - res.atom_pi_spans[0, idx["{1}{2}"]]) < 1e-9
     for value in (t.unique[0], integral(u[0])):
-        assert abs(value - res.atom_pi_time[idx["{1}"]]) < 1e-9
+        assert abs(value - res.atom_pi_spans[0, idx["{1}"]]) < 1e-9
     for value in (t.unique[1], integral(u[1])):
-        assert abs(value - res.atom_pi_time[idx["{2}"]]) < 1e-9
+        assert abs(value - res.atom_pi_spans[0, idx["{2}"]]) < 1e-9
     for value in (t.synergy, integral(s)):
-        assert abs(value - res.atom_pi_time[idx["{12}"]]) < 1e-9
+        assert abs(value - res.atom_pi_spans[0, idx["{12}"]]) < 1e-9
 
 
 def test_coarse_identity_per_band(sim3_psd):
@@ -327,7 +326,7 @@ def test_smmi_not_above_mmi(sim3_psd, sim3_result):
             integrate_full(spectral_mir(sim3_psd, 0, [res.sources[j - 1] for j in el]))
             for el in atom.elements
         )
-        assert res.atom_redundancy_time[i] <= mmi + 1e-12
+        assert res.atom_redundancy_spans[0, i] <= mmi + 1e-12
 
 
 def test_atoms_are_nonnegative_without_clipping(grid):
@@ -338,7 +337,7 @@ def test_atoms_are_nonnegative_without_clipping(grid):
         if m.dim < 3:
             continue
         res = decompose(psd_from_var(m, grid), 0)
-        assert abs(res.atom_pi_time.sum() - res.joint_mir) < 1e-6
+        assert abs(res.atom_pi_spans[0].sum() - res.joint_mir) < 1e-6
         assert not np.any(np.signbit(res.atom_pi))
         assert np.all(np.count_nonzero(res.atom_pi, axis=0) <= 2 ** len(res.sources) - 1)
         # nothing was clipped: the recursion on the same redundancy agrees
@@ -361,14 +360,14 @@ def test_result_is_frozen_all_the_way_down(sim1_c0_psd):
         res.atom_pi[0, 0] = 5.0
     with pytest.raises(TypeError):
         res.coarse["FULL"] = None
-    for array in (res.atom_redundancy, res.marginal_profiles, res.atom_pi_time,
-                  res.atom_redundancy_time, res.atom_pi_bands["A"],
-                  res.atom_redundancy_bands["A"]):
+    for array in (res.atom_redundancy, res.marginal_profiles, res.joint_profile,
+                  res.atom_pi_spans, res.atom_redundancy_spans, res.mir_spans,
+                  res.atom_pi_time):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 5.0
-    for mapping in (res.atom_pi_bands, res.atom_redundancy_bands, res.joint_mir_bands):
-        with pytest.raises(TypeError):
-            mapping["A"] = None
+    # The two row-0 reads view the span arrays.
+    assert res.joint_mir == res.mir_spans[0, 0]
+    assert res.atom_pi_time.base is res.atom_pi_spans
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +414,7 @@ def test_writers_take_one_units_name(tmp_path, sim3_psd):
     atoms = (tmp_path / "atoms.csv").read_text().splitlines()
     assert atoms[0] == "atom,band,pi_bits,redundancy_bits"
     assert atoms[1].split(",")[2:] == [
-        f"{res.atom_pi_time[0] / bits:.12g}", f"{res.atom_redundancy_time[0] / bits:.12g}"
+        f"{res.atom_pi_spans[0, 0] / bits:.12g}", f"{res.atom_redundancy_spans[0, 0] / bits:.12g}"
     ]
     coarse = (tmp_path / "coarse.csv").read_text().splitlines()
     assert coarse[0] == "term,band,value_bits"
@@ -674,7 +673,7 @@ def test_aggregate_coarse_band_consistency(sim3_psd):
     groups = res.lattice.coarse_groups()
     for label in ("B1", "B2"):
         t = res.coarse[label]
-        r_sum = sum(res.atom_pi_bands[label][i] for i in groups["redundant"])
+        r_sum = sum(res.atom_pi_spans[res.span_labels.index(label), i] for i in groups["redundant"])
         assert t.redundancy == pytest.approx(r_sum, abs=0)
 
 
@@ -729,35 +728,29 @@ def reference_engine(psd, target, sources, bands):
         red[i] = np.minimum.reduce([profile(el) for el in atom.elements])
     pi = lattice.invert_values(red)
     joint = profile(tuple(range(1, m + 1)))
-    omegas = psd.grid.omegas
     out = {
         "atom_redundancy": red,
         "atom_pi": pi,
         "joint_profile": joint,
         "marginal_profiles": np.stack([profile((j,)) for j in range(1, m + 1)]),
-        "atom_pi_time": np.trapezoid(pi, omegas, axis=1) / np.pi,
-        "atom_redundancy_time": np.trapezoid(red, omegas, axis=1) / np.pi,
-        "joint_mir": np.float64(np.trapezoid(joint, omegas) / np.pi),
     }
-    for band in bands:
-        for key, rows in (("atom_pi_bands", pi), ("atom_redundancy_bands", red)):
-            out[f"{key}:{band.label}"] = np.array(
-                [reference_band_integral(row, psd.grid, band) for row in rows]
-            )
-        out[f"joint_mir_bands:{band.label}"] = np.float64(
-            reference_band_integral(joint, psd.grid, band)
-        )
+
+    def integrals(rows, band):
+        if band is None:
+            return np.trapezoid(rows, psd.grid.omegas, axis=1) / np.pi
+        return np.array([reference_band_integral(row, psd.grid, band) for row in rows])
+
+    spans = [("FULL", None), *((band.label, band) for band in bands)]
+    for label, band in spans:
+        out[f"pi:{label}"] = integrals(pi, band)
+        out[f"redundancy:{label}"] = integrals(red, band)
+        out[f"joint_mir:{label}"] = integrals(joint[None], band)
     if m >= 2:
         groups = lattice.coarse_groups()
         names = [f"unique:{j}" for j in range(1, m + 1)] + ["redundant", "synergistic"]
-        integrals = {"FULL": (out["atom_pi_time"], out["joint_mir"])}
-        for band in bands:
-            integrals[band.label] = (
-                out[f"atom_pi_bands:{band.label}"], out[f"joint_mir_bands:{band.label}"]
-            )
-        for label, (values, joint) in integrals.items():
-            sums = [sum(values[i] for i in groups[g]) for g in names]
-            out[f"coarse:{label}"] = np.array([*sums, joint])
+        for label, _ in spans:
+            sums = [sum(out[f"pi:{label}"][i] for i in groups[g]) for g in names]
+            out[f"coarse:{label}"] = np.array([*sums, *out[f"joint_mir:{label}"]])
     return out
 
 
@@ -768,14 +761,11 @@ def engine_arrays(result):
         "atom_pi": result.atom_pi,
         "joint_profile": result.joint_profile,
         "marginal_profiles": result.marginal_profiles,
-        "atom_pi_time": result.atom_pi_time,
-        "atom_redundancy_time": result.atom_redundancy_time,
-        "joint_mir": np.float64(result.joint_mir),
     }
-    for band in result.bands:
-        out[f"atom_pi_bands:{band.label}"] = result.atom_pi_bands[band.label]
-        out[f"atom_redundancy_bands:{band.label}"] = result.atom_redundancy_bands[band.label]
-        out[f"joint_mir_bands:{band.label}"] = np.float64(result.joint_mir_bands[band.label])
+    for k, label in enumerate(result.span_labels):
+        out[f"pi:{label}"] = result.atom_pi_spans[k]
+        out[f"redundancy:{label}"] = result.atom_redundancy_spans[k]
+        out[f"joint_mir:{label}"] = result.mir_spans[k, :1]
     for label, t in result.coarse.items():
         out[f"coarse:{label}"] = np.array([*t.unique, t.redundancy, t.synergy, t.joint_mir])
     return out
@@ -1009,10 +999,7 @@ def atom_values(model, sources=None):
     """Every atom's PI and redundancy rate, full axis and per band."""
     bands = [Band(0.04, 0.15, "B1"), Band(0.15, 0.4, "B2")]
     res = decompose(psd_from_var(model, FrequencyGrid(n_points=513)), 0, sources, bands)
-    return np.concatenate(
-        [res.atom_pi_time, res.atom_redundancy_time,
-         *res.atom_pi_bands.values(), *res.atom_redundancy_bands.values()]
-    )
+    return np.concatenate([res.atom_pi_spans, res.atom_redundancy_spans]).ravel()
 
 
 @PROPERTY
@@ -1061,10 +1048,7 @@ WIDE_MODELS = st.one_of(
 def atom_table(model, target, sources):
     """Per atom: PI and redundancy rate over the full axis, B1 and B2."""
     res = decompose(psd_from_var(model, FrequencyGrid(n_points=513)), target, sources, BANDS)
-    columns = [res.atom_pi_time, res.atom_redundancy_time]
-    for label in ("B1", "B2"):
-        columns += [res.atom_pi_bands[label], res.atom_redundancy_bands[label]]
-    return res, np.stack(columns, axis=1)
+    return res, np.concatenate([res.atom_pi_spans, res.atom_redundancy_spans]).T
 
 
 @PROPERTY
@@ -1101,10 +1085,8 @@ def test_single_source_atom_is_the_spectral_mir_integral(model, source):
     s = 1 + (source - 1) % (model.dim - 1)
     res = decompose(psd, 0, [s], BANDS)
     profile = spectral_mir(psd, 0, [s])
-    pairs = [(res.atom_pi_time[0], res.atom_redundancy_time[0], integrate_full(profile))]
-    for band in BANDS:
-        pairs.append((res.atom_pi_bands[band.label][0], res.atom_redundancy_bands[band.label][0],
-                      integrate_band(profile, band, psd.grid.fs)))
+    wants = [integrate_full(profile), *(integrate_band(profile, b, psd.grid.fs) for b in BANDS)]
+    pairs = zip(res.atom_pi_spans[:, 0], res.atom_redundancy_spans[:, 0], wants, strict=True)
     for pi, red, want in pairs:
         assert abs(pi - want) <= 1e-12
         assert abs(red - want) <= 1e-12
@@ -1146,8 +1128,8 @@ def test_atom_pi_lies_on_a_chain_of_the_lattice(model):
 
 
 #: Random stable VARs with M = 2..4 sources (the channels after the
-#: target), grids down to two points, and bands down to a small part of
-#: one grid cell.
+#: target), grids down to two points, bands (in units of fs) down to a
+#: small part of one grid cell, and sampling rates.
 CHAIN_CASES = st.tuples(
     st.integers(2, 4),
     st.integers(1, 3),
@@ -1158,38 +1140,43 @@ CHAIN_CASES = st.tuples(
         st.tuples(st.floats(0.0, 0.5, exclude_max=True), st.booleans(), st.floats(1e-6, 1.0)),
         max_size=3,
     ),
+    st.sampled_from([1.0, 0.3, 7.77]),
 )
 
 
 @PROPERTY
 @given(case=CHAIN_CASES)
-@example(case=(2, 1, 7, 0.9, 2, [(0.1, True, 0.01), (0.0, False, 1.0)]))
-@example(case=(4, 3, 31, 0.9, 2049, [(0.04, False, 0.11 / 0.46), (0.3, True, 0.5)]))
+@example(case=(2, 1, 7, 0.9, 2, [(0.1, True, 0.01), (0.0, False, 1.0)], 1.0))
+@example(case=(4, 3, 31, 0.9, 2049, [(0.04, False, 0.11 / 0.46), (0.3, True, 0.5)], 1.0))
+@example(case=(4, 2, 5, 0.9, 1000, [(0.1, False, 0.5)], 7.77))
 def test_chain_integrals_equal_the_dense_row_integrals(case):
     # The engine integrates the E-rank chain and takes the redundancy
     # integrals as the zeta sum of the PI integrals; both must agree with
     # the weighted row sums of the dense profiles, and the PI with the joint.
-    m, order, seed, radius, n, drawn = case
-    grid = FrequencyGrid(n_points=n)
+    m, order, seed, radius, n, drawn, fs = case
+    grid = FrequencyGrid(fs=fs, n_points=n)
     cell = 0.5 / (n - 1)
     bands = []
     for k, (lo, narrow, share) in enumerate(drawn):
         hi = min(lo + share * (cell if narrow else 0.5 - lo), 0.5)
         assume(hi > lo)
-        bands.append(Band(lo, hi, f"b{k}"))
+        bands.append(Band(lo * fs, hi * fs, f"b{k}"))
+    # The whole axis as a band, [0, fs/2]: the same span as FULL.
+    bands.append(Band(0.0, fs / 2, "whole"))
     model = random_stable_var(m + 1, order, seed=seed, radius=radius)
     res = decompose(psd_from_var(model, grid), 0, range(1, m + 1), bands)
     weights = [quadrature_weights(grid, b) for b in (None, *bands)]
-    labels = [b.label for b in bands]
-    pi = np.stack([res.atom_pi_time, *(res.atom_pi_bands[x] for x in labels)])
-    red = np.stack([res.atom_redundancy_time, *(res.atom_redundancy_bands[x] for x in labels)])
+    pi, red = res.atom_pi_spans, res.atom_redundancy_spans
     bound = 1e-15 * res.joint_profile.max()
     assert np.max(np.abs(pi - integrate_rows(res.atom_pi, weights))) <= bound
     assert np.max(np.abs(red - integrate_rows(res.atom_redundancy, weights))) <= bound
-    joints = [res.joint_mir, *(res.joint_mir_bands[x] for x in labels)]
+    joints = res.mir_spans[:, 0].tolist()
     for row, joint in zip(pi, joints, strict=True):
         assert abs(row.sum() - joint) <= 1e-13
     # The joint row is integrated with the single-source rows, each summed
     # on its own: the public integrators give the same bits.
     assert joints == [integrate_full(res.joint_profile),
                       *(integrate_band(res.joint_profile, b, res.grid.fs) for b in bands)]
+    # Every span array's row for the whole-axis band is row 0, bit for bit.
+    for spans in (res.atom_pi_spans, res.atom_redundancy_spans, res.mir_spans):
+        assert spans[-1].tobytes() == spans[0].tobytes()

@@ -59,6 +59,8 @@ def test_grid_endpoints_and_mapping():
         FrequencyGrid(fs=1.0, n_points=1)
     with pytest.raises(ArgumentError):
         FrequencyGrid(fs=-1.0)
+    with pytest.raises(ArgumentError, match="fs must be a real number, got '1'"):
+        FrequencyGrid(fs="1")
 
 
 @pytest.mark.parametrize("n_points", [2.5, 65.0, np.float64(65.0), "65", None])
@@ -635,6 +637,9 @@ def test_band_validation(grid):
     profile = np.zeros(grid.n_points)
     with pytest.raises(ArgumentError):
         Band(0.3, 0.2, "bad")
+    for lo, hi in (("0.1", 0.2), (None, 0.2), (0.1, 0.2j)):
+        with pytest.raises(ArgumentError, match="must be a real number"):
+            Band(lo, hi, "x")
     with pytest.raises(ArgumentError, match="Nyquist"):
         integrate_band(profile, Band(0.1, 0.6, "beyond"), grid.fs)
 
