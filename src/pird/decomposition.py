@@ -279,9 +279,17 @@ def _chain_integrals(
     ])
 
 
-def _check_bands(bands: tuple[Band, ...]) -> list[str]:
-    """The span labels, ``FULL`` first; ArgumentError on an entry that is
-    not a Band, or on a repeated label."""
+def _check_bands(bands: Iterable[Band]) -> tuple[tuple[Band, ...], list[str]]:
+    """The bands as a tuple and their span labels, ``FULL`` first;
+    ArgumentError if ``bands`` is not iterable (such as ``None``), on an
+    entry that is not a Band, or on a repeated label."""
+    try:
+        entries = iter(bands)
+    except TypeError:
+        raise ArgumentError(
+            f"bands must be an iterable of Band objects, got {bands!r}; pass () for no bands"
+        ) from None
+    bands = tuple(entries)
     for band in bands:
         if not isinstance(band, Band):
             hint = "; pird.parse_bands reads a band string" if isinstance(band, str) else ""
@@ -289,7 +297,7 @@ def _check_bands(bands: tuple[Band, ...]) -> list[str]:
     labels = [FULL_BAND, *(b.label for b in bands)]
     if len(set(labels)) != len(labels):
         raise ArgumentError(f"duplicate span label in {labels}; {FULL_BAND!r} is reserved")
-    return labels
+    return bands, labels
 
 
 def aggregate_coarse(
@@ -339,14 +347,14 @@ def decompose(
     Raises
     ------
     ArgumentError
-        On an invalid channel choice, or a band that is not a :class:`Band`,
+        On an invalid channel choice, on ``bands`` that are not iterable
+        (``()`` means no bands), or a band that is not a :class:`Band`,
         is labelled ``"FULL"``, is given twice or lies above the Nyquist
         frequency (found by its quadrature weights); all before any spectral
         MIR is computed.
     """
     srcs = _resolve_sources(psd.dim, target, sources)
-    bands = tuple(bands)
-    labels = _check_bands(bands)
+    bands, labels = _check_bands(bands)
     grid, m = psd.grid, len(srcs)
     # One weight row per span, the full axis first.
     weights = [quadrature_weights(grid, b) for b in (None, *bands)]

@@ -542,7 +542,15 @@ def simulate(
 _COND_LIMIT = 1e10
 
 
+def _centred(ts: TimeSeriesMatrix) -> np.ndarray:
+    """The samples less their channel means, held column-major, so that
+    ``z.T`` is the C-ordered series :func:`_lagged_r` copies rows from."""
+    return np.subtract(ts.samples, ts.samples.mean(axis=0), order="F")
+
+
 #: Rows per block of :func:`_lagged_r`, so that each block factors in cache.
+#: Blocks are held column-major (one lagged channel per buffer row), the
+#: layout LAPACK factors in, so numpy hands them over without a transpose.
 _QR_BLOCK = 2048
 
 
@@ -555,24 +563,40 @@ def _lagged_r(z: np.ndarray, p: int, t0: int) -> np.ndarray:
     factors once more, so neither Q nor the lag matrix is formed. Row signs
     of R are arbitrary and cancel in every product taken of them.
 
+    Each block is built column-major: the buffer holds one row per lagged
+    channel, filled by straight copies from the C-ordered ``z.T`` (a view
+    of the column-major ``z`` of :func:`_centred`, a copy otherwise), and
+    its transpose, a Fortran-ordered view, goes to ``np.linalg.qr``.
+    LAPACK gets the same numbers as from a row-major block, so R is the
+    same to the bit.
+
+    The rank check reads the condition number of ``R[:pQ, :pQ]`` with
+    unit-norm columns, so it does not depend on the channels' units.
+
     Raises
     ------
     EstimationError
         If the regressor block ``R[:pQ, :pQ]`` is rank deficient (the
-        message names its condition number).
+        message names its condition number at unit column norms; a
+        constant channel's zero column reads ``inf``).
     """
     n, q = z.shape
-    buf = np.empty((min(_QR_BLOCK, n - t0), (p + 1) * q))
+    width = (p + 1) * q
+    zt = np.ascontiguousarray(z.T)
+    buf = np.empty(width * min(_QR_BLOCK, n - t0))
     factors = []
     for start in range(t0, n, _QR_BLOCK):
-        block = buf[: min(_QR_BLOCK, n - start)]
-        rows = len(block)
+        rows = min(_QR_BLOCK, n - start)
+        block = buf[: width * rows].reshape(width, rows)
         for k in range(1, p + 1):
-            block[:, (k - 1) * q : k * q] = z[start - k : start - k + rows]
-        block[:, p * q :] = z[start : start + rows]
-        factors.append(np.linalg.qr(block, mode="r"))
+            block[(k - 1) * q : k * q] = zt[:, start - k : start - k + rows]
+        block[p * q :] = zt[:, start : start + rows]
+        factors.append(np.linalg.qr(block.T, mode="r"))
     rmat = np.linalg.qr(np.vstack(factors), mode="r")
-    cond = np.linalg.cond(rmat[: p * q, : p * q])
+    # Column j of R has the norm of regressor column j.
+    r_xx = rmat[: p * q, : p * q]
+    norms = np.linalg.norm(r_xx, axis=0)
+    cond = np.linalg.cond(r_xx / norms) if norms.all() else np.inf
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise EstimationError(
             f"regressor matrix is rank deficient (condition number {cond:.3e})"
@@ -595,13 +619,14 @@ def fit_ols(ts: TimeSeriesMatrix, p: int) -> VarModel:
     ------
     EstimationError
         If the lagged regressor matrix is rank deficient (the message
-        names its condition number).
+        names its condition number at unit column norms, which does not
+        depend on the channels' units).
     ArgumentError
         If ``p`` is not an integer >= 0, or there are too few rows
         (``L <= p*Q + 1``).
     """
     p = _count(p, "order", 0)
-    z = ts.samples - ts.samples.mean(axis=0)
+    z = _centred(ts)
     n, q = z.shape
     if n <= p * q + 1:
         raise ArgumentError(
@@ -638,7 +663,7 @@ def select_order_aic(
     matrix, so memory beyond the samples does not grow with ``p_max``.
     """
     p_max = _count(p_max, "p_max", 1)
-    z = ts.samples - ts.samples.mean(axis=0)
+    z = _centred(ts)
     n, q = z.shape
     l_eff = n - p_max
     if l_eff <= p_max * q + 1:

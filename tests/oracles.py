@@ -100,3 +100,22 @@ def accumulated_chain(table, lattice):
     delta = np.diff(np.take_along_axis(env, order, axis=0), axis=0, prepend=0.0)
     bits = (1 << np.arange(len(lattice.elements)))[order]
     return lattice.atom_of_upset[np.bitwise_or.accumulate(bits[::-1], axis=0)[::-1]], delta
+
+
+def row_major_lagged_r(z, p, t0, block_rows):
+    """:func:`pird.var._lagged_r`'s triangular factor from row-major
+    blocks: each block of ``block_rows`` rows of the lag matrix
+    ``[z[t-1], ..., z[t-p] | z[t]]`` filled in one reused C-ordered buffer
+    and factored by ``np.linalg.qr(mode="r")``, then the stacked block
+    factors once more."""
+    n, q = z.shape
+    buf = np.empty((min(block_rows, n - t0), (p + 1) * q))
+    factors = []
+    for start in range(t0, n, block_rows):
+        block = buf[: min(block_rows, n - start)]
+        rows = len(block)
+        for k in range(1, p + 1):
+            block[:, (k - 1) * q : k * q] = z[start - k : start - k + rows]
+        block[:, p * q :] = z[start : start + rows]
+        factors.append(np.linalg.qr(block, mode="r"))
+    return np.linalg.qr(np.vstack(factors), mode="r")

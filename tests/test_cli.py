@@ -52,6 +52,15 @@ def test_fit_selects_true_order_and_recovers_coefficients(sim3_csv, sim3_model, 
     assert len(aic) == 11
 
 
+def test_fit_accepts_channels_in_units_twelve_decades_apart(tmp_path):
+    # raw columns read condition number 6.9e12 here; unit-norm ones 6.2
+    ts = simulate(pird.random_stable_var(3, 2, seed=4, radius=0.95), 3000, seed=1)
+    path = tmp_path / "scaled.csv"
+    pird.TimeSeriesMatrix(samples=ts.samples * [1e-6, 1.0, 1e6]).save_csv(path)
+    assert main(["fit", "--input", str(path), "--max-order", "5", "--out", str(tmp_path / "fit")]) == 0
+    assert json.loads((tmp_path / "fit" / "model.json").read_text())["order"] == 2
+
+
 def test_fit_forced_order_skips_aic(sim3_csv, tmp_path):
     out = tmp_path / "forced"
     assert main(["fit", "--input", str(sim3_csv), "--order", "3", "--out", str(out)]) == 0

@@ -205,6 +205,12 @@ def test_reserved_band_label(sim1_c0_psd):
         decompose(sim1_c0_psd, 0, bands=[Band(0.1, 0.2, "A"), Band(0.2, 0.3, "A")])
 
 
+@pytest.mark.parametrize("bands", [None, Band(0.1, 0.2, "A"), 3])
+def test_non_iterable_bands_raise_an_argument_error(sim1_c0_psd, bands):
+    with pytest.raises(ArgumentError, match=r"bands must be an iterable .*; pass \(\) for no bands"):
+        decompose(sim1_c0_psd, 0, bands=bands)
+
+
 def test_band_beyond_nyquist_raises_before_the_mir_kernel(sim1_c0_psd, monkeypatch):
     def kernel(*args, **kwargs):
         raise AssertionError("spectral_mir_rows ran before the band check")

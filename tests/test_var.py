@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pird import (
     ArgumentError,
@@ -30,7 +32,7 @@ from pird import var as var_module
 from pird.var import STABILITY_EPS, ar_coeffs_from_poles
 
 from conftest import make_model_set
-from oracles import autocovariance_sequence
+from oracles import autocovariance_sequence, row_major_lagged_r
 
 
 def scalar_ar(coeffs, var=1.0):
@@ -391,6 +393,16 @@ def test_fit_ols_rejects_constant_column():
         fit_ols(TimeSeriesMatrix(samples=data), 2)
 
 
+def test_rank_check_rejects_proportional_channels_of_any_units():
+    # unit-norm columns make the two channels the same column
+    x = np.random.default_rng(2).standard_normal(1000)
+    ts = TimeSeriesMatrix(samples=np.column_stack([x, 1e6 * x]))
+    with pytest.raises(EstimationError, match="rank deficient"):
+        fit_ols(ts, 2)
+    with pytest.raises(EstimationError, match="rank deficient"):
+        select_order_aic(ts, 3)
+
+
 def lagged_stack(z, p, t0):
     """``[z[t-1], ..., z[t-p] | z[t]]`` for ``t = t0 .. L-1``, formed."""
     n = len(z)
@@ -406,27 +418,80 @@ def sign_fixed(r):
 
 BLOCK = var_module._QR_BLOCK
 
+LAGGED_R_SHAPES = [
+    (100, 3, 2),  # below one block
+    (BLOCK, 3, 2),  # exactly one block
+    (BLOCK + 1, 3, 2),  # one block plus one row
+    (BLOCK + 5, 3, 4),  # last block: 5 rows, 15 columns
+    (BLOCK + 1, 1, 3),  # one channel
+    (3 * BLOCK + 7, 4, 1),  # one lag, several blocks
+]
 
-@pytest.mark.parametrize(
-    "rows, q, p",
-    [
-        (100, 3, 2),  # below one block
-        (BLOCK, 3, 2),  # exactly one block
-        (BLOCK + 1, 3, 2),  # one block plus one row
-        (BLOCK + 5, 3, 4),  # last block: 5 rows, 15 columns
-        (BLOCK + 1, 1, 3),  # one channel
-        (3 * BLOCK + 7, 4, 1),  # one lag, several blocks
-    ],
-)
-def test_lagged_r_equals_direct_qr(rows, q, p):
+
+def lagged_r_input(rows, q, p):
     rng = np.random.default_rng(rows + q + p)
     t0 = p + 2
-    z = rng.standard_normal((t0 + rows, q))
+    return rng.standard_normal((t0 + rows, q)), t0
+
+
+@pytest.mark.parametrize("rows, q, p", LAGGED_R_SHAPES)
+def test_lagged_r_equals_direct_qr(rows, q, p):
+    z, t0 = lagged_r_input(rows, q, p)
     got = var_module._lagged_r(z, p, t0)
     want = np.linalg.qr(lagged_stack(z, p, t0), mode="r")
     assert got.shape == want.shape == ((p + 1) * q, (p + 1) * q)
     err = np.max(np.abs(sign_fixed(got) - sign_fixed(want)))
     assert err <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("rows, q, p", LAGGED_R_SHAPES + [(5 * BLOCK + 3, 4, 10)])
+def test_lagged_r_equals_the_row_major_blocks_bit_for_bit(rows, q, p):
+    # the column-major blocks hand LAPACK the same numbers
+    z, t0 = lagged_r_input(rows, q, p)
+    want = row_major_lagged_r(z, p, t0, BLOCK)
+    assert np.array_equal(var_module._lagged_r(z, p, t0), want)
+
+
+def scaled_series(q, p, exponents, seed):
+    """A VAR(p) series of ``q`` channels, unscaled and with channel ``j``
+    multiplied by ``10**exponents[j]``; the factors as the third item."""
+    ts = simulate(random_stable_var(q, p, seed=seed, radius=0.95), 3000, seed=1)
+    d = 10.0 ** np.asarray(exponents[:q], dtype=float)
+    return ts, TimeSeriesMatrix(samples=ts.samples * d, fs=ts.fs, names=ts.names), d
+
+
+SCALED_SERIES = dict(
+    q=st.integers(2, 5),
+    p=st.integers(1, 3),
+    exponents=st.lists(st.integers(-6, 6), min_size=5, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**SCALED_SERIES)
+# channels 1e-6, 1 and 1e6: raw columns read condition number 3.8e12
+@example(q=3, p=2, exponents=[-6, 0, 6, 0, 0], seed=4)
+def test_fit_ols_is_equivariant_under_channel_scaling(q, p, exponents, seed):
+    ts, scaled, d = scaled_series(q, p, exponents, seed)
+    want, got = fit_ols(ts, p), fit_ols(scaled, p)
+    # the scaled model is D A_k D^-1 with innovations D sigma D
+    coeffs = got.coeffs / d[:, None] * d
+    sigma = got.sigma / np.outer(d, d)
+    assert np.max(np.abs(coeffs - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
+    assert np.max(np.abs(sigma - want.sigma)) <= 1e-12 * np.max(np.abs(want.sigma))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**SCALED_SERIES)
+@example(q=3, p=2, exponents=[-6, 0, 6, 0, 0], seed=4)
+def test_select_order_aic_is_invariant_under_channel_scaling(q, p, exponents, seed):
+    # every AIC value moves by the same 2 sum(ln d), so its steps do not
+    ts, scaled, _ = scaled_series(q, p, exponents, seed)
+    order, curve = select_order_aic(ts, 5)
+    scaled_order, scaled_curve = select_order_aic(scaled, 5)
+    assert scaled_order == order
+    assert np.max(np.abs(np.diff(scaled_curve) - np.diff(curve))) <= 1e-12
 
 
 def explicit_ols_fit(ts, p):
