@@ -25,7 +25,7 @@ import numpy as np
 from .decomposition import CoarseTerms
 from .errors import ArgumentError, NumericalError
 from .var import VarModel, _block, _channel_set, _check_covariance, _covariances, _resolve_sources
-from .var import _unit_scale
+from .var import _in_channel_units
 
 
 def _logdets(blocks: list[tuple[str, np.ndarray]], err=NumericalError) -> list[float]:
@@ -114,11 +114,9 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
     ``K Sigma K.T``, observation noise ``Sigma_ss`` and cross term
     ``K Sigma[:, s]``. This is the covariance table's entry for
     ``channels`` (:func:`~pird.var._covariances`): :func:`~pird.var._dare`
-    finds ``P`` by structure-preserving doubling and certifies it by its
-    residual and closed-loop stability, at unit innovation variance, where
-    the transfer entropies read their log-dets (so they do not change with
-    the channels' units); only the returned covariance is scaled back to
-    those units.
+    finds ``P`` by structure-preserving doubling and certifies it, at unit
+    innovation variance, where the transfer entropies read their log-dets;
+    only the returned covariance is scaled back to the channels' units.
 
     Raises
     ------
@@ -129,8 +127,7 @@ def submodel_innovation(model: VarModel, channels: Sequence[int]) -> np.ndarray:
         conditioning).
     """
     chans = _channel_set(model.dim, channels, "channel")
-    scale = _unit_scale(model)[list(chans)]
-    return _covariances([model], [[chans]])[0][chans] / np.outer(scale, scale)
+    return _in_channel_units(model, _covariances([model], [[chans]])[0][chans], list(chans))
 
 
 def transfer_entropy(

@@ -143,11 +143,11 @@ class SpectralMatrix:
     diagonal, and smallest eigenvalue >= -1e-10 * trace, checked as a
     successful Cholesky factorisation of ``mats[i] + 1e-10 * trace * I``,
     on a read-only copy of ``mats`` that it keeps, so that the caller's
-    array stays its own. A spectrum that :func:`psd_from_var` builds from a
-    model is a Gram matrix ``B B*`` with an exact Hermitian mirror, so it
-    skips the last two checks and is checked only for its shape, finite
-    entries and a positive diagonal. Its ``mats`` is the ``(n_points, Q,
-    Q)`` view of a frequency-last ``(Q, Q, n_points)`` buffer.
+    array stays its own. A model's spectrum (:func:`psd_from_var`), a Gram
+    matrix ``B B*`` with an exact Hermitian mirror, or a loaded one
+    (:meth:`with_diagonal_loading`, a checked one plus ``c I``, ``c >= 0``)
+    cannot fail the last two checks, so it skips them. A model spectrum's
+    ``mats`` is the ``(n_points, Q, Q)`` view of a frequency-last buffer.
     """
 
     grid: FrequencyGrid
@@ -176,9 +176,9 @@ class SpectralMatrix:
     def _of_gram(
         cls, grid: FrequencyGrid, mats: np.ndarray, names: Sequence[str]
     ) -> "SpectralMatrix":
-        """The spectrum of the Gram matrices ``mats`` (``B B*`` with an
-        exact Hermitian mirror, as :func:`psd_from_var` forms them),
-        checked only for shape, finite entries and a positive diagonal."""
+        """The spectrum of ``mats`` as given, a Gram matrix or a loaded
+        spectrum (see the class), checked only for shape, finite entries
+        and a positive diagonal."""
         idx = np.arange(_check_entries(grid, mats))
         _check_diagonal(grid, mats.transpose(1, 2, 0)[idx, idx].real)
         psd = object.__new__(cls)
@@ -205,8 +205,9 @@ class SpectralMatrix:
         if not 0.0 <= delta < np.inf:  # NaN included
             raise ArgumentError(f"loading factor must be finite and nonnegative, got {delta}")
         traces = np.trace(self.mats, axis1=1, axis2=2).real / self.dim
-        mats = self.mats + delta * traces[:, None, None] * np.eye(self.dim)
-        return SpectralMatrix(grid=self.grid, mats=mats, names=self.names)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+            mats = self.mats + delta * traces[:, None, None] * np.eye(self.dim)
+        return SpectralMatrix._of_gram(self.grid, mats, self.names)
 
 
 def _check_entries(grid: FrequencyGrid, mats: np.ndarray) -> int:

@@ -544,8 +544,14 @@ _COND_LIMIT = 1e10
 
 def _centred(ts: TimeSeriesMatrix) -> np.ndarray:
     """The samples less their channel means, held column-major, so that
-    ``z.T`` is the C-ordered series :func:`_lagged_r` copies rows from."""
-    return np.subtract(ts.samples, ts.samples.mean(axis=0), order="F")
+    ``z.T`` is the C-ordered series :func:`_lagged_r` copies rows from;
+    EstimationError naming the first constant channel, a zero column."""
+    samples = ts.samples
+    for j in np.flatnonzero((samples == samples[0]).all(axis=0))[:1]:
+        raise EstimationError(
+            f"channel {ts.names[j]!r} is constant: the fit is rank deficient (condition number inf)"
+        )
+    return np.subtract(samples, samples.mean(axis=0), order="F")
 
 
 #: Rows per block of :func:`_lagged_r`, so that each block factors in cache.
@@ -576,9 +582,9 @@ def _lagged_r(z: np.ndarray, p: int, t0: int) -> np.ndarray:
     Raises
     ------
     EstimationError
-        If the regressor block ``R[:pQ, :pQ]`` is rank deficient (the
-        message names its condition number at unit column norms; a
-        constant channel's zero column reads ``inf``).
+        If the regressor block ``R[:pQ, :pQ]`` (at order 0 the samples'
+        own ``R``) is rank deficient (the message names its condition
+        number at unit column norms).
     """
     n, q = z.shape
     width = (p + 1) * q
@@ -594,7 +600,7 @@ def _lagged_r(z: np.ndarray, p: int, t0: int) -> np.ndarray:
         factors.append(np.linalg.qr(block.T, mode="r"))
     rmat = np.linalg.qr(np.vstack(factors), mode="r")
     # Column j of R has the norm of regressor column j.
-    r_xx = rmat[: p * q, : p * q]
+    r_xx = rmat[: (p or 1) * q, : (p or 1) * q]
     norms = np.linalg.norm(r_xx, axis=0)
     cond = np.linalg.cond(r_xx / norms) if norms.all() else np.inf
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -618,26 +624,23 @@ def fit_ols(ts: TimeSeriesMatrix, p: int) -> VarModel:
     Raises
     ------
     EstimationError
-        If the lagged regressor matrix is rank deficient (the message
-        names its condition number at unit column norms, which does not
-        depend on the channels' units).
+        If a channel is constant (the message names it), or the lagged
+        regressor matrix (at order 0 the samples) is rank deficient (the
+        message names its condition number at unit column norms).
     ArgumentError
         If ``p`` is not an integer >= 0, or there are too few rows
         (``L <= p*Q + 1``).
     """
     p = _count(p, "order", 0)
-    z = _centred(ts)
-    n, q = z.shape
+    n, q = ts.samples.shape
     if n <= p * q + 1:
         raise ArgumentError(
             f"need more than p*Q + 1 = {p * q + 1} samples to fit order {p}, got {n}"
         )
+    z = _centred(ts)
+    rmat = _lagged_r(z, p, p)  # at order 0, only the rank check
     if p == 0:
-        sigma = z.T @ z / n
-        return VarModel(
-            coeffs=np.zeros((0, q, q)), sigma=sigma, fs=ts.fs, names=ts.names
-        )
-    rmat = _lagged_r(z, p, p)
+        return VarModel(coeffs=np.zeros((0, q, q)), sigma=z.T @ z / n, fs=ts.fs, names=ts.names)
     k = p * q
     beta = np.linalg.solve(rmat[:k, :k], rmat[:k, k:])
     r_yy = rmat[k:, k:]
@@ -663,13 +666,13 @@ def select_order_aic(
     matrix, so memory beyond the samples does not grow with ``p_max``.
     """
     p_max = _count(p_max, "p_max", 1)
-    z = _centred(ts)
-    n, q = z.shape
+    n, q = ts.samples.shape
     l_eff = n - p_max
     if l_eff <= p_max * q + 1:
         raise ArgumentError(
             f"p_max={p_max} infeasible for {n} samples of dimension {q}"
         )
+    z = _centred(ts)
     k = p_max * q
     rmat = _lagged_r(z, p_max, p_max)
     # R_yy.T R_yy is the residual SSCP at order p_max; order p adds back the
@@ -696,11 +699,11 @@ def select_order_aic(
 def zero_lag_covariance(model: VarModel) -> np.ndarray:
     """Stationary covariance ``Gamma_0`` of a stable model, in the channels'
     units: the leading ``Q x Q`` block of the covariance table's empty-set
-    entry (:func:`_covariances`), the companion form's Lyapunov equation
-    ``G = A G A.T + S`` solved by Smith doubling at unit innovation variance,
-    where the reference PIDs read it. UnstableModelError if the model is not
-    stable; EstimationError if the equation has no stable solution."""
-    return _companion_covariance(model)[: model.dim, : model.dim].copy()
+    entry (:func:`_covariances`), where the reference PIDs read it.
+    UnstableModelError if the model is not stable; EstimationError if its
+    Lyapunov equation has no stable solution."""
+    q = model.dim
+    return _in_channel_units(model, _covariances([model], [[()]])[0][()][:q, :q], slice(q))
 
 
 #: Cap on the doublings of :func:`_dare`. Each doubling squares the
@@ -732,8 +735,13 @@ def _state_space(model: VarModel) -> tuple[np.ndarray, np.ndarray]:
 
 def _companion_covariance(model: VarModel) -> np.ndarray:
     """The companion state's stationary covariance, in the channels' units."""
-    scale = _unit_scale(model)
-    return _covariances([model], [[()]])[0][()] / np.outer(scale, scale)
+    return _in_channel_units(model, _covariances([model], [[()]])[0][()], slice(None))
+
+
+def _in_channel_units(model: VarModel, entry: np.ndarray, states) -> np.ndarray:
+    """A table ``entry`` over companion state indices ``states``, in the channels' units."""
+    scale = _unit_scale(model)[states]
+    return entry / np.outer(scale, scale)
 
 
 def _covariances(models, channel_sets, names=None) -> list[dict]:
@@ -745,30 +753,27 @@ def _covariances(models, channel_sets, names=None) -> list[dict]:
     Each model's stability is checked and its state space built once, and the
     entries are at unit innovation variance. One batched :func:`_dare` per
     state size and set size solves the equations of all models; a failure is
-    an EstimationError naming the channel set and ``names[i]``."""
+    an EstimationError naming the failing member's channel set and ``names[i]``."""
     equations, batches = {}, {}
     for i, model in enumerate(models):
         _require_stable(model, "the analytic covariance structure")
         comp, noise = _state_space(model)
-        n = len(comp)
         for chans in channel_sets[i]:
             sel = list(chans)
-            equations[i, chans] = (
-                (comp, comp[sel], noise, _block(noise, sel), noise[:, sel]) if chans
-                else (comp, np.zeros((0, n)), noise, np.zeros((0, 0)), np.zeros((n, 0)))
-            )
-            batches.setdefault((n, len(chans)), []).append((i, chans))
+            equations[i, chans] = (comp, comp[sel], noise, _block(noise, sel), noise[:, sel])
+            batches.setdefault((len(comp), len(chans)), []).append((i, chans))
     tables: list[dict] = [{} for _ in models]
     for (_, size), keys in batches.items():
-        labels = [" of ".join([f"channels {c}"] * bool(c) + ([names[i]] if names else []))
-                  for i, c in keys]
         try:  # np.array stacks the members' equal shapes, faster than np.stack
-            solved = _dare(*(np.array([equations[key][j] for key in keys]) for j in range(5)),
-                           labels if all(labels) else None)
+            solved = _dare(*(np.array([equations[key][j] for key in keys]) for j in range(5)))
         except np.linalg.LinAlgError as exc:
             what = ("Riccati equation has no stabilising solution" if size
                     else "Lyapunov equation has no stable solution")
-            raise EstimationError(f"{what}: {exc}") from exc
+            why, *member = exc.args  # the solver's own checks add the member's index
+            for i, chans in (keys[k] for k in member):
+                label = [f"channels {chans}"] * bool(chans) + ([names[i]] if names else [])
+                why += f" for {' of '.join(label)}" if label else ""
+            raise EstimationError(f"{what}: {why}") from exc
         for (i, chans), p in zip(keys, solved):
             if chans:  # the innovation covariance C_s P C_s.T + Sigma_ss
                 _, c_s, _, sig_ss, _ = equations[i, chans]
@@ -782,8 +787,8 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=(-2, -1))
 
 
-def _dare(a, c, q, r, s, names: Sequence[str] | None = None) -> np.ndarray:
-    """Stabilising solution ``P`` of the Kalman-filter Riccati equation
+def _dare(a, c, q, r, s) -> np.ndarray:
+    """Stabilising solutions ``P`` of a batch of Kalman-filter Riccati equations
 
         P = A P A.T - (A P C.T + S) (R + C P C.T)^-1 (A P C.T + S).T + Q
 
@@ -794,9 +799,9 @@ def _dare(a, c, q, r, s, names: Sequence[str] | None = None) -> np.ndarray:
     observation (``C`` with no rows) it is the Lyapunov equation
     ``P = A P A.T + Q``, and the doubling is Smith's.
 
-    The arguments may share a leading batch axis, as ``P`` then does. Each
-    member stops at its own convergence, so its solution does not depend on
-    its batch, and is certified on its own: the cap on the doublings, the
+    The arguments share a leading batch axis, as ``P`` does. Each member
+    stops at its own convergence, so its solution does not depend on its
+    batch, and is certified on its own: the cap on the doublings, the
     residual and, with an observation, the stability of the closed loop
     ``A~ (I + P G)^-1``. Without one that is ``A``, a companion matrix whose
     stability every caller requires first.
@@ -804,11 +809,8 @@ def _dare(a, c, q, r, s, names: Sequence[str] | None = None) -> np.ndarray:
     Raises
     ------
     numpy.linalg.LinAlgError
-        For the first member that fails a check, named by ``names``.
+        For the first member that fails a check, with args ``(why, index)``.
     """
-    single = a.ndim == 2
-    if single:
-        a, c, q, r, s = (x[None] for x in (a, c, q, r, s))
     n, observed = a.shape[-1], c.shape[-2] > 0
     a_t, q_t, g_0 = a, q, np.zeros_like(a)
     if observed:
@@ -832,11 +834,9 @@ def _dare(a, c, q, r, s, names: Sequence[str] | None = None) -> np.ndarray:
             if not live.size:
                 break
 
-    def fail(k: int, why: str):
-        raise np.linalg.LinAlgError(why if names is None else f"{why} for {names[k]}")
-
     if live.size:
-        fail(live[0], f"doubling did not converge in {_MAX_DOUBLINGS} steps")
+        why = f"doubling did not converge in {_MAX_DOUBLINGS} steps"
+        raise np.linalg.LinAlgError(why, int(live[0]))
     closed, unstable = a_t, np.zeros(len(a), dtype=bool)
     if observed:
         closed = np.linalg.solve(eye + g_0 @ solved, a_t.mT).mT
@@ -847,8 +847,9 @@ def _dare(a, c, q, r, s, names: Sequence[str] | None = None) -> np.ndarray:
         _max_abs(solved), _max_abs(q)
     )
     for k in np.flatnonzero(big | unstable)[:1]:
-        fail(k, "residual too large" if big[k] else "closed loop is not stable")
-    return solved[0] if single else solved
+        why = "residual too large" if big[k] else "closed loop is not stable"
+        raise np.linalg.LinAlgError(why, int(k))
+    return solved
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ package because no code path of the package needs it.
 
 import numpy as np
 
+from pird import var
 from pird.var import _companion_covariance, _require_stable
 
 
@@ -119,3 +120,46 @@ def row_major_lagged_r(z, p, t0, block_rows):
         block[:, p * q :] = z[start : start + rows]
         factors.append(np.linalg.qr(block, mode="r"))
     return np.linalg.qr(np.vstack(factors), mode="r")
+
+
+def element_series(model, target, channels):
+    """The exact cosine series of the spectral MIR between ``target`` and
+    the source set ``channels``: ``(g0, c)`` with
+    ``i(omega) = g0 + sum_k c[k - 1] cos(k omega)``.
+
+    For each channel set X of T = {target}, S = ``channels`` and S u T, the
+    batch-only :func:`pird.var._dare` on :func:`pird.var._state_space` gives
+    the state covariance P_X of the sub-model's Kalman filter, hence its
+    innovation covariance Sigma*_X, its gain K_X and its closed loop
+    F_X = A - K_X C_X. The sub-model's spectrum factors as
+    det Sigma*_X |det(I - F_X e^{-jw})|^2 / |det(I - A e^{-jw})|^2, so
+
+        g0 = 1/2 ln(Sigma*_T det Sigma*_S / det Sigma*_{S u T}),
+        c_k = [tr A^k - tr F_T^k - tr F_S^k + tr F_{S u T}^k] / k,
+
+    the last from the power sums of the eigenvalues (Barnett & Seth, Phys.
+    Rev. E 91, 040101(R), 2015). With n the state size and rho the largest
+    spectral radius of the four matrices, |c_k| <= 4 n rho^k / k, and the
+    series stops where that bound falls below 1e-17.
+    """
+    comp, noise = var._state_space(model)
+    n = len(comp)
+    sets = ([target], sorted(channels), sorted({target, *channels}))
+    sigmas, loops = [], []
+    for chans in sets:
+        c, r, s = comp[chans], noise[np.ix_(chans, chans)], noise[:, chans]
+        p = var._dare(*(x[None] for x in (comp, c, noise, r, s)))[0]
+        sigma = c @ p @ c.T + r
+        gain = np.linalg.solve(sigma, (comp @ p @ c.T + s).T).T
+        sigmas.append(sigma)
+        loops.append(comp - gain @ c)
+    logdets = [np.linalg.slogdet(sigma)[1] for sigma in sigmas]
+    g0 = 0.5 * (logdets[0] + logdets[1] - logdets[2])
+    mats, signs = [comp, *loops], (1.0, -1.0, -1.0, 1.0)
+    rho = max(np.abs(np.linalg.eigvals(m)).max() for m in mats)
+    powers, coeffs, k = [np.eye(n)] * 4, [], 1
+    while 4 * n * rho**k / k >= 1e-17:
+        powers = [power @ m for power, m in zip(powers, mats)]
+        coeffs.append(sum(sign * np.trace(power) for sign, power in zip(signs, powers)) / k)
+        k += 1
+    return g0, np.array(coeffs)

@@ -189,10 +189,15 @@ UNSEEN_UNIT_MODE = dict(
 )
 
 
+def batch_of_one(**equation):
+    """The keyword arguments of :func:`pird.var._dare` for one equation."""
+    return {name: np.asarray(x)[None] for name, x in equation.items()}
+
+
 @pytest.mark.parametrize("q", [np.eye(2), np.diag([0.0, 1.0])])
 def test_dare_without_stabilising_solution_raises(q):
     with pytest.raises(np.linalg.LinAlgError):
-        var._dare(q=q, **UNSEEN_UNIT_MODE)
+        var._dare(**batch_of_one(q=q, **UNSEEN_UNIT_MODE))
 
 
 def test_riccati_failure_is_estimation_error(monkeypatch, tmp_path):
@@ -206,7 +211,7 @@ def test_riccati_failure_is_estimation_error(monkeypatch, tmp_path):
 
     # The CLI maps it to exit code 4.
     solve = var._dare
-    monkeypatch.setattr(var, "_dare", lambda *args: solve(q=np.eye(2), **UNSEEN_UNIT_MODE))
+    monkeypatch.setattr(var, "_dare", lambda *args: solve(**batch_of_one(q=np.eye(2), **UNSEEN_UNIT_MODE)))
     args = ["decompose", "--scenario", "sim2", "--c", "0.2", "--out", str(tmp_path)]
     assert main(args) == 4
 
@@ -251,7 +256,7 @@ def test_doubling_solvers_near_the_unit_circle():
         equation, _ = innovations_form(m, chans)
         a, c, q, r, s = equation
         oracle = scipy.linalg.solve_discrete_are(a.T, c.T, q, r, s=s)
-        p = var._dare(*equation)
+        p = var._dare(*(x[None] for x in equation))[0]
         assert riccati_residual(*equation, p) <= 1e-13
         assert np.abs(p - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
@@ -387,9 +392,9 @@ def count_solver_members(monkeypatch):
     members = []
     solve = var._dare
 
-    def counted(a, c, q, r, s, names=None):
+    def counted(a, c, q, r, s):
         members.extend(member.tobytes() for member in c)
-        return solve(a, c, q, r, s, names)
+        return solve(a, c, q, r, s)
 
     monkeypatch.setattr(var, "_dare", counted)
     return members

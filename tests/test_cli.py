@@ -61,6 +61,17 @@ def test_fit_accepts_channels_in_units_twelve_decades_apart(tmp_path):
     assert json.loads((tmp_path / "fit" / "model.json").read_text())["order"] == 2
 
 
+@pytest.mark.parametrize("order", [["--order", "0"], ["--order", "2"], []])
+def test_fit_of_a_constant_channel_exits_4_at_every_order(tmp_path, capsys, order):
+    samples = np.random.default_rng(5).standard_normal((1000, 3))
+    samples[:, 1] = 2.5
+    path = tmp_path / "constant.csv"
+    pird.TimeSeriesMatrix(samples=samples, names=("Y", "X1", "X2")).save_csv(path)
+    assert main(["fit", "--input", str(path), *order, "--out", str(tmp_path / "fit")]) == 4
+    assert "channel 'X1' is constant" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_fit_forced_order_skips_aic(sim3_csv, tmp_path):
     out = tmp_path / "forced"
     assert main(["fit", "--input", str(sim3_csv), "--order", "3", "--out", str(out)]) == 0
@@ -791,7 +802,7 @@ def test_sweep_solver_failure_names_the_channel_set_and_the_model(
     solve = pird.var._dare
     member = 7  # c = 0.35 in the default sweep
 
-    def forced(a, c, q, r, s, names):
+    def forced(a, c, q, r, s):
         if c.shape[-2] < 2:
             a, c, q, r, s = (x.copy() for x in (a, c, q, r, s))
             if c.shape[-2] == 0:
@@ -799,7 +810,7 @@ def test_sweep_solver_failure_names_the_channel_set_and_the_model(
             else:
                 a[member], c[member] = np.diag([1.0, 0.5, 0.5]), [[0.0, 0.5, 0.0]]
                 q[member], r[member], s[member] = np.eye(3), np.eye(1), 0.0
-        return solve(a, c, q, r, s, names)
+        return solve(a, c, q, r, s)
 
     monkeypatch.setattr(pird.var, "_dare", forced)
     assert main(["bench", "--scenario", scenario, "--grid", "65", "--out", str(tmp_path)]) == 4

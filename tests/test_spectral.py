@@ -22,6 +22,7 @@ from pird import (
     build_scenario,
     integrate_band,
     integrate_full,
+    mir_decomposition,
     parse_bands,
     psd_from_var,
     random_stable_var,
@@ -34,7 +35,7 @@ from pird import spectral
 from pird.spectral import integrate_rows, quadrature_weights, spectral_mir_rows
 
 from conftest import make_model_set, reference_band_integral
-from oracles import block_transfer_function
+from oracles import block_transfer_function, element_series
 
 
 def scalar_ar(coeffs, var=1.0):
@@ -539,6 +540,40 @@ def test_spectral_mir_rows_singular_blocks(kind):
             spectral_mir(psd, 0, bad)
 
 
+# The exact element reference: every source set of each model, target 0.
+SERIES_MODELS = {
+    "sim1": build_scenario(Scenario("sim1", {"c": 0.4})),
+    "sim2": build_scenario(Scenario("sim2", {"c": 0.4})),
+    "sim3": build_scenario(Scenario("sim3")),
+    **{f"random M={m} p={p}": random_stable_var(m + 1, p, seed=10 * m + p, radius=0.9)
+       for m in (2, 3, 4) for p in (1, 3)},
+}
+
+
+def source_sets(model):
+    sources = range(1, model.dim)
+    return [c for size in sources for c in itertools.combinations(sources, size)]
+
+
+@pytest.mark.parametrize("name", SERIES_MODELS)
+def test_spectral_mir_equals_the_exact_element_series(name):
+    model = SERIES_MODELS[name]
+    psd = psd_from_var(model, FrequencyGrid(n_points=257))
+    for chans in source_sets(model):
+        g0, c = element_series(model, 0, chans)
+        series = g0 + np.cos(np.outer(psd.grid.omegas, np.arange(1, len(c) + 1))) @ c
+        assert np.abs(series - spectral_mir(psd, 0, chans)).max() <= 1e-13, chans
+
+
+@pytest.mark.parametrize("name", SERIES_MODELS)
+def test_element_series_constant_term_is_the_mir_split(name):
+    # the Kolmogorov-Szego value: the integral of the MIR over the axis
+    model = SERIES_MODELS[name]
+    for chans in source_sets(model):
+        g0, _ = element_series(model, 0, chans)
+        assert abs(g0 - sum(mir_decomposition(model, 0, chans))) <= 1e-12, chans
+
+
 def test_spectral_mir_rows_names_the_first_singular_group_in_groups_order():
     # Sources 2 and 3 are equal at 0.125 Hz, and the target equals source 1
     # at 0.375 and 0.5 Hz: the first singular group asked for is named,
@@ -580,6 +615,31 @@ def test_diagonal_loading(grid):
         with pytest.raises(ArgumentError, match="finite and nonnegative"):
             psd.with_diagonal_loading(bad)
     assert np.array_equal(psd.with_diagonal_loading(0.0).mats, psd.mats)
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_diagonal_loading_adds_the_scaled_identity(given):
+    # A model spectrum, or the same matrices supplied by the user.
+    psd = psd_from_var(random_stable_var(4, 2, seed=8), FrequencyGrid(n_points=33))
+    if given:
+        psd = SpectralMatrix(grid=psd.grid, mats=np.array(psd.mats), names=psd.names)
+    delta = 0.03
+    traces = np.trace(psd.mats, axis1=1, axis2=2).real / 4
+    loaded = psd.with_diagonal_loading(delta)
+    assert np.array_equal(loaded.mats, psd.mats + delta * traces[:, None, None] * np.eye(4))
+    assert not loaded.mats.flags.writeable
+    assert not np.shares_memory(loaded.mats, psd.mats)
+    assert (loaded.grid, loaded.names) == (psd.grid, psd.names)
+
+
+def test_diagonal_loading_that_overflows_is_a_numerical_error():
+    # delta * trace/Q overflows, and times the zeros of I it is NaN
+    model = VarModel(coeffs=[0.5 * np.eye(3)], sigma=4.0 * np.eye(3))
+    psd = psd_from_var(model, FrequencyGrid(n_points=9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning escapes
+        with pytest.raises(NumericalError, match="non-finite entry"):
+            psd.with_diagonal_loading(1e308)
 
 
 def test_integrate_full_constant(grid):

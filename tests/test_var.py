@@ -393,6 +393,38 @@ def test_fit_ols_rejects_constant_column():
         fit_ols(TimeSeriesMatrix(samples=data), 2)
 
 
+def constant_series(column):
+    """1000 normal samples of three channels, ``column`` 2.5 throughout."""
+    data = np.random.default_rng(5).standard_normal((1000, 3))
+    data[:, column] = 2.5
+    return TimeSeriesMatrix(samples=data, names=("Y", "X1", "X2"))
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("order", [0, 1, "aic"])
+def test_a_constant_channel_is_named_at_every_order(order, column):
+    ts = constant_series(column)
+    with pytest.raises(EstimationError, match=f"^channel '{ts.names[column]}' is constant"):
+        select_order_aic(ts, 3) if order == "aic" else fit_ols(ts, order)
+
+
+def test_order_zero_rejects_collinear_channels_of_any_units():
+    # the sample covariance is singular: X2 = Y - 2 X1 exactly, up to rounding
+    data = np.random.default_rng(6).standard_normal((1000, 3))
+    data[:, 2] = data[:, 0] - 2.0 * data[:, 1]
+    for units in ([1.0, 1.0, 1.0], [1e-6, 1.0, 1e6]):
+        with pytest.raises(EstimationError, match="rank deficient"):
+            fit_ols(TimeSeriesMatrix(samples=data * units), 0)
+
+
+def test_too_few_samples_stay_an_argument_error_before_the_constant_check():
+    ts = TimeSeriesMatrix(samples=[[1.0, 2.0]])
+    with pytest.raises(ArgumentError, match="need more than"):
+        fit_ols(ts, 0)
+    with pytest.raises(ArgumentError, match="infeasible"):
+        select_order_aic(ts, 1)
+
+
 def test_rank_check_rejects_proportional_channels_of_any_units():
     # unit-norm columns make the two channels the same column
     x = np.random.default_rng(2).standard_normal(1000)
